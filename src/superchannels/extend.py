@@ -1,10 +1,17 @@
 """CP supermap extensions of a map given only on the channel span.
 
-A map defined on the span of channel Choi matrices extends to a superchannel
-exactly when the PSD cone meets the affine set of supermap Choi matrices that
-reproduce the given images.  The search runs Dykstra-corrected alternating
-projections between the two sets; infeasibility is reported with a numeric
-gap estimate, never a proof.
+A map defined on the span S of channel Choi matrices extends to a supermap
+exactly when the PSD cone meets the affine set of supermap Choi matrices
+that reproduce the given images.  That set has a closed form.  The supermaps
+vanishing on S have Choi matrices in ``S^perp (x) M_{n2}``, where
+``S^perp = {A (x) I_{r1} : Tr A = 0}``, and the minimum-norm extension is
+``x0 = sum_k conj(x_k) (x) y_k`` over the canonical orthonormal basis
+``x_k`` of S with images ``y_k``.  Projecting onto the set therefore takes a
+partial trace over r1, removes the d1 trace and tensors ``I_{r1}/r1`` back;
+trace preservation adds the projection that acts on the output factor only,
+and the two commute.  The search runs Dykstra-corrected alternating
+projections between the affine set and the cone; infeasibility is reported
+with a numeric gap estimate, never a proof.
 """
 
 from __future__ import annotations
@@ -15,10 +22,8 @@ from itertools import combinations
 import numpy as np
 
 from . import feasibility
-from .channels import choi_action_rows
 from .config import DEFAULTS, resolve
-from .feasibility import FEASIBLE
-from .linalg import frob, vec
+from .feasibility import FEASIBLE, AffineSet
 from .opsys import span_basis, span_dim, span_membership
 from .supermaps import Superchannel, apply_superchannel, aux_dim
 
@@ -95,24 +100,57 @@ def validate_action(action: SpanAction, tol: float | None = None) -> None:
             raise ValueError("an image breaks the trace-scaling factor")
 
 
-def _constraint_system(action: SpanAction,
-                       include_tp: bool) -> tuple[np.ndarray, np.ndarray]:
-    n1 = action.d1 * action.r1
-    n2 = action.d2 * action.r2
-    blocks = [choi_action_rows(x, n1, n2) for x in span_basis(action.d1, action.r1)]
-    rhs = [vec(y) for y in action.images]
-    if include_tp:
-        big = n1 * n2
-        rows = np.zeros((n1 * n1, big * big), dtype=complex)
-        b_tp = np.zeros(n1 * n1, dtype=complex)
-        for p in range(n1):
-            for q in range(n1):
-                for u in range(n2):
-                    rows[p * n1 + q, (p * n2 + u) * big + (q * n2 + u)] += 1.0
-                b_tp[p * n1 + q] = 1.0 if p == q else 0.0
-        blocks.append(rows)
-        rhs.append(b_tp)
-    return feasibility.realify(np.vstack(blocks), np.concatenate(rhs), n1 * n2)
+def affine_set(action: SpanAction, trace_preserving: bool = False) -> AffineSet:
+    """The supermap Choi matrices that reproduce ``action``, with their projection.
+
+    With ``trace_preserving`` the set also asks ``Tr_{n2} C = I``.  The
+    anchor is the Hermitian part of the minimum-norm extension ``x0`` (see
+    the module docstring).  It misses the set, and the solver reports the
+    system inconsistent, when the action does not commute with the adjoint
+    or breaks trace preservation.
+    """
+    d1, r1 = action.d1, action.r1
+    n1, n2 = d1 * r1, action.d2 * action.r2
+    n = n1 * n2
+    m = span_dim(d1, r1)
+    xs = np.array(span_basis(d1, r1)).reshape(m, n1 * n1)
+    ys = np.array(action.images).reshape(m, n2 * n2)
+    x0 = (xs.conj().T @ ys).reshape(n1, n1, n2, n2).transpose(0, 2, 1, 3).reshape(n, n)
+    anchor = (x0 + x0.conj().T) / 2
+    eye_d1 = np.eye(d1)[:, None, :, None] / d1
+    eye_n2 = np.eye(n2)[None, :, None, :] / n2
+    eye_r1 = (np.eye(r1) / r1)[None, :, None, None, :, None]
+
+    def kernel(c: np.ndarray) -> np.ndarray:
+        # orthogonal projection onto the supermaps vanishing on the span (and
+        # on the trace, with TP); t is indexed (d1, n2, d1, n2)
+        t = c.reshape(d1, r1, n2, d1, r1, n2).trace(axis1=1, axis2=4)
+        if trace_preserving:
+            t = t - t.trace(axis1=1, axis2=3)[:, None, :, None] * eye_n2
+        t = t - eye_d1 * t.trace(axis1=0, axis2=2)[None, :, None, :]
+        return (t[:, None, :, :, None, :] * eye_r1).reshape(n, n)
+
+    def residual(c: np.ndarray) -> float:
+        c4 = c.reshape(n1, n2, n1, n2)
+        images = xs @ c4.transpose(0, 2, 1, 3).reshape(n1 * n1, n2 * n2)
+        diffs = [(images - ys).ravel()]
+        if trace_preserving:
+            diffs.append((c4.trace(axis1=1, axis2=3) - np.eye(n1)).ravel())
+        diff = np.concatenate(diffs)
+        return float(max(np.max(np.abs(diff.real)), np.max(np.abs(diff.imag))))
+
+    # P(C) = anchor + K(C - anchor), with K(anchor) (zero in exact arithmetic)
+    # folded into the offset
+    offset = anchor - kernel(anchor)
+    return AffineSet(
+        project=lambda c: offset + kernel(c),
+        anchor=anchor,
+        residual=residual,
+        # a span row has the norm of a basis element, 1; a TP diagonal row
+        # sums n2 diagonal entries
+        row_bound=float(np.sqrt(n2)) if trace_preserving else 1.0,
+        rhs_scale=max(1.0, float(np.max(np.abs(ys.real))), float(np.max(np.abs(ys.imag)))),
+    )
 
 
 def extend_action(action: SpanAction,
@@ -128,11 +166,9 @@ def extend_action(action: SpanAction,
     by default the iteration starts from the minimum-norm affine point.
     """
     validate_action(action)
-    a_real, b_real = _constraint_system(action, trace_preserving)
     if isinstance(seed_point, Superchannel):
         seed_point = seed_point.choi
-    n = action.d1 * action.r1 * action.d2 * action.r2
-    res = feasibility.solve(a_real, b_real, n, seed_point=seed_point,
+    res = feasibility.solve(affine_set(action, trace_preserving), seed_point=seed_point,
                             max_iter=max_iter, **solver_kwargs)
     witness = None
     if res.status == FEASIBLE:

@@ -1,20 +1,25 @@
 """PSD-affine feasibility by Dykstra-corrected alternating projections.
 
-The solver looks for a Hermitian matrix inside the intersection of an affine
-set (given by a real linear system over Hermitian coordinates) and the PSD
-cone.  The affine projection uses a precomputed pseudo-inverse, so it is
-exact; the Dykstra correction is applied on the cone side only, which is the
-standard simplification when the other factor is affine.
+The solver looks for a Hermitian n x n matrix inside the intersection of an
+affine set and the PSD cone, iterating on the matrices themselves.  The
+affine set arrives as an ``AffineSet``: its nearest-point map, its
+minimum-norm point (the anchor), a residual and a bound relating residuals
+to distances.  Callers that know the geometry pass a closed-form projection
+(``extend.affine_set`` does); ``linear_affine_set`` builds one from an
+explicit complex linear system for everything else.  The Dykstra correction
+is applied on the cone side only, which is the standard simplification when
+the other factor is affine.
 
-Hermitian n x n matrices are coordinatised in an orthonormal real basis, so
-Euclidean geometry in coordinates coincides with Frobenius geometry on
-matrices and both projections are genuine nearest-point maps.
+The orthonormal real basis of the Hermitian matrices and the coordinate maps
+below serve ``linear_affine_set`` and the extremality tests; in coordinates,
+Euclidean geometry coincides with Frobenius geometry on matrices.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
+from typing import Callable
 
 import numpy as np
 
@@ -89,6 +94,51 @@ def realify(a_complex: np.ndarray, b_complex: np.ndarray, n: int) -> tuple[np.nd
     return a_real, b_real
 
 
+@dataclass(frozen=True)
+class AffineSet:
+    """An affine set of Hermitian n x n matrices, described for ``solve``.
+
+    ``project`` is the Frobenius-nearest-point map onto the set and
+    ``anchor`` its minimum-norm point, a Hermitian matrix whose residual
+    decides consistency.  ``residual(C)`` is the largest violation of the
+    defining equations, real and imaginary parts taken apart.  ``row_bound``
+    bounds that residual by ``row_bound * ||C - project(C)||_F``, and
+    ``rhs_scale`` is the floor (at least 1) that scales the affine tolerance.
+    """
+
+    project: Callable[[np.ndarray], np.ndarray]
+    anchor: np.ndarray
+    residual: Callable[[np.ndarray], float]
+    row_bound: float
+    rhs_scale: float
+
+
+def linear_affine_set(a_complex: np.ndarray, b_complex: np.ndarray, n: int) -> AffineSet:
+    """The Hermitian solutions of ``a_complex @ vec(C) = b_complex`` as an ``AffineSet``.
+
+    Generic fallback for systems without a closed-form projection: realify
+    the system and take its pseudo-inverse.  Singular values below
+    ``DEFAULTS.rel_tol`` times the largest are treated as zero; numpy's own
+    cutoff near machine precision keeps noise directions and can turn a
+    consistent system inconsistent.
+    """
+    a_real, b_real = realify(a_complex, b_complex, n)
+    pinv = np.linalg.pinv(a_real, rcond=DEFAULTS.rel_tol)
+    base = pinv @ b_real
+    proj = np.eye(a_real.shape[1]) - pinv @ a_real
+
+    def residual(c: np.ndarray) -> float:
+        return float(np.max(np.abs(a_real @ to_coords(c, n) - b_real)))
+
+    return AffineSet(
+        project=lambda c: from_coords(proj @ to_coords(c, n) + base, n),
+        anchor=from_coords(base, n),
+        residual=residual,
+        row_bound=float(np.sqrt((a_real * a_real).sum(axis=1).max())),
+        rhs_scale=max(1.0, float(np.max(np.abs(b_real)))),
+    )
+
+
 @dataclass
 class ProjectionReport:
     """Outcome of one alternating-projection run."""
@@ -102,14 +152,7 @@ class ProjectionReport:
     gap_history: list[float] = field(default_factory=list)
 
 
-def _psd_project_coords(x: np.ndarray, n: int) -> np.ndarray:
-    w, v = herm_eig(from_coords(x, n))
-    w = np.maximum(w, 0.0)
-    m = (v * w) @ v.conj().T
-    return to_coords((m + m.conj().T) / 2, n)
-
-
-def solve(a_real: np.ndarray, b_real: np.ndarray, n: int,
+def solve(affine: AffineSet,
           seed_point: np.ndarray | None = None,
           max_iter: int | None = None,
           affine_tol: float | None = None,
@@ -117,14 +160,14 @@ def solve(a_real: np.ndarray, b_real: np.ndarray, n: int,
           gap_tol: float | None = None,
           stall_rel: float | None = None,
           stall_window: int | None = None) -> ProjectionReport:
-    """Search the intersection of {A x = b} with the PSD cone.
+    """Search the intersection of an affine set with the PSD cone.
 
-    Starts from the affine projection of ``seed_point`` (of the zero matrix
-    by default, the minimum-norm affine point).  Reports ``feasible`` with a
+    Starts from the affine projection of ``seed_point`` (from the anchor, the
+    minimum-norm affine point, by default).  Reports ``feasible`` with a
     witness once residuals drop below tolerance, ``infeasible`` once the gap
     between the two sets stalls above ``gap_tol``, and ``undetermined`` at
-    the iteration cap.  Raises ``ValueError`` when the affine system itself
-    is inconsistent.
+    the iteration cap.  Raises ``ValueError`` when the affine set is empty,
+    that is when its anchor leaves a residual above tolerance.
     """
     max_iter = int(resolve(max_iter, DEFAULTS.max_iter))
     affine_tol = resolve(affine_tol, DEFAULTS.affine_tol)
@@ -133,54 +176,50 @@ def solve(a_real: np.ndarray, b_real: np.ndarray, n: int,
     stall_rel = resolve(stall_rel, DEFAULTS.stall_rel)
     stall_window = int(resolve(stall_window, DEFAULTS.stall_window))
 
-    pinv = np.linalg.pinv(a_real)
-    base = pinv @ b_real
-    b_floor = max(1.0, float(np.max(np.abs(b_real))) if b_real.size else 1.0)
-    if a_real.size and np.max(np.abs(a_real @ base - b_real)) > affine_tol * b_floor:
+    affine_thr = affine_tol * affine.rhs_scale
+    if affine.residual(affine.anchor) > affine_thr:
         raise ValueError("affine constraint system is inconsistent")
-    # projection onto {Ax = b} as one dense matrix, plus its residual bound:
-    # ||A z - b||_inf <= rowmax * ||z - P(z)||_2 with rowmax the largest row norm
-    proj = np.eye(a_real.shape[1]) - pinv @ a_real
-    rowmax = float(np.sqrt((a_real * a_real).sum(axis=1).max())) if a_real.size else 0.0
+    project = affine.project
+    rowmax = affine.row_bound
 
     if seed_point is not None:
-        z0 = to_coords(np.asarray(seed_point, dtype=complex), n)
-        x = proj @ z0 + base
+        s = np.asarray(seed_point, dtype=complex)
+        x = project((s + s.conj().T) / 2)
     else:
-        x = base.copy()
+        x = affine.anchor.copy()
     p = np.zeros_like(x)
     history: list[float] = []
-    affine_thr = affine_tol * b_floor
 
     for it in range(1, max_iter + 1):
-        y = _psd_project_coords(x + p, n)
-        p = x + p - y
-        x = proj @ y + base
+        # linalg.psd_project, inlined so that this module's herm_eig is the
+        # one eigendecomposition per iteration (perfbench counts it here)
+        z = x + p
+        w, v = herm_eig(z)
+        m = (v * np.maximum(w, 0.0)) @ v.conj().T
+        y = (m + m.conj().T) / 2
+        p = z - y
+        x = project(y)
         gap = float(np.linalg.norm(x - y))
         history.append(gap)
 
         # y is PSD exactly; accept it once its affine residual qualifies.
         if rowmax * gap <= 2 * affine_thr or gap <= affine_thr:
-            affine_res = float(np.max(np.abs(a_real @ y - b_real))) if a_real.size else 0.0
+            affine_res = affine.residual(y)
             if affine_res <= affine_thr:
-                return ProjectionReport(FEASIBLE, from_coords(y, n), gap, it,
-                                        affine_res, 0.0, history)
+                return ProjectionReport(FEASIBLE, y, gap, it, affine_res, 0.0, history)
         # x satisfies the affine constraints exactly and its most negative
         # eigenvalue is bounded by the gap.
         if gap <= psd_tol * max(1.0, float(np.linalg.norm(x))):
-            x_mat = from_coords(x, n)
-            w, _ = herm_eig(x_mat)
-            return ProjectionReport(FEASIBLE, x_mat, gap, it,
+            w, _ = herm_eig(x)
+            return ProjectionReport(FEASIBLE, x, gap, it,
                                     0.0, float(max(0.0, -w[-1])), history)
         if it > stall_window and gap > gap_tol:
             prev = history[-stall_window - 1]
             if abs(gap - prev) <= stall_rel * max(gap, 1e-300):
                 return ProjectionReport(INFEASIBLE, None, gap, it,
-                                        float(np.max(np.abs(a_real @ y - b_real))),
-                                        gap, history)
+                                        affine.residual(y), gap, history)
 
-    y_final = from_coords(x, n)
-    w, _ = herm_eig(y_final)
+    w, _ = herm_eig(x)
     return ProjectionReport(UNDETERMINED, None,
                             history[-1] if history else np.inf,
                             max_iter,

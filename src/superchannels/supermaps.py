@@ -321,9 +321,8 @@ def pre_post_form(sc: Superchannel, tol: float | None = None) -> PrePostForm:
 
     w, _ = herm_eig(c_post)
     if w[-1] < -DEFAULTS.psd_tol * rel_scale(c_post):
-        a_real, b_real = feasibility.realify(a_sys, b_sys, n_post)
-        report = feasibility.solve(a_real, b_real, n_post, seed_point=c_post,
-                                   max_iter=50_000)
+        report = feasibility.solve(feasibility.linear_affine_set(a_sys, b_sys, n_post),
+                                   seed_point=c_post, max_iter=50_000)
         if report.status != feasibility.FEASIBLE:
             raise ArithmeticError("post-channel recovery failed the PSD repair")
         c_post = report.point
