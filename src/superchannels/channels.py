@@ -20,6 +20,7 @@ from .linalg import (
     herm_eig,
     hs_inner,
     is_hermitian,
+    is_isometry,
     kron,
     matrix_unit,
     permute_factors,
@@ -208,7 +209,7 @@ def trace_channel(d: int) -> ChannelChoi:
 def unitary_channel(u: np.ndarray) -> ChannelChoi:
     u = np.asarray(u, dtype=complex)
     n = u.shape[0]
-    if u.shape != (n, n) or frob(u.conj().T @ u - np.eye(n)) > 1e-9 * max(1.0, np.sqrt(n)):
+    if u.shape != (n, n) or not is_isometry(u):
         raise ValueError("input is not unitary within tolerance")
     return choi_from_kraus(KrausSet(n, n, (u,)))
 
@@ -233,26 +234,6 @@ def random_channel(d: int, r: int, kraus_rank: int, seed=None) -> ChannelChoi:
     v = random_isometry(r * kraus_rank, d, rng)
     ops = tuple(v[a * r:(a + 1) * r, :] for a in range(kraus_rank))
     return choi_from_kraus(KrausSet(d, r, ops))
-
-
-def choi_action_rows(m: np.ndarray, dim_in: int, dim_out: int) -> np.ndarray:
-    """Linearisation of C -> vec(phi_C(m)) over vec(C).
-
-    Rows are indexed by the output entry (u, v); the underlying identity is
-    phi_C(m)[u, v] = sum_{c,a} m[c, a] C[(c,u), (a,v)].
-    """
-    m = np.asarray(m, dtype=complex)
-    n = dim_in * dim_out
-    rows = np.zeros((dim_out * dim_out, n * n), dtype=complex)
-    for c in range(dim_in):
-        for a in range(dim_in):
-            x = m[c, a]
-            if x == 0:
-                continue
-            for u in range(dim_out):
-                for v in range(dim_out):
-                    rows[u * dim_out + v, (c * dim_out + u) * n + (a * dim_out + v)] += x
-    return rows
 
 
 def kraus_gram(k: KrausSet) -> np.ndarray:

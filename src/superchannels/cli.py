@@ -17,7 +17,7 @@ import numpy as np
 from . import demo, extremal, feasibility
 from .channels import apply_choi, is_cp, is_tp, kraus_from_choi
 from .extend import extend_action
-from .linalg import frob, herm_eig, kron, matrix_unit, partial_trace, rel_scale
+from .linalg import frob, herm_eig, kron, rel_scale
 from .opsys import span_basis, span_membership
 from .report import FAIL, PASS, UNDETERMINED, RunReport
 from .serialize import (
@@ -35,12 +35,11 @@ from .serialize import (
     save_json,
 )
 from .supermaps import (
-    apply_superchannel,
     aux_dim,
     check_order_unit,
     factor_unitary,
-    induced_marginal_map,
     is_superchannel,
+    marginal_map_residual,
     pre_post_form,
     recompose,
 )
@@ -77,27 +76,12 @@ def cmd_check_super(args) -> RunReport:
     rep.add("order unit fixed", check_order_unit(sc, args.tol))
     if preserving:
         rep.add("aux dim", aux_dim(sc))
-        n_map = induced_marginal_map(sc)
+        n_map, residual = marginal_map_residual(sc)
         eye = np.eye(sc.d1, dtype=complex)
         unital = frob(apply_choi(n_map, eye) - np.eye(sc.d2))
         rep.judge("induced map unitality residual", unital, tol)
-        residual = _marginal_residual(sc, n_map)
         rep.judge("marginal factorisation residual", residual, tol)
     return rep
-
-
-def _marginal_residual(sc, n_map) -> float:
-    worst = 0.0
-    for i in range(sc.d1):
-        for j in range(sc.d1):
-            for k in range(sc.r1):
-                for l in range(sc.r1):
-                    out = apply_superchannel(sc, kron(matrix_unit(sc.d1, i, j),
-                                                      matrix_unit(sc.r1, k, l)))
-                    got = partial_trace(out, (sc.d2, sc.r2), {1})
-                    want = n_map.block(i, j) if k == l else np.zeros((sc.d2, sc.d2))
-                    worst = max(worst, frob(got - want))
-    return worst
 
 
 def _run_extend(args, trace_preserving: bool) -> RunReport:

@@ -45,7 +45,6 @@ from .opsys import (
 )
 from .report import FAIL, PASS, RunReport
 from .supermaps import (
-    Superchannel,
     apply_superchannel,
     aux_dim,
     check_order_unit,
@@ -56,6 +55,7 @@ from .supermaps import (
     is_superchannel,
     marginal,
     pre_post_form,
+    random_superchannel,
     recompose,
     restrictions_equal,
     tensor_superchannels,
@@ -193,19 +193,8 @@ def _roundtrip_instances(count: int = 20, seed: int | None = None):
     out = []
     for k in range(count):
         e = 1 + (k % 2)
-        out.append((recompose_from_rng(rng, e), e))
+        out.append((random_superchannel(2, 2, 2, 2, e, rng), e))
     return out
-
-
-def recompose_from_rng(rng, e: int, d1: int = 2, r1: int = 2,
-                       d2: int = 2, r2: int = 2) -> Superchannel:
-    from .linalg import random_isometry
-
-    v = random_isometry(d1 * e, d2, rng)
-    lo = max(1, int(np.ceil(r1 * e / r2)))
-    rank = int(rng.integers(lo, r1 * e * r2 + 1))
-    post = random_channel(r1 * e, r2, rank, rng)
-    return recompose(v, post, e)
 
 
 def check_pre_post_roundtrip(tol: float | None = None, seed: int | None = None) -> RunReport:

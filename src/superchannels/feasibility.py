@@ -4,14 +4,12 @@ The solver looks for a Hermitian n x n matrix inside the intersection of an
 affine set and the PSD cone, iterating on the matrices themselves.  The
 affine set arrives as an ``AffineSet``: its nearest-point map, its
 minimum-norm point (the anchor), a residual and a bound relating residuals
-to distances.  Callers that know the geometry pass a closed-form projection
-(``extend.affine_set`` does); ``linear_affine_set`` builds one from an
-explicit complex linear system for everything else.  The Dykstra correction
-is applied on the cone side only, which is the standard simplification when
-the other factor is affine.
+to distances.  Its one caller, ``extend.affine_set``, builds the projection
+in closed form.  The Dykstra correction is applied on the cone side only,
+which is the standard simplification when the other factor is affine.
 
-The orthonormal real basis of the Hermitian matrices and the coordinate maps
-below serve ``linear_affine_set`` and the extremality tests; in coordinates,
+The orthonormal real basis of the Hermitian matrices and ``from_coords``
+below serve the perturbation search in ``extremal``; in these coordinates,
 Euclidean geometry coincides with Frobenius geometry on matrices.
 """
 
@@ -66,13 +64,6 @@ def _triu(n: int):
     return np.triu_indices(n, 1)
 
 
-def to_coords(m: np.ndarray, n: int) -> np.ndarray:
-    """Coordinates of a Hermitian matrix in the orthonormal basis above."""
-    iu, ju = _triu(n)
-    off = m[iu, ju]
-    return np.concatenate([np.diagonal(m).real, _SQRT2 * off.real, _SQRT2 * off.imag])
-
-
 def from_coords(x: np.ndarray, n: int) -> np.ndarray:
     m = np.zeros((n, n), dtype=complex)
     iu, ju = _triu(n)
@@ -82,16 +73,6 @@ def from_coords(x: np.ndarray, n: int) -> np.ndarray:
     m[ju, iu] = off.conj()
     m[np.diag_indices(n)] = x[:n]
     return m
-
-
-def realify(a_complex: np.ndarray, b_complex: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Rewrite complex constraints on vec(C) as real constraints on Hermitian coordinates."""
-    basis = hermitian_basis(n)
-    v = basis.reshape(n * n, n * n).T  # column k is vec of basis element k
-    m = a_complex @ v
-    a_real = np.vstack([m.real, m.imag])
-    b_real = np.concatenate([b_complex.real, b_complex.imag])
-    return a_real, b_real
 
 
 @dataclass(frozen=True)
@@ -111,32 +92,6 @@ class AffineSet:
     residual: Callable[[np.ndarray], float]
     row_bound: float
     rhs_scale: float
-
-
-def linear_affine_set(a_complex: np.ndarray, b_complex: np.ndarray, n: int) -> AffineSet:
-    """The Hermitian solutions of ``a_complex @ vec(C) = b_complex`` as an ``AffineSet``.
-
-    Generic fallback for systems without a closed-form projection: realify
-    the system and take its pseudo-inverse.  Singular values below
-    ``DEFAULTS.rel_tol`` times the largest are treated as zero; numpy's own
-    cutoff near machine precision keeps noise directions and can turn a
-    consistent system inconsistent.
-    """
-    a_real, b_real = realify(a_complex, b_complex, n)
-    pinv = np.linalg.pinv(a_real, rcond=DEFAULTS.rel_tol)
-    base = pinv @ b_real
-    proj = np.eye(a_real.shape[1]) - pinv @ a_real
-
-    def residual(c: np.ndarray) -> float:
-        return float(np.max(np.abs(a_real @ to_coords(c, n) - b_real)))
-
-    return AffineSet(
-        project=lambda c: from_coords(proj @ to_coords(c, n) + base, n),
-        anchor=from_coords(base, n),
-        residual=residual,
-        row_bound=float(np.sqrt((a_real * a_real).sum(axis=1).max())),
-        rhs_scale=max(1.0, float(np.max(np.abs(b_real)))),
-    )
 
 
 @dataclass

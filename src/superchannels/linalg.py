@@ -70,6 +70,13 @@ def require_hermitian(m: np.ndarray, tol: float | None = None) -> np.ndarray:
     return m
 
 
+def is_isometry(m: np.ndarray) -> bool:
+    """Whether the columns of ``m`` are orthonormal, to 1e-9 * max(1, sqrt(n)) in
+    the Frobenius norm of ``m^dagger m - I_n`` (n columns)."""
+    n = m.shape[1]
+    return frob(m.conj().T @ m - np.eye(n)) <= 1e-9 * max(1.0, np.sqrt(n))
+
+
 def herm_eig(m: np.ndarray, tol: float | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Eigendecomposition of a Hermitian matrix, eigenvalues descending.
 

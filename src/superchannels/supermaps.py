@@ -13,19 +13,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import feasibility
 from .channels import (
     ChannelChoi,
     apply_choi,
-    choi_action_rows,
-    choi_from_unit_images,
-    dual_channel,
     identity_channel,
     is_cp,
     is_tp,
-    kraus_from_choi,
     random_channel,
-    tensor,
 )
 from .config import DEFAULTS, resolve
 from .linalg import (
@@ -33,16 +27,14 @@ from .linalg import (
     frob,
     herm_eig,
     is_hermitian,
+    is_isometry,
     kron,
-    matrix_unit,
     partial_trace,
     permute_factors,
-    psd_project,
     random_isometry,
     rank_eps,
     rel_scale,
     require_hermitian,
-    vec,
 )
 from .opsys import span_basis, span_membership
 
@@ -162,37 +154,35 @@ def marginal(sc: Superchannel) -> np.ndarray:
     return partial_trace(sc.choi, sc.dims, traced={1, 3})
 
 
+def marginal_map_residual(sc: Superchannel) -> tuple[ChannelChoi, float]:
+    """The induced marginal map and the residual of its lift independence.
+
+    N: M_{d1} -> M_{d2} is defined by lifting X to X tensor I/r1, applying
+    the supermap and tracing out the r2 factor; its Choi matrix is the r2
+    partial trace T of the supermap Choi matrix, traced over r1 and divided
+    by r1.  For a superchannel T equals N tensor I_{r1} (regrouped), so the
+    residual is the largest Frobenius norm over the (i, k, j, l) blocks of
+    ``T[i,k,:,j,l,:] - delta_kl N[i,:,j,:]``.
+    """
+    d1, r1, d2, _ = sc.dims
+    t = partial_trace(sc.choi, sc.dims, {3}).reshape(d1, r1, d2, d1, r1, d2)
+    n_choi = np.einsum("ikajkb->iajb", t) / r1
+    diff = t - np.einsum("iajb,kl->ikajlb", n_choi, np.eye(r1))
+    residual = float(np.sqrt(np.max(np.einsum("ikajlb->ikjl", np.abs(diff) ** 2))))
+    return ChannelChoi(d1, d2, n_choi.reshape(d1 * d2, d1 * d2)), residual
+
+
 def induced_marginal_map(sc: Superchannel, tol: float | None = None) -> ChannelChoi:
     """The unital CP map N: M_{d1} -> M_{d2} governing output marginals.
 
-    N is defined by lifting X to X tensor I/r1, applying the supermap and
-    tracing out the r2 factor.  For a superchannel the result is independent
-    of the lift: tracing the image over r2 equals N applied to the input
-    traced over r1, for every input.  That identity is verified on the full
-    matrix-unit basis and a ``ValueError`` reports the residual otherwise.
+    For a superchannel the map is independent of the lift: tracing the image
+    over r2 equals N applied to the input traced over r1, for every input.
+    That identity is verified in closed form (``marginal_map_residual``) and
+    a ``ValueError`` reports the residual otherwise.
     """
     tol = resolve(tol, DEFAULTS.rel_tol)
-    d1, r1, d2, r2 = sc.dims
-    lift = np.eye(r1, dtype=complex) / r1
-    images = []
-    for i in range(d1):
-        for j in range(d1):
-            out = apply_superchannel(sc, kron(matrix_unit(d1, i, j), lift))
-            images.append(partial_trace(out, (d2, r2), {1}))
-    n_map = choi_from_unit_images(images)
-
-    scale = rel_scale(sc.choi)
-    residual = 0.0
-    for i in range(d1):
-        for j in range(d1):
-            for k in range(r1):
-                for l in range(r1):
-                    out = apply_superchannel(sc, kron(matrix_unit(d1, i, j),
-                                                      matrix_unit(r1, k, l)))
-                    got = partial_trace(out, (d2, r2), {1})
-                    want = n_map.block(i, j) if k == l else np.zeros((d2, d2))
-                    residual = max(residual, frob(got - want))
-    if residual > tol * scale:
+    n_map, residual = marginal_map_residual(sc)
+    if residual > tol * rel_scale(sc.choi):
         raise ValueError(f"marginal map is lift-dependent, residual {residual:.3e}: "
                          "input is not a superchannel")
     return n_map
@@ -210,18 +200,15 @@ def check_order_unit(sc: Superchannel, tol: float | None = None) -> bool:
     return frob(out - np.eye(sc.d2 * sc.r2)) <= tol * max(1.0, float(sc.d2 * sc.r2))
 
 
-def _pre_isometry_images(v: np.ndarray, d2: int) -> list[np.ndarray]:
-    return [v @ matrix_unit(d2, i, j) @ v.conj().T for i in range(d2) for j in range(d2)]
-
-
 def recompose(v_pre: np.ndarray, post: ChannelChoi, e: int) -> Superchannel:
     """Assemble the superchannel realised by an isometric pre-processing
     followed by the input map (tensored with an e-dimensional identity) and a
     post-processing channel.
 
     Shapes: ``v_pre`` is (d1*e) x d2 with orthonormal columns and ``post``
-    maps M_{r1 e} to M_{r2}.  The output is built by evaluating the
-    composition on every matrix unit of M_{d1}(M_{r1}).
+    maps M_{r1 e} to M_{r2}.  The Choi matrix is the single contraction
+    C[(i,k,j,s),(i',l,j',t)] = sum_{a,b} v[(i,a),j] conj(v[(i',b),j'])
+    P[(k,a,s),(l,b,t)], with P the Choi matrix of ``post``.
     """
     v = np.asarray(v_pre, dtype=complex)
     if v.ndim != 2 or v.shape[0] % e:
@@ -232,104 +219,54 @@ def recompose(v_pre: np.ndarray, post: ChannelChoi, e: int) -> Superchannel:
         raise ValueError(f"post-channel input {post.d} incompatible with e={e}")
     r1 = post.d // e
     r2 = post.r
-    if frob(v.conj().T @ v - np.eye(d2)) > 1e-9 * max(1.0, np.sqrt(d2)):
+    if not is_isometry(v):
         raise ValueError("pre-processing matrix is not an isometry within tolerance")
     if not (is_cp(post) and is_tp(post)):
         raise ValueError("post-processing map is not a channel")
 
-    pre_images = _pre_isometry_images(v, d2)
-    ide = identity_channel(e)
-    n1 = d1 * r1
-    images = []
-    for p in range(n1):
-        for q in range(n1):
-            mid = tensor(ChannelChoi(d1, r1, matrix_unit(n1, p, q)), ide)
-            blocks = [apply_choi(post, apply_choi(mid, w)) for w in pre_images]
-            images.append(choi_from_unit_images(blocks).choi)
-    choi = choi_from_unit_images(images).choi
+    vt = v.reshape(d1, e, d2)
+    p = post.choi.reshape(r1, e, r2, r1, e, r2)
+    choi = np.einsum("iaj,IbJ,kaslbt->ikjsIlJt", vt, vt.conj(), p, optimize=True)
+    n = d1 * r1 * d2 * r2
+    choi = choi.reshape(n, n)
     return Superchannel(d1, r1, d2, r2, (choi + choi.conj().T) / 2)
-
-
-def _post_constraint_system(sc: Superchannel, v: np.ndarray,
-                            e: int) -> tuple[np.ndarray, np.ndarray]:
-    """Linear system pinning the post-processing Choi matrix.
-
-    Rows force the recomposition to reproduce the supermap on every matrix
-    unit of M_{d1}(M_{r1}) and the post map to be trace preserving.
-    """
-    d1, r1, d2, r2 = sc.dims
-    n1 = d1 * r1
-    n_in = r1 * e
-    big = n_in * r2
-    pre_images = _pre_isometry_images(v, d2)
-    ide = identity_channel(e)
-    rows, rhs = [], []
-    for p in range(n1):
-        for q in range(n1):
-            mid = tensor(ChannelChoi(d1, r1, matrix_unit(n1, p, q)), ide)
-            target = apply_superchannel(sc, matrix_unit(n1, p, q)).reshape(d2, r2, d2, r2)
-            for w, m in enumerate(pre_images):
-                i, j = divmod(w, d2)
-                rows.append(choi_action_rows(apply_choi(mid, m), n_in, r2))
-                rhs.append(vec(target[i, :, j, :]))
-    tp_rows = np.zeros((n_in * n_in, big * big), dtype=complex)
-    tp_rhs = np.zeros(n_in * n_in, dtype=complex)
-    for c in range(n_in):
-        for a in range(n_in):
-            for s in range(r2):
-                tp_rows[c * n_in + a, (c * r2 + s) * big + (a * r2 + s)] += 1.0
-            tp_rhs[c * n_in + a] = 1.0 if c == a else 0.0
-    rows.append(tp_rows)
-    rhs.append(tp_rhs)
-    return np.vstack(rows), np.concatenate(rhs)
 
 
 def pre_post_form(sc: Superchannel, tol: float | None = None) -> PrePostForm:
     """Factor a superchannel into an isometric pre-processing and a post channel.
 
-    The pre-isometry is the Stinespring dilation of the dual of the induced
-    marginal map, with the auxiliary dimension equal to its Kraus rank (the
-    rank of the double marginal).  The post channel is recovered by solving
-    the linear system that makes the composition reproduce the supermap on
-    the full matrix-unit basis; the least-squares point is certified PSD and
-    trace preserving, with an alternating-projection repair if the plain
-    solve lands outside the cone.  Raises ``ArithmeticError`` when no
-    certified solution is found.
+    Closed form (Chiribella, D'Ariano & Perinotti 2008; Gour 2019).  Let
+    ``W`` be the square root of the double marginal divided by r1, on its
+    support: the (d1 d2) x e matrix of the eigenvectors with nonzero
+    eigenvalue, each scaled by the root of its eigenvalue over r1.  The
+    pre-isometry is ``v[(i,a),j] = W[(i,j),a]``, and the post Choi matrix is
+    the supermap Choi matrix, regrouped to ((d1,d2),(r1,r2)), sandwiched by
+    the pseudo-inverse of ``W`` tensored with the identity on (r1,r2) and
+    regrouped to (r1,e,r2).  The auxiliary dimension e equals ``aux_dim``.
+    Raises ``ValueError`` when the marginal map is lift-dependent or the
+    marginal is not PSD, and ``ArithmeticError`` when the post map fails the
+    channel check or the recomposition misses the input.
     """
     tol = resolve(tol, DEFAULTS.rel_tol)
     d1, r1, d2, r2 = sc.dims
-    n_map = induced_marginal_map(sc, tol)
-    ks = kraus_from_choi(dual_channel(n_map))
-    e = len(ks.ops)
-    # Stacking the conjugated Kraus operators of the dual marginal map gives
-    # the isometry whose row-major composite index (i, a) makes the
-    # composition below reproduce the supermap exactly.
-    v = np.zeros((d1 * e, d2), dtype=complex)
-    for a, b_op in enumerate(ks.ops):
-        for i in range(d1):
-            v[i * e + a, :] = b_op[i, :].conj()
+    induced_marginal_map(sc, tol)  # raises ValueError on lift-dependent input
+    m = marginal(sc)
+    w, u = herm_eig(m)
+    cutoff = DEFAULTS.rel_tol * rel_scale(m)
+    if w[-1] < -cutoff:
+        raise ValueError("double marginal is not PSD: input is not a superchannel")
+    keep = w > cutoff
+    lam = w[keep] / r1
+    e = len(lam)
+    root = u[:, keep] * np.sqrt(lam)
+    v = root.reshape(d1, d2, e).transpose(0, 2, 1).reshape(d1 * e, d2)
 
-    a_sys, b_sys = _post_constraint_system(sc, v, e)
+    inv = (u[:, keep] / np.sqrt(lam)).conj().T.reshape(e, d1, d2)
+    c = sc.choi.reshape(d1, r1, d2, r2, d1, r1, d2, r2)
     n_post = r1 * e * r2
-    z, *_ = np.linalg.lstsq(a_sys, b_sys, rcond=None)
-    c_post = z.reshape(n_post, n_post)
-    c_post = (c_post + c_post.conj().T) / 2
-    sys_scale = max(1.0, float(np.max(np.abs(b_sys))))
-    if np.max(np.abs(a_sys @ vec(c_post) - b_sys)) > 1e-7 * sys_scale:
-        raise ArithmeticError("post-channel system has no Hermitian solution; "
-                              "input is not a superchannel")
-
-    w, _ = herm_eig(c_post)
-    if w[-1] < -DEFAULTS.psd_tol * rel_scale(c_post):
-        report = feasibility.solve(feasibility.linear_affine_set(a_sys, b_sys, n_post),
-                                   seed_point=c_post, max_iter=50_000)
-        if report.status != feasibility.FEASIBLE:
-            raise ArithmeticError("post-channel recovery failed the PSD repair")
-        c_post = report.point
-    else:
-        c_post = psd_project(c_post)
-
-    post = ChannelChoi(r1 * e, r2, c_post)
+    c_post = np.einsum("aij,ikjsIlJt,bIJ->kaslbt", inv, c, inv.conj(), optimize=True)
+    c_post = c_post.reshape(n_post, n_post)
+    post = ChannelChoi(r1 * e, r2, (c_post + c_post.conj().T) / 2)
     if not (is_cp(post) and is_tp(post, tol=1e-7)):
         raise ArithmeticError("recovered post-processing map failed the channel check")
     rebuilt = recompose(v, post, e)
@@ -353,7 +290,7 @@ def unitary_superchannel(u1: np.ndarray, u2: np.ndarray) -> Superchannel:
     d = u1.shape[0]
     r = u2.shape[0]
     for u, n in ((u1, d), (u2, r)):
-        if u.shape != (n, n) or frob(u.conj().T @ u - np.eye(n)) > 1e-9 * max(1.0, np.sqrt(n)):
+        if u.shape != (n, n) or not is_isometry(u):
             raise ValueError("factors must be unitary within tolerance")
     return conjugation_supermap(kron(u1, u2), d, r)
 
@@ -372,7 +309,7 @@ def factor_unitary(u: np.ndarray, d: int, r: int,
     n = d * r
     if u.shape != (n, n):
         raise ValueError(f"unitary shape {u.shape}, expected ({n}, {n})")
-    if frob(u.conj().T @ u - np.eye(n)) > 1e-9 * max(1.0, np.sqrt(n)):
+    if not is_isometry(u):
         raise ValueError("input is not unitary within tolerance")
     eps = resolve(eps, DEFAULTS.rel_tol)
     t = u.reshape(d, r, d, r).transpose(0, 2, 1, 3).reshape(d * d, r * r)

@@ -1,0 +1,117 @@
+"""Dense reference implementations that the tests compare the closed forms against.
+
+Nothing here is used by the library.  The linear-system helpers write the
+constraints on a Choi matrix as an explicit complex system on vec(C), turn it
+into a real system on Hermitian coordinates and project with a
+pseudo-inverse; the loops evaluate a supermap or a pre/post realisation on
+every matrix unit.
+"""
+
+import numpy as np
+
+from superchannels.channels import (
+    ChannelChoi,
+    apply_choi,
+    choi_from_unit_images,
+    identity_channel,
+    tensor,
+)
+from superchannels.config import DEFAULTS
+from superchannels.feasibility import AffineSet, from_coords, hermitian_basis
+from superchannels.linalg import frob, kron, matrix_unit, partial_trace
+from superchannels.supermaps import Superchannel, apply_superchannel
+
+
+def choi_action_rows(m: np.ndarray, dim_in: int, dim_out: int) -> np.ndarray:
+    """Linearisation of C -> vec(phi_C(m)) over vec(C).
+
+    Rows are indexed by the output entry (u, v); the underlying identity is
+    phi_C(m)[u, v] = sum_{c,a} m[c, a] C[(c,u), (a,v)].
+    """
+    m = np.asarray(m, dtype=complex)
+    n = dim_in * dim_out
+    rows = np.zeros((dim_out * dim_out, n * n), dtype=complex)
+    for c in range(dim_in):
+        for a in range(dim_in):
+            x = m[c, a]
+            if x == 0:
+                continue
+            for u in range(dim_out):
+                for v in range(dim_out):
+                    rows[u * dim_out + v, (c * dim_out + u) * n + (a * dim_out + v)] += x
+    return rows
+
+
+def to_coords(m: np.ndarray, n: int) -> np.ndarray:
+    """Coordinates of a Hermitian matrix in ``feasibility.hermitian_basis(n)``."""
+    iu, ju = np.triu_indices(n, 1)
+    off = m[iu, ju]
+    return np.concatenate([np.diagonal(m).real, np.sqrt(2.0) * off.real,
+                           np.sqrt(2.0) * off.imag])
+
+
+def realify(a_complex: np.ndarray, b_complex: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Rewrite complex constraints on vec(C) as real constraints on Hermitian coordinates."""
+    basis = hermitian_basis(n)
+    v = basis.reshape(n * n, n * n).T  # column k is vec of basis element k
+    m = a_complex @ v
+    a_real = np.vstack([m.real, m.imag])
+    b_real = np.concatenate([b_complex.real, b_complex.imag])
+    return a_real, b_real
+
+
+def linear_affine_set(a_complex: np.ndarray, b_complex: np.ndarray, n: int) -> AffineSet:
+    """The Hermitian solutions of ``a_complex @ vec(C) = b_complex`` as an ``AffineSet``.
+
+    Realifies the system and takes its pseudo-inverse.  Singular values below
+    ``DEFAULTS.rel_tol`` times the largest are treated as zero; numpy's own
+    cutoff near machine precision keeps noise directions and can turn a
+    consistent system inconsistent.
+    """
+    a_real, b_real = realify(a_complex, b_complex, n)
+    pinv = np.linalg.pinv(a_real, rcond=DEFAULTS.rel_tol)
+    base = pinv @ b_real
+    proj = np.eye(a_real.shape[1]) - pinv @ a_real
+
+    def residual(c: np.ndarray) -> float:
+        return float(np.max(np.abs(a_real @ to_coords(c, n) - b_real)))
+
+    return AffineSet(
+        project=lambda c: from_coords(proj @ to_coords(c, n) + base, n),
+        anchor=from_coords(base, n),
+        residual=residual,
+        row_bound=float(np.sqrt((a_real * a_real).sum(axis=1).max())),
+        rhs_scale=max(1.0, float(np.max(np.abs(b_real)))),
+    )
+
+
+def recompose_by_matrix_units(v: np.ndarray, post: ChannelChoi, e: int) -> Superchannel:
+    """The pre/post composition evaluated on every matrix unit of M_{d1}(M_{r1})."""
+    d1, d2 = v.shape[0] // e, v.shape[1]
+    r1, r2 = post.d // e, post.r
+    pre_images = [v @ matrix_unit(d2, i, j) @ v.conj().T for i in range(d2) for j in range(d2)]
+    ide = identity_channel(e)
+    n1 = d1 * r1
+    images = []
+    for p in range(n1):
+        for q in range(n1):
+            mid = tensor(ChannelChoi(d1, r1, matrix_unit(n1, p, q)), ide)
+            blocks = [apply_choi(post, apply_choi(mid, w)) for w in pre_images]
+            images.append(choi_from_unit_images(blocks).choi)
+    choi = choi_from_unit_images(images).choi
+    return Superchannel(d1, r1, d2, r2, (choi + choi.conj().T) / 2)
+
+
+def marginal_residual_by_matrix_units(sc: Superchannel, n_map: ChannelChoi) -> float:
+    """Largest ||Tr_{r2} S(E_ij tensor E_kl) - delta_kl N(E_ij)||_F over all matrix units."""
+    worst = 0.0
+    for i in range(sc.d1):
+        for j in range(sc.d1):
+            for k in range(sc.r1):
+                for l in range(sc.r1):
+                    out = apply_superchannel(sc, kron(matrix_unit(sc.d1, i, j),
+                                                      matrix_unit(sc.r1, k, l)))
+                    got = partial_trace(out, (sc.d2, sc.r2), {1})
+                    want = n_map.block(i, j) if k == l else np.zeros((sc.d2, sc.d2))
+                    worst = max(worst, frob(got - want))
+    return worst

@@ -13,15 +13,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from superchannels.channels import choi_action_rows
+from _dense_reference import choi_action_rows, linear_affine_set, realify, to_coords
 from superchannels.extend import affine_set, extend_action, restrict_superchannel
-from superchannels.feasibility import (
-    from_coords,
-    linear_affine_set,
-    realify,
-    solve,
-    to_coords,
-)
+from superchannels.feasibility import from_coords, solve
 from superchannels.gallery import no_tp_action
 from superchannels.linalg import vec
 from superchannels.opsys import span_basis
@@ -114,8 +108,8 @@ def test_anchor_is_the_minimum_norm_affine_point(dims, tp):
 @pytest.mark.parametrize("tp", [False, True])
 @pytest.mark.parametrize("dims", [(2, 2, 2, 2), (3, 2, 3, 2)])
 def test_linear_affine_set_matches_closed_form(dims, tp):
-    """The generic pinv-based set (used by the pre/post PSD repair) agrees,
-    including at (3,2,3,2), where numpy's default pinv cutoff fails."""
+    """The generic pinv-based set agrees, including at (3,2,3,2), where
+    numpy's default pinv cutoff fails."""
     action = _action(dims)
     closed = affine_set(action, tp)
     dense = linear_affine_set(*_linear_system(action, tp))

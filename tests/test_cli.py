@@ -121,6 +121,12 @@ def test_characterize_identity(capsys, fixtures, tmp_path):
     assert form.e == 1
 
 
+def test_characterize_rejects_lift_dependent_input(capsys, fixtures):
+    code = main(["characterize", str(fixtures / "perturbed_readout.json")])
+    assert code == 3
+    assert "lift-dependent" in capsys.readouterr().err
+
+
 def test_extreme_reports(capsys, fixtures, tmp_path):
     spaces_path = tmp_path / "spaces.json"
     save_json(spaces_path, {"s_basis": [encode_matrix(np.eye(2))], "t_basis": []})

@@ -3,6 +3,7 @@ import pytest
 
 from superchannels.linalg import (
     herm_eig,
+    is_isometry,
     kron,
     matrix_unit,
     partial_trace,
@@ -181,3 +182,13 @@ def test_random_unitary_and_isometry():
     np.testing.assert_allclose(v.conj().T @ v, np.eye(2), atol=1e-12)
     with pytest.raises(ValueError):
         random_isometry(2, 3)
+
+
+def test_is_isometry():
+    v = random_isometry(6, 2, 5)
+    assert is_isometry(v) and is_isometry(random_unitary(3, 1))
+    assert not is_isometry(1.01 * v)
+    assert not is_isometry(np.ones((2, 2)))
+    # the tolerance is 1e-9 * max(1, sqrt(n)) in the Frobenius norm of V^dagger V - I
+    assert is_isometry(np.sqrt(1 + 0.9e-9) * np.eye(1))
+    assert not is_isometry(np.sqrt(1 + 1.1e-9) * np.eye(1))

@@ -1,11 +1,17 @@
 import numpy as np
 import pytest
 
+from _dense_reference import (
+    choi_action_rows,
+    marginal_residual_by_matrix_units,
+    realify,
+    recompose_by_matrix_units,
+    to_coords,
+)
 from superchannels import feasibility
 from superchannels.channels import (
     ChannelChoi,
     apply_choi,
-    choi_action_rows,
     identity_channel,
     is_cp,
     is_tp,
@@ -16,14 +22,17 @@ from superchannels.gallery import (
     block_trace_readout,
     entry_readout,
     no_tp_superchannel,
+    perturbed_readout,
     readout_mixture,
 )
 from superchannels.linalg import (
     frob,
+    is_isometry,
     kron,
     matrix_unit,
     partial_trace,
     random_hermitian,
+    random_isometry,
     random_unitary,
     rank_eps,
     vec,
@@ -41,6 +50,7 @@ from superchannels.supermaps import (
     induced_marginal_map,
     is_superchannel,
     marginal,
+    marginal_map_residual,
     pre_post_form,
     random_superchannel,
     recompose,
@@ -248,6 +258,44 @@ def test_recompose_with_trivial_auxiliary_has_aux_dim_one():
         assert aux_dim(sc) == 1
 
 
+@pytest.mark.parametrize("e", [1, 2, 3, 4])
+@pytest.mark.parametrize("dims", [(2, 3, 2, 3), (3, 2, 3, 2), (3, 3, 3, 3)])
+def test_pre_post_form_round_trips_on_the_ladder(dims, e):
+    sc = random_superchannel(*dims, e=e, seed=[23, *dims, e])
+    form = pre_post_form(sc)
+    assert form.e == aux_dim(sc)
+    assert is_isometry(form.v_pre)
+    assert is_cp(form.post) and is_tp(form.post)
+    rebuilt = recompose(form.v_pre, form.post, form.e)
+    assert frob(rebuilt.choi - sc.choi) <= 1e-8
+
+
+def test_pre_post_form_rejects_non_superchannels():
+    swapped = conjugation_supermap(SWAP @ kron(random_unitary(2, 1), np.eye(2)), 2, 2)
+    for bad in (perturbed_readout(), swapped):
+        with pytest.raises(ValueError):
+            pre_post_form(bad)
+
+
+def test_recompose_matches_the_matrix_unit_loop():
+    rng = np.random.default_rng(5)
+    e = 2
+    v = random_isometry(3 * e, 3, rng)
+    post = random_channel(2 * e, 2, 5, rng)
+    np.testing.assert_allclose(recompose(v, post, e).choi,
+                               recompose_by_matrix_units(v, post, e).choi, rtol=0, atol=1e-13)
+
+
+def test_marginal_map_residual_matches_the_matrix_unit_loop():
+    swapped = conjugation_supermap(SWAP @ kron(random_unitary(2, 1), np.eye(2)), 2, 2)
+    cases = [random_superchannel(3, 2, 3, 2, e=3, seed=1), perturbed_readout(), swapped]
+    for sc in cases:
+        n_map, residual = marginal_map_residual(sc)
+        assert residual == pytest.approx(marginal_residual_by_matrix_units(sc, n_map),
+                                         rel=1e-12, abs=1e-14)
+    assert marginal_map_residual(perturbed_readout())[1] == pytest.approx(0.05)
+
+
 def test_tensor_identity_superchannels():
     a = identity_superchannel(2, 2)
     b = identity_superchannel(2, 1)
@@ -370,8 +418,8 @@ def _project_to_scale_preserving(c: np.ndarray) -> np.ndarray:
         lam = span_membership(x, 2, 2).scale
         rows.append(trace_rows @ choi_action_rows(x, n1, n2))
         rhs.append(lam * vec(np.eye(2)))
-    a_real, b_real = feasibility.realify(np.vstack(rows), np.concatenate(rhs), 16)
-    coords = feasibility.to_coords(c, 16)
+    a_real, b_real = realify(np.vstack(rows), np.concatenate(rhs), 16)
+    coords = to_coords(c, 16)
     pinv = np.linalg.pinv(a_real)
     sol = coords - pinv @ (a_real @ coords - b_real)
     return feasibility.from_coords(sol, 16)
