@@ -15,7 +15,8 @@ import sys
 import numpy as np
 
 from . import demo, extremal, feasibility
-from .channels import apply_choi, is_cp, is_tp, kraus_from_choi
+from .channels import is_cp, is_tp, kraus_from_choi
+from .config import DEFAULTS, resolve
 from .extend import extend_action
 from .linalg import frob, herm_eig, kron, rel_scale
 from .opsys import span_basis, span_membership
@@ -66,21 +67,19 @@ def cmd_check_super(args) -> RunReport:
     sc = decode_superchannel(load_json(args.path))
     rep = RunReport("check-super", inputs=(args.path,))
     w, _ = herm_eig(sc.choi)
-    tol = args.tol if args.tol is not None else 1e-9
+    tol = resolve(args.tol, DEFAULTS.rel_tol)
     psd = bool(w[-1] >= -tol * rel_scale(sc.choi))
     rep.add("psd", psd, tol=tol, ok=psd)
     if not psd:
         rep.add("min eigenvalue", float(w[-1]))
-    preserving = is_superchannel(sc, args.tol)
+    preserving = is_superchannel(sc, tol)
     rep.add("span preserving", preserving, tol=tol, ok=preserving)
-    rep.add("order unit fixed", check_order_unit(sc, args.tol))
+    rep.add("order unit fixed", check_order_unit(sc, tol))
     if preserving:
         rep.add("aux dim", aux_dim(sc))
-        n_map, residual = marginal_map_residual(sc)
-        eye = np.eye(sc.d1, dtype=complex)
-        unital = frob(apply_choi(n_map, eye) - np.eye(sc.d2))
+        _, lift, unital = marginal_map_residual(sc.choi, sc.dims)
         rep.judge("induced map unitality residual", unital, tol)
-        rep.judge("marginal factorisation residual", residual, tol)
+        rep.judge("marginal factorisation residual", lift, tol)
     return rep
 
 
@@ -88,7 +87,7 @@ def _run_extend(args, trace_preserving: bool) -> RunReport:
     action = decode_action(load_json(args.path))
     seed = None
     if args.seeds:
-        seed = decode_superchannel(load_json(args.seeds[0])).choi
+        seed = decode_superchannel(load_json(args.seeds)).choi
     report = extend_action(action, seed_point=seed,
                            trace_preserving=trace_preserving,
                            max_iter=args.max_iter)
@@ -98,9 +97,9 @@ def _run_extend(args, trace_preserving: bool) -> RunReport:
             ok={feasibility.FEASIBLE: True,
                 feasibility.INFEASIBLE: False}.get(report.status))
     rep.add("iterations", report.iterations)
-    rep.add("gap", report.gap, tol=1e-6)
-    rep.judge("affine residual", report.affine_residual, 1e-8)
-    rep.judge("psd residual", report.psd_residual, 1e-9)
+    rep.add("gap", report.gap, tol=DEFAULTS.gap_tol)
+    rep.judge("affine residual", report.affine_residual, DEFAULTS.affine_tol)
+    rep.judge("psd residual", report.psd_residual, DEFAULTS.psd_tol)
     if report.status == feasibility.UNDETERMINED:
         rep.status = UNDETERMINED
     elif report.status == feasibility.INFEASIBLE:
@@ -223,8 +222,8 @@ def build_parser() -> argparse.ArgumentParser:
     for name, fn in (("extend", cmd_extend), ("tp-extend", cmd_tp_extend)):
         p = sub.add_parser(name, help=f"{name} a span action to a CP supermap")
         common(p)
-        p.add_argument("--seeds", nargs="*", default=None,
-                       help="superchannel files used as starting points")
+        p.add_argument("--seeds", default=None, metavar="FILE",
+                       help="superchannel file used as the starting point")
         p.add_argument("--max-iter", type=int, default=None)
         p.set_defaults(fn=fn)
 
@@ -272,7 +271,10 @@ def _emit(reports, as_json: bool) -> int:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:  # argparse exits 2, the code for undetermined
+        return 3 if exc.code else 0
     try:
         result = args.fn(args)
     except SerializationError as exc:

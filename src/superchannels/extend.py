@@ -22,10 +22,9 @@ from itertools import combinations
 import numpy as np
 
 from . import feasibility
-from .config import DEFAULTS, resolve
 from .feasibility import FEASIBLE, AffineSet
-from .opsys import span_basis, span_dim, span_membership
-from .supermaps import Superchannel, apply_superchannel, aux_dim
+from .opsys import span_basis, span_dim
+from .supermaps import Superchannel, aux_dim, preserves_span, span_images
 
 
 @dataclass(frozen=True)
@@ -83,21 +82,27 @@ class SpreadReport:
 
 def restrict_superchannel(sc: Superchannel) -> SpanAction:
     """Record the action of a supermap on the canonical span basis."""
-    images = tuple(apply_superchannel(sc, x) for x in span_basis(sc.d1, sc.r1))
-    return SpanAction(sc.d1, sc.r1, sc.d2, sc.r2, images)
+    return SpanAction(sc.d1, sc.r1, sc.d2, sc.r2, tuple(span_images(sc.choi, sc.dims)))
+
+
+def min_norm_extension(action: SpanAction) -> np.ndarray:
+    """The minimum-norm supermap Choi matrix ``x0`` reproducing the action; it is
+    Hermitian only when the action commutes with the adjoint."""
+    n1, n2 = action.d1 * action.r1, action.d2 * action.r2
+    xs = np.array(span_basis(action.d1, action.r1)).reshape(-1, n1 * n1)
+    ys = np.array(action.images).reshape(-1, n2 * n2)
+    x0 = (xs.conj().T @ ys).reshape(n1, n1, n2, n2).transpose(0, 2, 1, 3)
+    return x0.reshape(n1 * n2, n1 * n2)
 
 
 def validate_action(action: SpanAction, tol: float | None = None) -> None:
-    """Check that the images sit in the target span with matching scales."""
-    tol = resolve(tol, DEFAULTS.rel_tol)
-    basis = span_basis(action.d1, action.r1)
-    for x, y in zip(basis, action.images):
-        lam = span_membership(x, action.d1, action.r1, tol).scale
-        mem = span_membership(y, action.d2, action.r2, tol)
-        if not mem.member:
-            raise ValueError("an image leaves the target channel span")
-        if abs(mem.scale - lam) > tol * max(1.0, abs(lam)):
-            raise ValueError("an image breaks the trace-scaling factor")
+    """Check that the images sit in the target span with matching scales:
+    ``preserves_span`` of the minimum-norm extension, exact because the span
+    residuals depend only on the restriction."""
+    dims = (action.d1, action.r1, action.d2, action.r2)
+    if not preserves_span(min_norm_extension(action), dims, tol):
+        raise ValueError("the images leave the target channel span or break "
+                         "the trace-scaling factor")
 
 
 def affine_set(action: SpanAction, trace_preserving: bool = False) -> AffineSet:
@@ -112,10 +117,8 @@ def affine_set(action: SpanAction, trace_preserving: bool = False) -> AffineSet:
     d1, r1 = action.d1, action.r1
     n1, n2 = d1 * r1, action.d2 * action.r2
     n = n1 * n2
-    m = span_dim(d1, r1)
-    xs = np.array(span_basis(d1, r1)).reshape(m, n1 * n1)
-    ys = np.array(action.images).reshape(m, n2 * n2)
-    x0 = (xs.conj().T @ ys).reshape(n1, n1, n2, n2).transpose(0, 2, 1, 3).reshape(n, n)
+    ys = np.array(action.images)
+    x0 = min_norm_extension(action)
     anchor = (x0 + x0.conj().T) / 2
     eye_d1 = np.eye(d1)[:, None, :, None] / d1
     eye_n2 = np.eye(n2)[None, :, None, :] / n2
@@ -131,11 +134,10 @@ def affine_set(action: SpanAction, trace_preserving: bool = False) -> AffineSet:
         return (t[:, None, :, :, None, :] * eye_r1).reshape(n, n)
 
     def residual(c: np.ndarray) -> float:
-        c4 = c.reshape(n1, n2, n1, n2)
-        images = xs @ c4.transpose(0, 2, 1, 3).reshape(n1 * n1, n2 * n2)
-        diffs = [(images - ys).ravel()]
+        diffs = [(span_images(c, (d1, r1, action.d2, action.r2)) - ys).ravel()]
         if trace_preserving:
-            diffs.append((c4.trace(axis1=1, axis2=3) - np.eye(n1)).ravel())
+            tr = c.reshape(n1, n2, n1, n2).trace(axis1=1, axis2=3)
+            diffs.append((tr - np.eye(n1)).ravel())
         diff = np.concatenate(diffs)
         return float(max(np.max(np.abs(diff.real)), np.max(np.abs(diff.imag))))
 

@@ -13,7 +13,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .channels import ChannelChoi
+from .channels import ChannelChoi, block_traces
 from .config import DEFAULTS, resolve
 from .linalg import frob, herm_eig, is_hermitian, matrix_unit, rel_scale, vec
 
@@ -36,23 +36,17 @@ def span_dim(d: int, r: int) -> int:
     return d * d * r * r - d * d + 1
 
 
-def _block_trace_matrix(c: np.ndarray, d: int, r: int) -> np.ndarray:
-    return np.einsum("isjs->ij", c.reshape(d, r, d, r))
-
-
 def span_membership(c: np.ndarray, d: int, r: int, tol: float | None = None) -> SpanMembership:
     """Block-trace membership test, reporting the trace-scaling factor."""
-    c = np.asarray(c, dtype=complex)
-    if c.shape != (d * r, d * r):
-        raise ValueError(f"matrix shape {c.shape} does not match dims ({d}, {r})")
+    phi = ChannelChoi(d, r, c)  # validates the shape
     tol = resolve(tol, DEFAULTS.rel_tol)
-    cutoff = tol * rel_scale(c)
-    t = _block_trace_matrix(c, d, r)
+    cutoff = tol * rel_scale(phi.choi)
+    t = block_traces(phi)
     lam = complex(np.trace(t) / d)
     off = t - np.diag(np.diagonal(t))
     member = bool(np.max(np.abs(off)) <= cutoff if d > 1 else True)
     member = member and bool(np.max(np.abs(np.diagonal(t) - lam)) <= cutoff)
-    if is_hermitian(c):
+    if is_hermitian(phi.choi):
         lam = complex(lam.real)
     return SpanMembership(member, lam)
 
@@ -63,14 +57,12 @@ def project_to_span(c: np.ndarray, d: int, r: int) -> np.ndarray:
     Off-diagonal blocks lose their trace component; diagonal block traces are
     evened out to their mean.  The map is idempotent and self-adjoint.
     """
-    c = np.asarray(c, dtype=complex)
-    if c.shape != (d * r, d * r):
-        raise ValueError(f"matrix shape {c.shape} does not match dims ({d}, {r})")
-    t = _block_trace_matrix(c, d, r)
+    phi = ChannelChoi(d, r, c)  # validates the shape
+    t = block_traces(phi)
     mean = np.trace(t) / d
     excess = t - mean * np.eye(d)
     correction = np.einsum("ij,st->isjt", excess / r, np.eye(r, dtype=complex))
-    out = c.reshape(d, r, d, r) - correction
+    out = phi.as_tensor() - correction
     return out.reshape(d * r, d * r)
 
 

@@ -19,6 +19,7 @@ from .channels import (
     identity_channel,
     is_cp,
     is_tp,
+    is_unital,
     random_channel,
 )
 from .config import DEFAULTS, resolve
@@ -26,7 +27,6 @@ from .linalg import (
     as_rng,
     frob,
     herm_eig,
-    is_hermitian,
     is_isometry,
     kron,
     partial_trace,
@@ -36,7 +36,7 @@ from .linalg import (
     rel_scale,
     require_hermitian,
 )
-from .opsys import span_basis, span_membership
+from .opsys import span_basis
 
 
 @dataclass(frozen=True)
@@ -120,33 +120,27 @@ def identity_superchannel(d: int, r: int) -> Superchannel:
 def is_superchannel(sc: Superchannel, tol: float | None = None) -> bool:
     """PSD Choi matrix plus scale-preserving action on the channel span."""
     tol = resolve(tol, DEFAULTS.rel_tol)
-    if not is_hermitian(sc.choi):
-        return False
     w, _ = herm_eig(sc.choi)
-    if w[-1] < -tol * rel_scale(sc.choi):
-        return False
-    for x in span_basis(sc.d1, sc.r1):
-        lam_in = span_membership(x, sc.d1, sc.r1, tol).scale
-        out = apply_superchannel(sc, x)
-        mem = span_membership(out, sc.d2, sc.r2, tol)
-        if not mem.member:
-            return False
-        if abs(mem.scale - lam_in) > tol * max(1.0, abs(lam_in)):
-            return False
-    return True
+    return bool(w[-1] >= -tol * rel_scale(sc.choi)) and preserves_span(sc.choi, sc.dims, tol)
+
+
+def span_images(choi: np.ndarray, dims: tuple[int, int, int, int]) -> np.ndarray:
+    """Images of the canonical span basis under a supermap Choi matrix, stacked
+    into an array of shape (span_dim, d2 r2, d2 r2)."""
+    d1, r1, d2, r2 = dims
+    c4 = np.asarray(choi).reshape(d1 * r1, d2 * r2, d1 * r1, d2 * r2)
+    return np.einsum("kij,isjt->kst", np.array(span_basis(d1, r1)), c4)
 
 
 def restrictions_equal(a: Superchannel, b: Superchannel, tol: float | None = None) -> bool:
-    """Whether two supermaps agree on the whole channel span."""
+    """Whether two supermaps agree on the whole channel span: every basis
+    image differs by at most ``tol * max(1, ||y_a||_F, ||y_b||_F)``."""
     tol = resolve(tol, DEFAULTS.rel_tol)
-    if (a.d1, a.r1, a.d2, a.r2) != (b.d1, b.r1, b.d2, b.r2):
+    if a.dims != b.dims:
         raise ValueError("superchannel dimensions do not match")
-    for x in span_basis(a.d1, a.r1):
-        ya = apply_superchannel(a, x)
-        yb = apply_superchannel(b, x)
-        if frob(ya - yb) > tol * max(1.0, frob(ya), frob(yb)):
-            return False
-    return True
+    ya, yb = span_images(a.choi, a.dims), span_images(b.choi, b.dims)
+    na, nb, nd = (np.linalg.norm(y, axis=(1, 2)) for y in (ya, yb, ya - yb))
+    return bool(np.all(nd <= tol * np.maximum(1.0, np.maximum(na, nb))))
 
 
 def marginal(sc: Superchannel) -> np.ndarray:
@@ -154,22 +148,34 @@ def marginal(sc: Superchannel) -> np.ndarray:
     return partial_trace(sc.choi, sc.dims, traced={1, 3})
 
 
-def marginal_map_residual(sc: Superchannel) -> tuple[ChannelChoi, float]:
-    """The induced marginal map and the residual of its lift independence.
+def marginal_map_residual(choi: np.ndarray,
+                          dims: tuple[int, int, int, int]) -> tuple[ChannelChoi, float, float]:
+    """The induced marginal map and the residuals of its lift independence and
+    unitality, from one partial trace of any (even non-Hermitian) Choi matrix.
 
-    N: M_{d1} -> M_{d2} is defined by lifting X to X tensor I/r1, applying
-    the supermap and tracing out the r2 factor; its Choi matrix is the r2
-    partial trace T of the supermap Choi matrix, traced over r1 and divided
-    by r1.  For a superchannel T equals N tensor I_{r1} (regrouped), so the
-    residual is the largest Frobenius norm over the (i, k, j, l) blocks of
-    ``T[i,k,:,j,l,:] - delta_kl N[i,:,j,:]``.
+    N: M_{d1} -> M_{d2} lifts X to X tensor I/r1, applies the supermap and
+    traces out r2; its Choi matrix is T, the r2 partial trace, traced over r1
+    and divided by r1.  Residuals: the largest Frobenius norm of the blocks
+    ``T[i,k,:,j,l,:] - delta_kl N[i,:,j,:]``, and ``||sum_i N[i,:,i,:] - I||_F``.
+    Both read the supermap on span elements only.
     """
-    d1, r1, d2, _ = sc.dims
-    t = partial_trace(sc.choi, sc.dims, {3}).reshape(d1, r1, d2, d1, r1, d2)
+    d1, r1, d2, _ = dims
+    t = partial_trace(choi, dims, {3}).reshape(d1, r1, d2, d1, r1, d2)
     n_choi = np.einsum("ikajkb->iajb", t) / r1
     diff = t - np.einsum("iajb,kl->ikajlb", n_choi, np.eye(r1))
-    residual = float(np.sqrt(np.max(np.einsum("ikajlb->ikjl", np.abs(diff) ** 2))))
-    return ChannelChoi(d1, d2, n_choi.reshape(d1 * d2, d1 * d2)), residual
+    lift = float(np.sqrt(np.max(np.einsum("ikajlb->ikjl", np.abs(diff) ** 2))))
+    unital = frob(np.einsum("iaib->ab", n_choi) - np.eye(d2))
+    return ChannelChoi(d1, d2, n_choi.reshape(d1 * d2, d1 * d2)), lift, unital
+
+
+def preserves_span(choi: np.ndarray, dims: tuple[int, int, int, int],
+                   tol: float | None = None) -> bool:
+    """Whether a supermap maps the channel span into the output span with the
+    trace-scaling factor kept: exactly when its marginal map is
+    lift-independent and unital (Gour 2019), judged as ``max(lift, unital) <= tol``.
+    """
+    _, lift, unital = marginal_map_residual(choi, dims)
+    return max(lift, unital) <= resolve(tol, DEFAULTS.rel_tol)
 
 
 def induced_marginal_map(sc: Superchannel, tol: float | None = None) -> ChannelChoi:
@@ -178,12 +184,11 @@ def induced_marginal_map(sc: Superchannel, tol: float | None = None) -> ChannelC
     For a superchannel the map is independent of the lift: tracing the image
     over r2 equals N applied to the input traced over r1, for every input.
     That identity is verified in closed form (``marginal_map_residual``) and
-    a ``ValueError`` reports the residual otherwise.
+    a ``ValueError`` reports a lift residual above ``tol``.
     """
-    tol = resolve(tol, DEFAULTS.rel_tol)
-    n_map, residual = marginal_map_residual(sc)
-    if residual > tol * rel_scale(sc.choi):
-        raise ValueError(f"marginal map is lift-dependent, residual {residual:.3e}: "
+    n_map, lift, _ = marginal_map_residual(sc.choi, sc.dims)
+    if lift > resolve(tol, DEFAULTS.rel_tol):
+        raise ValueError(f"marginal map is lift-dependent, residual {lift:.3e}: "
                          "input is not a superchannel")
     return n_map
 
@@ -195,9 +200,7 @@ def aux_dim(sc: Superchannel, eps: float | None = None) -> int:
 
 def check_order_unit(sc: Superchannel, tol: float | None = None) -> bool:
     """Whether the supermap fixes the identity (the span's order unit)."""
-    tol = resolve(tol, DEFAULTS.rel_tol)
-    out = apply_superchannel(sc, np.eye(sc.d1 * sc.r1, dtype=complex))
-    return frob(out - np.eye(sc.d2 * sc.r2)) <= tol * max(1.0, float(sc.d2 * sc.r2))
+    return is_unital(as_channel(sc), tol)
 
 
 def recompose(v_pre: np.ndarray, post: ChannelChoi, e: int) -> Superchannel:

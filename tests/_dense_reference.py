@@ -4,7 +4,8 @@ Nothing here is used by the library.  The linear-system helpers write the
 constraints on a Choi matrix as an explicit complex system on vec(C), turn it
 into a real system on Hermitian coordinates and project with a
 pseudo-inverse; the loops evaluate a supermap or a pre/post realisation on
-every matrix unit.
+every matrix unit, or test span preservation and restriction equality one
+span basis element at a time.
 """
 
 import numpy as np
@@ -18,7 +19,8 @@ from superchannels.channels import (
 )
 from superchannels.config import DEFAULTS
 from superchannels.feasibility import AffineSet, from_coords, hermitian_basis
-from superchannels.linalg import frob, kron, matrix_unit, partial_trace
+from superchannels.linalg import frob, herm_eig, kron, matrix_unit, partial_trace, rel_scale
+from superchannels.opsys import span_basis, span_membership
 from superchannels.supermaps import Superchannel, apply_superchannel
 
 
@@ -115,3 +117,36 @@ def marginal_residual_by_matrix_units(sc: Superchannel, n_map: ChannelChoi) -> f
                     want = n_map.block(i, j) if k == l else np.zeros((sc.d2, sc.d2))
                     worst = max(worst, frob(got - want))
     return worst
+
+
+def span_preserved_by_basis(images, dims, tol: float) -> bool:
+    """Whether every image of a canonical span basis element lies in the output
+    span with that element's trace-scaling factor, each judged relative to the
+    matrices involved."""
+    d1, r1, d2, r2 = dims
+    for x, y in zip(span_basis(d1, r1), images):
+        lam = span_membership(x, d1, r1, tol).scale
+        mem = span_membership(y, d2, r2, tol)
+        if not mem.member or abs(mem.scale - lam) > tol * max(1.0, abs(lam)):
+            return False
+    return True
+
+
+def is_superchannel_by_basis(sc: Superchannel, tol: float) -> bool:
+    """PSD Choi matrix plus ``span_preserved_by_basis`` on its basis images."""
+    w, _ = herm_eig(sc.choi)
+    if w[-1] < -tol * rel_scale(sc.choi):
+        return False
+    images = [apply_superchannel(sc, x) for x in span_basis(sc.d1, sc.r1)]
+    return span_preserved_by_basis(images, sc.dims, tol)
+
+
+def restrictions_equal_by_basis(a: Superchannel, b: Superchannel, tol: float) -> bool:
+    """Whether the two supermaps' images of every span basis element agree to
+    ``tol * max(1, ||y_a||_F, ||y_b||_F)``."""
+    for x in span_basis(a.d1, a.r1):
+        ya = apply_superchannel(a, x)
+        yb = apply_superchannel(b, x)
+        if frob(ya - yb) > tol * max(1.0, frob(ya), frob(yb)):
+            return False
+    return True

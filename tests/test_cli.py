@@ -181,6 +181,29 @@ def test_input_error_exit_code(capsys, tmp_path):
     assert "line" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    ["extend"],                                   # missing path
+    ["check-super", "a.json", "--bogus"],         # unknown option
+    ["factor-unitary", "u.json", "--dims", "2"],  # too few values
+    ["no-such-command"],
+])
+def test_argument_errors_exit_as_input_errors(capsys, argv):
+    assert main(argv) == 3
+    assert "error" in capsys.readouterr().err
+
+
+def test_help_exits_zero(capsys):
+    assert main(["extend", "--help"]) == 0
+    assert "--seeds" in capsys.readouterr().out
+
+
+def test_extend_takes_one_seed_file(capsys, fixtures):
+    seed = str(fixtures / "readout_first_block.json")
+    code = main(["extend", str(fixtures / "readout_action.json"), "--seeds", seed, seed])
+    assert code == 3
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
 def test_text_output_contains_status(capsys, fixtures):
     code, out = run(capsys, "check-channel", str(fixtures / "identity_channel_2.json"))
     assert code == 0

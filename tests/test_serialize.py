@@ -1,9 +1,11 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from superchannels.channels import KrausSet, depolarizing_channel, random_channel
 from superchannels.extend import extend_action, restrict_superchannel
-from superchannels.gallery import block_trace_readout, readout_action
+from superchannels.gallery import FIXTURES, block_trace_readout, readout_action
 from superchannels.serialize import (
     SerializationError,
     decode_action,
@@ -121,3 +123,27 @@ def test_save_and_load(tmp_path):
     save_json(path, encode_channel(depolarizing_channel(2, 2)))
     back = decode_channel(load_json(path))
     np.testing.assert_allclose(back.choi, np.eye(4) / 2)
+
+
+def _max_number_gap(a, b, where: str) -> float:
+    """Largest absolute difference between the numbers of two JSON values of
+    the same shape; any other difference fails."""
+    if isinstance(a, dict):
+        assert isinstance(b, dict) and a.keys() == b.keys(), where
+        return max((_max_number_gap(a[k], b[k], f"{where}.{k}") for k in a), default=0.0)
+    if isinstance(a, list):
+        assert isinstance(b, list) and len(a) == len(b), where
+        return max((_max_number_gap(x, y, where) for x, y in zip(a, b)), default=0.0)
+    if isinstance(a, float):
+        return abs(a - b)
+    assert a == b, where
+    return 0.0
+
+
+def test_committed_fixtures_match_their_builders():
+    """Every committed fixture equals its ``gallery.FIXTURES`` builder to 1e-12;
+    the action fixtures are restriction images, so this guards the restriction."""
+    root = Path(__file__).resolve().parent.parent / "fixtures"
+    assert sorted(p.name for p in root.glob("*.json")) == sorted(FIXTURES)
+    for name, build in FIXTURES.items():
+        assert _max_number_gap(load_json(root / name), build(), name) <= 1e-12, name

@@ -290,10 +290,11 @@ def test_marginal_map_residual_matches_the_matrix_unit_loop():
     swapped = conjugation_supermap(SWAP @ kron(random_unitary(2, 1), np.eye(2)), 2, 2)
     cases = [random_superchannel(3, 2, 3, 2, e=3, seed=1), perturbed_readout(), swapped]
     for sc in cases:
-        n_map, residual = marginal_map_residual(sc)
+        n_map, residual, _ = marginal_map_residual(sc.choi, sc.dims)
         assert residual == pytest.approx(marginal_residual_by_matrix_units(sc, n_map),
                                          rel=1e-12, abs=1e-14)
-    assert marginal_map_residual(perturbed_readout())[1] == pytest.approx(0.05)
+    sc = perturbed_readout()
+    assert marginal_map_residual(sc.choi, sc.dims)[1] == pytest.approx(0.05)
 
 
 def test_tensor_identity_superchannels():
