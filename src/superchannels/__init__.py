@@ -2,7 +2,7 @@
 
 The package models linear maps between matrix algebras by their Choi
 matrices, the operator system those Choi matrices span, supermaps acting on
-that system, constructive CP extensions by alternating projections, and
+that system, constructive CP extensions by Douglas-Rachford splitting, and
 extreme-point tests for constrained CP maps.
 """
 

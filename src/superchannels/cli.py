@@ -66,13 +66,14 @@ def cmd_check_channel(args) -> RunReport:
 def cmd_check_super(args) -> RunReport:
     sc = decode_superchannel(load_json(args.path))
     rep = RunReport("check-super", inputs=(args.path,))
-    w, _ = herm_eig(sc.choi)
     tol = resolve(args.tol, DEFAULTS.rel_tol)
-    psd = bool(w[-1] >= -tol * rel_scale(sc.choi))
+    preserving = is_superchannel(sc, tol)
+    # a superchannel is PSD: only a rejected input needs its eigenvalues again
+    lam_min = None if preserving else float(herm_eig(sc.choi)[0][-1])
+    psd = preserving or bool(lam_min >= -tol * rel_scale(sc.choi))
     rep.add("psd", psd, tol=tol, ok=psd)
     if not psd:
-        rep.add("min eigenvalue", float(w[-1]))
-    preserving = is_superchannel(sc, tol)
+        rep.add("min eigenvalue", lam_min)
     rep.add("span preserving", preserving, tol=tol, ok=preserving)
     rep.add("order unit fixed", check_order_unit(sc, tol))
     if preserving:
@@ -100,6 +101,9 @@ def _run_extend(args, trace_preserving: bool) -> RunReport:
     rep.add("gap", report.gap, tol=DEFAULTS.gap_tol)
     rep.judge("affine residual", report.affine_residual, DEFAULTS.affine_tol)
     rep.judge("psd residual", report.psd_residual, DEFAULTS.psd_tol)
+    if report.certificate is not None:
+        margin = report.certificate.margin
+        rep.add("certificate margin", margin, tol=0.0, ok=margin < 0)
     if report.status == feasibility.UNDETERMINED:
         rep.status = UNDETERMINED
     elif report.status == feasibility.INFEASIBLE:

@@ -21,7 +21,7 @@ class Defaults:
     gap_tol: float = 1e-6        # a stabilised gap above this reports infeasibility
     stall_rel: float = 1e-12     # relative gap change that defines a stall
     stall_window: int = 1000     # iterations over which a stall is measured
-    max_iter: int = 200_000      # alternating-projection iteration cap
+    max_iter: int = 200_000      # extension-search iteration cap
 
 
 DEFAULTS = Defaults()

@@ -9,9 +9,9 @@ vanishing on S have Choi matrices in ``S^perp (x) M_{n2}``, where
 ``x_k`` of S with images ``y_k``.  Projecting onto the set therefore takes a
 partial trace over r1, removes the d1 trace and tensors ``I_{r1}/r1`` back;
 trace preservation adds the projection that acts on the output factor only,
-and the two commute.  The search runs Dykstra-corrected alternating
-projections between the affine set and the cone; infeasibility is reported
-with a numeric gap estimate, never a proof.
+and the two commute.  The search runs Douglas-Rachford splitting between
+the affine set and the cone (``feasibility.solve``): "feasible" comes with a
+PSD witness, and "infeasible" only with a checked Farkas certificate.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from itertools import combinations
 import numpy as np
 
 from . import feasibility
-from .feasibility import FEASIBLE, AffineSet
+from .feasibility import FEASIBLE, AffineSet, Certificate
 from .opsys import span_basis, span_dim
 from .supermaps import Superchannel, aux_dim, preserves_span, span_images
 
@@ -55,7 +55,12 @@ class SpanAction:
 
 @dataclass
 class FeasibilityReport:
-    """Outcome of an extension search."""
+    """Outcome of an extension search.
+
+    Without a witness, ``certificate`` is the last displacement checked as
+    a Farkas certificate (None if the stall rule never fired); it proves
+    infeasibility when its margin is negative.
+    """
 
     status: str
     witness: Superchannel | None
@@ -64,6 +69,7 @@ class FeasibilityReport:
     affine_residual: float
     psd_residual: float
     gap_history: list[float] = field(default_factory=list)
+    certificate: Certificate | None = None
 
 
 @dataclass(frozen=True)
@@ -176,7 +182,8 @@ def extend_action(action: SpanAction,
     if res.status == FEASIBLE:
         witness = Superchannel(action.d1, action.r1, action.d2, action.r2, res.point)
     return FeasibilityReport(res.status, witness, res.gap, res.iterations,
-                             res.affine_residual, res.psd_residual, res.gap_history)
+                             res.affine_residual, res.psd_residual, res.gap_history,
+                             res.certificate)
 
 
 def tp_extension(action: SpanAction, **kwargs) -> FeasibilityReport:

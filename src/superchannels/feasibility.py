@@ -1,12 +1,19 @@
-"""PSD-affine feasibility by Dykstra-corrected alternating projections.
+"""PSD-affine feasibility by Douglas-Rachford splitting.
 
 The solver looks for a Hermitian n x n matrix inside the intersection of an
 affine set and the PSD cone, iterating on the matrices themselves.  The
 affine set arrives as an ``AffineSet``: its nearest-point map, its
 minimum-norm point (the anchor), a residual and a bound relating residuals
 to distances.  Its one caller, ``extend.affine_set``, builds the projection
-in closed form.  The Dykstra correction is applied on the cone side only,
-which is the standard simplification when the other factor is affine.
+in closed form.
+
+The iteration is Douglas-Rachford (Lions & Mercier 1979): with the shadow
+``y = P_PSD(x)``, ``x <- x + P_A(2y - x) - y``.  The shadow is PSD by
+construction and is the witness once its affine residual qualifies.  On an
+inconsistent problem the displacement ``y - P_A(y)`` converges to the gap
+vector between the two sets (Bauschke & Moursi 2017); "infeasible" is
+reported only when that vector, stripped of its kernel part, checks as a
+Farkas certificate (see ``Certificate``).
 
 The orthonormal real basis of the Hermitian matrices and ``from_coords``
 below serve the perturbation search in ``extremal``; in these coordinates,
@@ -85,6 +92,8 @@ class AffineSet:
     defining equations, real and imaginary parts taken apart.  ``row_bound``
     bounds that residual by ``row_bound * ||C - project(C)||_F``, and
     ``rhs_scale`` is the floor (at least 1) that scales the affine tolerance.
+    Every point of the set has the anchor's trace (the identity lies in the
+    row space of the equations); the infeasibility certificate relies on it.
     """
 
     project: Callable[[np.ndarray], np.ndarray]
@@ -94,9 +103,41 @@ class AffineSet:
     rhs_scale: float
 
 
+@dataclass(frozen=True)
+class Certificate:
+    """A Farkas certificate that the affine set misses the PSD cone.
+
+    ``matrix`` is a Hermitian W orthogonal (up to rounding) to the directions
+    of the affine set, so ``<W, C>`` is the same for every C in the set.  If
+    some C in the set were PSD, with ``t = Tr C = Tr(anchor)`` and
+    ``||C||_F <= t``,
+
+        <W, anchor> >= lambda_min(W) t - ||K W||_F (t + ||anchor||_F),
+
+    where K projects onto the set's directions.  The three terms below are
+    ``<W, anchor>``, ``max(0, -lambda_min(W)) t`` and
+    ``||K W||_F (t + ||anchor||_F)``; a negative sum (``margin``) proves
+    that no such C exists.
+    """
+
+    matrix: np.ndarray
+    inner: float
+    eig_term: float
+    kernel_term: float
+
+    @property
+    def margin(self) -> float:
+        return self.inner + self.eig_term + self.kernel_term
+
+
 @dataclass
 class ProjectionReport:
-    """Outcome of one alternating-projection run."""
+    """Outcome of one Douglas-Rachford run.
+
+    Without a witness, ``certificate`` is the last displacement checked
+    (None if the stall rule never fired); it proves infeasibility only when
+    its margin is negative.
+    """
 
     status: str
     point: np.ndarray | None
@@ -105,28 +146,47 @@ class ProjectionReport:
     affine_residual: float
     psd_residual: float
     gap_history: list[float] = field(default_factory=list)
+    certificate: Certificate | None = None
+
+
+def certificate(affine: AffineSet, y: np.ndarray, py: np.ndarray) -> Certificate:
+    """The displacement ``y - P_A(y)`` as a candidate Farkas certificate.
+
+    Its kernel part ``K W = P_A(W) - P_A(0)`` is removed, and what rounding
+    leaves of it is charged to the margin.
+    """
+    project, anchor = affine.project, affine.anchor
+    w = y - py
+    base = project(np.zeros_like(w))
+    w = w - (project(w) - base)
+    t = float(np.trace(anchor).real)
+    lam_min = float(herm_eig(w)[0][-1])
+    residue = float(np.linalg.norm(project(w) - base))
+    return Certificate(w,
+                       float(np.vdot(w, anchor).real),
+                       max(0.0, -lam_min) * t,
+                       residue * (t + float(np.linalg.norm(anchor))))
 
 
 def solve(affine: AffineSet,
           seed_point: np.ndarray | None = None,
           max_iter: int | None = None,
           affine_tol: float | None = None,
-          psd_tol: float | None = None,
           gap_tol: float | None = None,
           stall_rel: float | None = None,
           stall_window: int | None = None) -> ProjectionReport:
     """Search the intersection of an affine set with the PSD cone.
 
     Starts from the affine projection of ``seed_point`` (from the anchor, the
-    minimum-norm affine point, by default).  Reports ``feasible`` with a
-    witness once residuals drop below tolerance, ``infeasible`` once the gap
-    between the two sets stalls above ``gap_tol``, and ``undetermined`` at
-    the iteration cap.  Raises ``ValueError`` when the affine set is empty,
-    that is when its anchor leaves a residual above tolerance.
+    minimum-norm affine point, by default).  Reports ``feasible`` with the
+    PSD shadow as witness once its affine residual drops below tolerance,
+    ``infeasible`` once the gap has stalled above ``gap_tol`` and the
+    displacement checks as a certificate, and ``undetermined`` at the
+    iteration cap.  Raises ``ValueError`` when the affine set is empty, that
+    is when its anchor leaves a residual above tolerance.
     """
     max_iter = int(resolve(max_iter, DEFAULTS.max_iter))
     affine_tol = resolve(affine_tol, DEFAULTS.affine_tol)
-    psd_tol = resolve(psd_tol, DEFAULTS.psd_tol)
     gap_tol = resolve(gap_tol, DEFAULTS.gap_tol)
     stall_rel = resolve(stall_rel, DEFAULTS.stall_rel)
     stall_window = int(resolve(stall_window, DEFAULTS.stall_window))
@@ -142,19 +202,20 @@ def solve(affine: AffineSet,
         x = project((s + s.conj().T) / 2)
     else:
         x = affine.anchor.copy()
-    p = np.zeros_like(x)
+    # x is affine here, and P_A(x) stays known without projecting x again:
+    # P_A is affine and idempotent, so P_A(x + 2 py - px - y) = py
+    px = py = x
+    cert = None
     history: list[float] = []
 
     for it in range(1, max_iter + 1):
         # linalg.psd_project, inlined so that this module's herm_eig is the
         # one eigendecomposition per iteration (perfbench counts it here)
-        z = x + p
-        w, v = herm_eig(z)
+        w, v = herm_eig(x)
         m = (v * np.maximum(w, 0.0)) @ v.conj().T
         y = (m + m.conj().T) / 2
-        p = z - y
-        x = project(y)
-        gap = float(np.linalg.norm(x - y))
+        py = project(y)
+        gap = float(np.linalg.norm(y - py))
         history.append(gap)
 
         # y is PSD exactly; accept it once its affine residual qualifies.
@@ -162,20 +223,18 @@ def solve(affine: AffineSet,
             affine_res = affine.residual(y)
             if affine_res <= affine_thr:
                 return ProjectionReport(FEASIBLE, y, gap, it, affine_res, 0.0, history)
-        # x satisfies the affine constraints exactly and its most negative
-        # eigenvalue is bounded by the gap.
-        if gap <= psd_tol * max(1.0, float(np.linalg.norm(x))):
-            w, _ = herm_eig(x)
-            return ProjectionReport(FEASIBLE, x, gap, it,
-                                    0.0, float(max(0.0, -w[-1])), history)
         if it > stall_window and gap > gap_tol:
             prev = history[-stall_window - 1]
             if abs(gap - prev) <= stall_rel * max(gap, 1e-300):
-                return ProjectionReport(INFEASIBLE, None, gap, it,
-                                        affine.residual(y), gap, history)
+                cert = certificate(affine, y, py)
+                if cert.margin < 0:
+                    return ProjectionReport(INFEASIBLE, None, gap, it,
+                                            affine.residual(y), gap, history, cert)
+        x = x + 2 * py - px - y
+        px = py
 
-    w, _ = herm_eig(x)
+    w, _ = herm_eig(py)
     return ProjectionReport(UNDETERMINED, None,
                             history[-1] if history else np.inf,
                             max_iter,
-                            0.0, float(max(0.0, -w[-1])), history)
+                            0.0, float(max(0.0, -w[-1])), history, cert)

@@ -141,9 +141,15 @@ def encode_feasibility(report: FeasibilityReport) -> dict:
            "gap": report.gap,
            "affine_residual": report.affine_residual,
            "psd_residual": report.psd_residual,
-           "witness": None}
+           "witness": None,
+           "certificate": None}
     if report.witness is not None:
         out["witness"] = encode_superchannel(report.witness)
+    cert = report.certificate
+    if cert is not None:
+        out["certificate"] = {"matrix": encode_matrix(cert.matrix), "inner": cert.inner,
+                              "eig_term": cert.eig_term, "kernel_term": cert.kernel_term,
+                              "margin": cert.margin}
     return out
 
 

@@ -19,7 +19,15 @@ from superchannels.channels import (
 )
 from superchannels.config import DEFAULTS
 from superchannels.feasibility import AffineSet, from_coords, hermitian_basis
-from superchannels.linalg import frob, herm_eig, kron, matrix_unit, partial_trace, rel_scale
+from superchannels.linalg import (
+    frob,
+    herm_eig,
+    kron,
+    matrix_unit,
+    partial_trace,
+    rel_scale,
+    vec,
+)
 from superchannels.opsys import span_basis, span_membership
 from superchannels.supermaps import Superchannel, apply_superchannel
 
@@ -42,6 +50,26 @@ def choi_action_rows(m: np.ndarray, dim_in: int, dim_out: int) -> np.ndarray:
                 for v in range(dim_out):
                     rows[u * dim_out + v, (c * dim_out + u) * n + (a * dim_out + v)] += x
     return rows
+
+
+def linear_system(action, tp: bool) -> tuple[np.ndarray, np.ndarray, int]:
+    """The extension constraints as a dense complex system ``A vec(C) = b``:
+    the image of every canonical span basis element, plus ``Tr_{n2} C = I``
+    with ``tp``.  Returns ``(A, b, n)``."""
+    n1 = action.d1 * action.r1
+    n2 = action.d2 * action.r2
+    n = n1 * n2
+    rows = [choi_action_rows(x, n1, n2) for x in span_basis(action.d1, action.r1)]
+    rhs = [vec(y) for y in action.images]
+    if tp:
+        tp_rows = np.zeros((n1 * n1, n * n), dtype=complex)
+        for p in range(n1):
+            for q in range(n1):
+                for u in range(n2):
+                    tp_rows[p * n1 + q, (p * n2 + u) * n + (q * n2 + u)] = 1.0
+        rows.append(tp_rows)
+        rhs.append(vec(np.eye(n1)))
+    return np.vstack(rows), np.concatenate(rhs), n
 
 
 def to_coords(m: np.ndarray, n: int) -> np.ndarray:

@@ -13,12 +13,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from _dense_reference import choi_action_rows, linear_affine_set, realify, to_coords
+from _dense_reference import linear_affine_set, linear_system, realify, to_coords
 from superchannels.extend import affine_set, extend_action, restrict_superchannel
 from superchannels.feasibility import from_coords, solve
 from superchannels.gallery import no_tp_action
-from superchannels.linalg import vec
-from superchannels.opsys import span_basis
 from superchannels.supermaps import random_superchannel
 
 DIMS = [(2, 2, 2, 2), (2, 3, 2, 2), (3, 2, 3, 2)]
@@ -29,27 +27,10 @@ def _action(dims):
     return restrict_superchannel(random_superchannel(*dims, e=2, seed=[17, *dims]))
 
 
-def _linear_system(action, tp):
-    n1 = action.d1 * action.r1
-    n2 = action.d2 * action.r2
-    n = n1 * n2
-    rows = [choi_action_rows(x, n1, n2) for x in span_basis(action.d1, action.r1)]
-    rhs = [vec(y) for y in action.images]
-    if tp:
-        tp_rows = np.zeros((n1 * n1, n * n), dtype=complex)
-        for p in range(n1):
-            for q in range(n1):
-                for u in range(n2):
-                    tp_rows[p * n1 + q, (p * n2 + u) * n + (q * n2 + u)] = 1.0
-        rows.append(tp_rows)
-        rhs.append(vec(np.eye(n1)))
-    return np.vstack(rows), np.concatenate(rhs), n
-
-
 @lru_cache(maxsize=None)
 def _reference(dims, tp):
     """Dense projection ``C -> P(C)`` and minimum-norm point of the same affine set."""
-    a_real, b_real = realify(*_linear_system(_action(dims), tp))
+    a_real, b_real = realify(*linear_system(_action(dims), tp))
     n = int(np.prod(dims))
     pinv = np.linalg.pinv(a_real, rcond=1e-12)
     base = pinv @ b_real
@@ -106,13 +87,31 @@ def test_anchor_is_the_minimum_norm_affine_point(dims, tp):
 
 
 @pytest.mark.parametrize("tp", [False, True])
+@pytest.mark.parametrize("dims", DIMS)
+def test_every_affine_point_has_the_anchor_trace(dims, tp):
+    """The identity lies in the channel span, so the trace is fixed on the
+    affine set; the infeasibility certificate's eigenvalue term relies on it."""
+    n = int(np.prod(dims))
+    closed = affine_set(_action(dims), tp)
+    t = np.trace(closed.anchor)
+
+    @settings(max_examples=10, deadline=None)
+    @given(_hermitian_of_size(n))
+    def check(parts):
+        c = _hermitian(parts)
+        assert abs(np.trace(closed.project(c)) - t) <= 1e-12 * max(1.0, np.linalg.norm(c))
+
+    check()
+
+
+@pytest.mark.parametrize("tp", [False, True])
 @pytest.mark.parametrize("dims", [(2, 2, 2, 2), (3, 2, 3, 2)])
 def test_linear_affine_set_matches_closed_form(dims, tp):
     """The generic pinv-based set agrees, including at (3,2,3,2), where
     numpy's default pinv cutoff fails."""
     action = _action(dims)
     closed = affine_set(action, tp)
-    dense = linear_affine_set(*_linear_system(action, tp))
+    dense = linear_affine_set(*linear_system(action, tp))
     np.testing.assert_allclose(dense.anchor, closed.anchor, rtol=0, atol=1e-12)
     assert dense.row_bound == pytest.approx(closed.row_bound)
     assert dense.rhs_scale == pytest.approx(closed.rhs_scale)
@@ -127,7 +126,7 @@ def test_linear_affine_set_matches_closed_form(dims, tp):
 @pytest.mark.parametrize("tp", [False, True])
 def test_solve_on_either_affine_set_gives_the_same_verdict(tp):
     action = no_tp_action()
-    dense = solve(linear_affine_set(*_linear_system(action, tp)))
+    dense = solve(linear_affine_set(*linear_system(action, tp)))
     closed = extend_action(action, trace_preserving=tp)
     assert (dense.status, dense.iterations) == (closed.status, closed.iterations)
     assert dense.gap == pytest.approx(closed.gap, rel=1e-6, abs=1e-12)

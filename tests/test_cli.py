@@ -3,16 +3,20 @@ import json
 import numpy as np
 import pytest
 
+from _dense_reference import linear_system
 from superchannels.cli import main
 from superchannels.gallery import write_fixtures
 from superchannels.serialize import (
+    decode_action,
+    decode_matrix,
     decode_pre_post,
     decode_superchannel,
     encode_matrix,
     load_json,
     save_json,
 )
-from superchannels.linalg import kron, random_unitary
+from superchannels.linalg import kron, random_unitary, vec
+from superchannels.supermaps import is_superchannel
 
 
 @pytest.fixture(scope="module")
@@ -111,6 +115,70 @@ def test_tp_extend_infeasible(capsys, fixtures):
     assert results["gap"] > 1e-6
 
 
+def test_tp_extend_certificate_checks_against_the_dense_system(capsys, fixtures, tmp_path):
+    """The Farkas certificate ``tp-extend --out`` saves, checked without the
+    solver: W lies in the row space of the dense constraint matrix, so
+    ``<W, C> = <W, x0>`` on every C that meets the constraints, and that
+    value is negative while W is PSD up to what the trace term absorbs."""
+    out = tmp_path / "report.json"
+    path = fixtures / "no_tp_action.json"
+    code, reports = run_json(capsys, "tp-extend", str(path), "--out", str(out))
+    assert code == 1
+    results = {f["key"]: f["value"] for f in reports[0]["results"]}
+    cert = load_json(out)["certificate"]
+    assert results["certificate margin"] == pytest.approx(cert["margin"])
+    assert cert["margin"] < 0
+    w = decode_matrix(cert["matrix"])
+
+    a, b, n = linear_system(decode_action(load_json(path)), tp=True)
+    z = np.linalg.lstsq(a.T, vec(w).conj(), rcond=None)[0]
+    assert np.linalg.norm(a.T @ z - vec(w).conj()) <= 1e-10 * np.linalg.norm(w)
+    x0 = np.linalg.lstsq(a, b, rcond=None)[0]
+    assert np.linalg.norm(a @ x0 - b) <= 1e-10
+    x0 = x0.reshape(n, n)
+    inner = np.vdot(w, x0).real
+    lam_min = np.linalg.eigvalsh(w)[0]
+    assert inner < 0
+    assert inner + max(0.0, -lam_min) * np.trace(x0).real < 0
+
+
+@pytest.mark.parametrize("name, expected", [
+    ("identity_superchannel_2_2.json",
+     [("psd", True, 1e-9, True), ("span preserving", True, 1e-9, True),
+      ("order unit fixed", True, None, None), ("aux dim", 1, None, None),
+      ("induced map unitality residual", 0.0, 1e-9, True),
+      ("marginal factorisation residual", 0.0, 1e-9, True)]),
+    ("perturbed_readout.json",
+     [("psd", False, 1e-9, False), ("min eigenvalue", -0.1, None, None),
+      ("span preserving", False, 1e-9, False), ("order unit fixed", False, None, None)]),
+])
+def test_check_super_findings(capsys, fixtures, monkeypatch, name, expected):
+    """The findings follow from ``is_superchannel``, and a superchannel's
+    Choi matrix is decomposed once."""
+    from superchannels import cli, linalg, supermaps
+
+    path = fixtures / name
+    choi_shape = decode_superchannel(load_json(path)).choi.shape
+    calls = []
+
+    def counted(m, *args, **kwargs):
+        calls.append(np.shape(m) == choi_shape)
+        return linalg.herm_eig(m, *args, **kwargs)
+
+    monkeypatch.setattr(cli, "herm_eig", counted)
+    monkeypatch.setattr(supermaps, "herm_eig", counted)
+    code, reports = run_json(capsys, "check-super", str(path))
+    assert sum(calls) == (1 if expected[0][1] else 2)
+    assert code == (0 if expected[0][1] else 1)
+    got = [(f["key"], f["value"], f["tol"], f["ok"]) for f in reports[0]["results"]]
+    assert [g[0] for g in got] == [e[0] for e in expected]
+    for (key, value, tol, ok), want in zip(got, expected):
+        assert (tol, ok) == want[2:], key
+        assert value == pytest.approx(want[1], abs=1e-12), key
+    preserving = dict((g[0], g[1]) for g in got)["span preserving"]
+    assert preserving == is_superchannel(decode_superchannel(load_json(path)), 1e-9)
+
+
 def test_characterize_identity(capsys, fixtures, tmp_path):
     out = tmp_path / "form.json"
     code, reports = run_json(capsys, "characterize",
@@ -163,7 +231,7 @@ def test_basis_command(capsys, tmp_path):
 
 def test_extend_undetermined_exit_code(capsys, fixtures):
     code, reports = run_json(capsys, "extend", str(fixtures / "no_tp_action.json"),
-                             "--max-iter", "5")
+                             "--max-iter", "1")
     assert code == 2
     assert reports[0]["status"] == "undetermined"
 

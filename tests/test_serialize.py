@@ -101,6 +101,7 @@ def test_feasibility_encoding():
     assert obj["status"] == "feasible"
     assert obj["witness"] is not None
     assert {"iterations", "gap", "affine_residual", "psd_residual"} <= set(obj)
+    assert obj["certificate"] is None
 
 
 def test_basis_export_header():
