@@ -98,7 +98,7 @@ def _run_extend(args, trace_preserving: bool) -> RunReport:
             ok={feasibility.FEASIBLE: True,
                 feasibility.INFEASIBLE: False}.get(report.status))
     rep.add("iterations", report.iterations)
-    rep.add("gap", report.gap, tol=DEFAULTS.gap_tol)
+    rep.add("gap", report.gap)
     rep.judge("affine residual", report.affine_residual, DEFAULTS.affine_tol)
     rep.judge("psd residual", report.psd_residual, DEFAULTS.psd_tol)
     if report.certificate is not None:

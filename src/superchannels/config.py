@@ -3,7 +3,9 @@
 Every tolerance decision in the package reads from the single record below,
 so a reviewer has one place to audit thresholds.  Most checks are relative:
 a quantity is compared against ``tol * max(1, scale)`` where the scale is a
-Frobenius norm of the data involved.
+Frobenius norm of the data involved.  An "infeasible" extension verdict
+reads none of them: it rests on a Farkas certificate whose margin charges
+its own rounding (``feasibility.Certificate``).
 """
 
 from __future__ import annotations
@@ -18,9 +20,6 @@ class Defaults:
     gs_drop_tol: float = 1e-10   # Gram-Schmidt drop threshold in basis construction
     affine_tol: float = 1e-8     # affine residual accepted for feasibility witnesses
     psd_tol: float = 1e-9        # PSD residual accepted for feasibility witnesses
-    gap_tol: float = 1e-6        # a stabilised gap above this reports infeasibility
-    stall_rel: float = 1e-12     # relative gap change that defines a stall
-    stall_window: int = 1000     # iterations over which a stall is measured
     max_iter: int = 200_000      # extension-search iteration cap
 
 

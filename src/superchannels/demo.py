@@ -141,22 +141,21 @@ def check_marginal_ranks(tol: float | None = None, seed: int | None = None) -> R
     return rep
 
 
-def check_no_tp_extension(tol: float | None = None, seed: int | None = None,
-                          max_iter: int | None = None) -> RunReport:
+def check_no_tp_extension(tol: float | None = None, seed: int | None = None) -> RunReport:
     """CP extensions of the diagonal example exist, TP extensions do not."""
     rep = RunReport("no-tp-extension")
     start = time.perf_counter()
     action = no_tp_action()
     printed = no_tp_superchannel()
 
-    tp_rep = tp_extension(action, max_iter=max_iter)
+    tp_rep = tp_extension(action)
     rep.add("tp status", tp_rep.status, ok=tp_rep.status == feasibility.INFEASIBLE)
     rep.add("tp gap", tp_rep.gap, tol=1e-6, ok=tp_rep.gap > 1e-6)
 
-    cp_rep = extend_action(action, max_iter=max_iter)
+    cp_rep = extend_action(action)
     rep.add("cp status", cp_rep.status, ok=cp_rep.status == feasibility.FEASIBLE)
 
-    seeded = extend_action(action, seed_point=printed, max_iter=max_iter)
+    seeded = extend_action(action, seed_point=printed)
     rep.add("seeded status", seeded.status, ok=seeded.status == feasibility.FEASIBLE)
     if seeded.witness is not None:
         rep.judge("seeded witness reproduces the diagonal supermap",

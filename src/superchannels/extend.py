@@ -11,7 +11,8 @@ partial trace over r1, removes the d1 trace and tensors ``I_{r1}/r1`` back;
 trace preservation adds the projection that acts on the output factor only,
 and the two commute.  The search runs Douglas-Rachford splitting between
 the affine set and the cone (``feasibility.solve``): "feasible" comes with a
-PSD witness, and "infeasible" only with a checked Farkas certificate.
+PSD witness, and "infeasible" only with a Farkas certificate that checks
+at one of the iterations 1, 2, 4, 8, ...
 """
 
 from __future__ import annotations
@@ -58,7 +59,7 @@ class FeasibilityReport:
     """Outcome of an extension search.
 
     Without a witness, ``certificate`` is the last displacement checked as
-    a Farkas certificate (None if the stall rule never fired); it proves
+    a Farkas certificate (at iterations 1, 2, 4, 8, ...); it proves
     infeasibility when its margin is negative.
     """
 
@@ -164,8 +165,7 @@ def affine_set(action: SpanAction, trace_preserving: bool = False) -> AffineSet:
 def extend_action(action: SpanAction,
                   seed_point=None,
                   trace_preserving: bool = False,
-                  max_iter: int | None = None,
-                  **solver_kwargs) -> FeasibilityReport:
+                  max_iter: int | None = None) -> FeasibilityReport:
     """Search for a CP supermap extension of the recorded action.
 
     The affine set fixes the image of every canonical basis element (plus
@@ -177,7 +177,7 @@ def extend_action(action: SpanAction,
     if isinstance(seed_point, Superchannel):
         seed_point = seed_point.choi
     res = feasibility.solve(affine_set(action, trace_preserving), seed_point=seed_point,
-                            max_iter=max_iter, **solver_kwargs)
+                            max_iter=max_iter)
     witness = None
     if res.status == FEASIBLE:
         witness = Superchannel(action.d1, action.r1, action.d2, action.r2, res.point)
@@ -191,8 +191,7 @@ def tp_extension(action: SpanAction, **kwargs) -> FeasibilityReport:
     return extend_action(action, trace_preserving=True, **kwargs)
 
 
-def extension_spread(action: SpanAction, seeds, eps: float | None = None,
-                     **solver_kwargs) -> SpreadReport:
+def extension_spread(action: SpanAction, seeds, eps: float | None = None) -> SpreadReport:
     """Sweep extension searches over seeds and report the aux-dimension range.
 
     Midpoints of every witness pair are included, exploiting convexity of
@@ -200,7 +199,7 @@ def extension_spread(action: SpanAction, seeds, eps: float | None = None,
     """
     witnesses: list[Superchannel] = []
     for seed in seeds:
-        report = extend_action(action, seed_point=seed, **solver_kwargs)
+        report = extend_action(action, seed_point=seed)
         if report.status == FEASIBLE and report.witness is not None:
             witnesses.append(report.witness)
     if not witnesses:

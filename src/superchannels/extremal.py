@@ -11,6 +11,7 @@ perturbation that stays inside the class.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -26,7 +27,6 @@ from .channels import (
     kraus_gram,
 )
 from .config import DEFAULTS, resolve
-from .feasibility import from_coords, hermitian_basis
 from .linalg import frob, herm_eig, is_hermitian, rel_scale, vec
 from .opsys import hermitian_span, span_basis
 
@@ -131,6 +131,55 @@ def is_extreme_constrained(phi: ChannelChoi, spaces: ConstraintSpaces,
         raise ValueError("extremality test requires a CP map")
     v_ops = _v_ops(phi, tol)
     return _full_row_rank(_pair_rows(v_ops, spaces.s_basis, spaces.t_basis), tol)
+
+
+# Real coordinates on the Hermitian matrices for the perturbation search; in
+# these coordinates Euclidean geometry coincides with Frobenius geometry.
+_SQRT2 = np.sqrt(2.0)
+
+
+@lru_cache(maxsize=None)
+def hermitian_basis(n: int) -> np.ndarray:
+    """Orthonormal real basis of the Hermitian n x n matrices, shape (n^2, n, n).
+
+    Ordering: the n diagonal units, then the symmetric combinations over the
+    upper triangle in row-major order, then the antisymmetric ones.
+    """
+    mats = []
+    for p in range(n):
+        m = np.zeros((n, n), dtype=complex)
+        m[p, p] = 1.0
+        mats.append(m)
+    pairs = [(p, q) for p in range(n) for q in range(p + 1, n)]
+    for p, q in pairs:
+        m = np.zeros((n, n), dtype=complex)
+        m[p, q] = 1 / _SQRT2
+        m[q, p] = 1 / _SQRT2
+        mats.append(m)
+    for p, q in pairs:
+        m = np.zeros((n, n), dtype=complex)
+        m[p, q] = 1j / _SQRT2
+        m[q, p] = -1j / _SQRT2
+        mats.append(m)
+    out = np.array(mats)
+    out.setflags(write=False)
+    return out
+
+
+@lru_cache(maxsize=None)
+def _triu(n: int):
+    return np.triu_indices(n, 1)
+
+
+def from_coords(x: np.ndarray, n: int) -> np.ndarray:
+    m = np.zeros((n, n), dtype=complex)
+    iu, ju = _triu(n)
+    k = len(iu)
+    off = (x[n:n + k] + 1j * x[n + k:]) / _SQRT2
+    m[iu, ju] = off
+    m[ju, iu] = off.conj()
+    m[np.diag_indices(n)] = x[:n]
+    return m
 
 
 def perturbation_search(phi: ChannelChoi, spaces: ConstraintSpaces,

@@ -13,17 +13,15 @@ construction and is the witness once its affine residual qualifies.  On an
 inconsistent problem the displacement ``y - P_A(y)`` converges to the gap
 vector between the two sets (Bauschke & Moursi 2017); "infeasible" is
 reported only when that vector, stripped of its kernel part, checks as a
-Farkas certificate (see ``Certificate``).
-
-The orthonormal real basis of the Hermitian matrices and ``from_coords``
-below serve the perturbation search in ``extremal``; in these coordinates,
-Euclidean geometry coincides with Frobenius geometry on matrices.
+Farkas certificate (see ``Certificate``).  The check runs at iterations 1, 2,
+4, 8, ...: a run of ``max_iter`` iterations pays at most
+``ceil(log2 max_iter) + 1`` of them, and once the certificates check from
+some iteration on, "infeasible" comes at most twice as late.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
 from typing import Callable
 
 import numpy as np
@@ -34,52 +32,6 @@ from .linalg import herm_eig
 FEASIBLE = "feasible"
 INFEASIBLE = "infeasible"
 UNDETERMINED = "undetermined"
-
-_SQRT2 = np.sqrt(2.0)
-
-
-@lru_cache(maxsize=None)
-def hermitian_basis(n: int) -> np.ndarray:
-    """Orthonormal real basis of the Hermitian n x n matrices, shape (n^2, n, n).
-
-    Ordering: the n diagonal units, then the symmetric combinations over the
-    upper triangle in row-major order, then the antisymmetric ones.
-    """
-    mats = []
-    for p in range(n):
-        m = np.zeros((n, n), dtype=complex)
-        m[p, p] = 1.0
-        mats.append(m)
-    pairs = [(p, q) for p in range(n) for q in range(p + 1, n)]
-    for p, q in pairs:
-        m = np.zeros((n, n), dtype=complex)
-        m[p, q] = 1 / _SQRT2
-        m[q, p] = 1 / _SQRT2
-        mats.append(m)
-    for p, q in pairs:
-        m = np.zeros((n, n), dtype=complex)
-        m[p, q] = 1j / _SQRT2
-        m[q, p] = -1j / _SQRT2
-        mats.append(m)
-    out = np.array(mats)
-    out.setflags(write=False)
-    return out
-
-
-@lru_cache(maxsize=None)
-def _triu(n: int):
-    return np.triu_indices(n, 1)
-
-
-def from_coords(x: np.ndarray, n: int) -> np.ndarray:
-    m = np.zeros((n, n), dtype=complex)
-    iu, ju = _triu(n)
-    k = len(iu)
-    off = (x[n:n + k] + 1j * x[n + k:]) / _SQRT2
-    m[iu, ju] = off
-    m[ju, iu] = off.conj()
-    m[np.diag_indices(n)] = x[:n]
-    return m
 
 
 @dataclass(frozen=True)
@@ -116,8 +68,11 @@ class Certificate:
 
     where K projects onto the set's directions.  The three terms below are
     ``<W, anchor>``, ``max(0, -lambda_min(W)) t`` and
-    ``||K W||_F (t + ||anchor||_F)``; a negative sum (``margin``) proves
-    that no such C exists.
+    ``(||K W||_F + n^2 eps ||W||_F) (t + ||anchor||_F)`` for n x n matrices
+    and machine epsilon eps; the added ``n^2 eps ||W||_F`` bounds the
+    rounding of the computed ``<W, anchor>`` (a sum of n^2 products) and
+    ``lambda_min(W)``.  A negative sum (``margin``) proves that no such C
+    exists.
     """
 
     matrix: np.ndarray
@@ -135,7 +90,7 @@ class ProjectionReport:
     """Outcome of one Douglas-Rachford run.
 
     Without a witness, ``certificate`` is the last displacement checked
-    (None if the stall rule never fired); it proves infeasibility only when
+    (None only when no iteration ran); it proves infeasibility only when
     its margin is negative.
     """
 
@@ -153,7 +108,8 @@ def certificate(affine: AffineSet, y: np.ndarray, py: np.ndarray) -> Certificate
     """The displacement ``y - P_A(y)`` as a candidate Farkas certificate.
 
     Its kernel part ``K W = P_A(W) - P_A(0)`` is removed, and what rounding
-    leaves of it is charged to the margin.
+    leaves of it, with the rounding of the other two terms, is charged to
+    the margin.
     """
     project, anchor = affine.project, affine.anchor
     w = y - py
@@ -161,7 +117,8 @@ def certificate(affine: AffineSet, y: np.ndarray, py: np.ndarray) -> Certificate
     w = w - (project(w) - base)
     t = float(np.trace(anchor).real)
     lam_min = float(herm_eig(w)[0][-1])
-    residue = float(np.linalg.norm(project(w) - base))
+    residue = float(np.linalg.norm(project(w) - base)
+                    + w.shape[0] ** 2 * np.finfo(float).eps * np.linalg.norm(w))
     return Certificate(w,
                        float(np.vdot(w, anchor).real),
                        max(0.0, -lam_min) * t,
@@ -170,28 +127,19 @@ def certificate(affine: AffineSet, y: np.ndarray, py: np.ndarray) -> Certificate
 
 def solve(affine: AffineSet,
           seed_point: np.ndarray | None = None,
-          max_iter: int | None = None,
-          affine_tol: float | None = None,
-          gap_tol: float | None = None,
-          stall_rel: float | None = None,
-          stall_window: int | None = None) -> ProjectionReport:
+          max_iter: int | None = None) -> ProjectionReport:
     """Search the intersection of an affine set with the PSD cone.
 
     Starts from the affine projection of ``seed_point`` (from the anchor, the
     minimum-norm affine point, by default).  Reports ``feasible`` with the
     PSD shadow as witness once its affine residual drops below tolerance,
-    ``infeasible`` once the gap has stalled above ``gap_tol`` and the
-    displacement checks as a certificate, and ``undetermined`` at the
-    iteration cap.  Raises ``ValueError`` when the affine set is empty, that
-    is when its anchor leaves a residual above tolerance.
+    ``infeasible`` once the displacement checks as a certificate (checked
+    at iterations 1, 2, 4, 8, ...), and ``undetermined`` at the iteration
+    cap.  Raises ``ValueError`` when the affine set is empty, that is when
+    its anchor leaves a residual above tolerance.
     """
     max_iter = int(resolve(max_iter, DEFAULTS.max_iter))
-    affine_tol = resolve(affine_tol, DEFAULTS.affine_tol)
-    gap_tol = resolve(gap_tol, DEFAULTS.gap_tol)
-    stall_rel = resolve(stall_rel, DEFAULTS.stall_rel)
-    stall_window = int(resolve(stall_window, DEFAULTS.stall_window))
-
-    affine_thr = affine_tol * affine.rhs_scale
+    affine_thr = DEFAULTS.affine_tol * affine.rhs_scale
     if affine.residual(affine.anchor) > affine_thr:
         raise ValueError("affine constraint system is inconsistent")
     project = affine.project
@@ -223,13 +171,11 @@ def solve(affine: AffineSet,
             affine_res = affine.residual(y)
             if affine_res <= affine_thr:
                 return ProjectionReport(FEASIBLE, y, gap, it, affine_res, 0.0, history)
-        if it > stall_window and gap > gap_tol:
-            prev = history[-stall_window - 1]
-            if abs(gap - prev) <= stall_rel * max(gap, 1e-300):
-                cert = certificate(affine, y, py)
-                if cert.margin < 0:
-                    return ProjectionReport(INFEASIBLE, None, gap, it,
-                                            affine.residual(y), gap, history, cert)
+        if it & (it - 1) == 0:  # it is a power of two
+            cert = certificate(affine, y, py)
+            if cert.margin < 0:
+                return ProjectionReport(INFEASIBLE, None, gap, it,
+                                        affine.residual(y), gap, history, cert)
         x = x + 2 * py - px - y
         px = py
 

@@ -42,12 +42,15 @@ def decode_matrix(obj, where: str = "matrix") -> np.ndarray:
     if not isinstance(data, list) or len(data) != rows * cols:
         got = len(data) if isinstance(data, list) else type(data).__name__
         raise SerializationError(f"{where}: data length {got} does not match {rows}x{cols}")
-    out = np.empty(rows * cols, dtype=complex)
-    for k, entry in enumerate(data):
-        if (not isinstance(entry, (list, tuple))) or len(entry) != 2:
-            raise SerializationError(f"{where}: data[{k}] is not an [re, im] pair")
-        out[k] = complex(float(entry[0]), float(entry[1]))
-    return out.reshape(rows, cols)
+    bad = f"{where}: data entries must be [re, im] pairs of finite numbers"
+    try:
+        pairs = np.asarray(data, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise SerializationError(f"{bad}: {exc}") from exc
+    # numpy reads a JSON null as nan
+    if pairs.shape != (rows * cols, 2) or not np.isfinite(pairs).all():
+        raise SerializationError(bad)
+    return pairs.view(complex).reshape(rows, cols)
 
 
 def encode_channel(phi: ChannelChoi) -> dict:

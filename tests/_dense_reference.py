@@ -18,7 +18,8 @@ from superchannels.channels import (
     tensor,
 )
 from superchannels.config import DEFAULTS
-from superchannels.feasibility import AffineSet, from_coords, hermitian_basis
+from superchannels.extremal import from_coords, hermitian_basis
+from superchannels.feasibility import AffineSet
 from superchannels.linalg import (
     frob,
     herm_eig,
@@ -73,7 +74,7 @@ def linear_system(action, tp: bool) -> tuple[np.ndarray, np.ndarray, int]:
 
 
 def to_coords(m: np.ndarray, n: int) -> np.ndarray:
-    """Coordinates of a Hermitian matrix in ``feasibility.hermitian_basis(n)``."""
+    """Coordinates of a Hermitian matrix in ``extremal.hermitian_basis(n)``."""
     iu, ju = np.triu_indices(n, 1)
     off = m[iu, ju]
     return np.concatenate([np.diagonal(m).real, np.sqrt(2.0) * off.real,

@@ -249,6 +249,15 @@ def test_input_error_exit_code(capsys, tmp_path):
     assert "line" in capsys.readouterr().err
 
 
+def test_null_matrix_entry_is_an_input_error(capsys, tmp_path):
+    path = tmp_path / "u.json"
+    obj = {"unitary": encode_matrix(np.eye(4))}
+    obj["unitary"]["data"][5] = [None, 0.0]
+    save_json(path, obj)
+    assert main(["factor-unitary", str(path), "--dims", "2", "2"]) == 3
+    assert "input error" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("argv", [
     ["extend"],                                   # missing path
     ["check-super", "a.json", "--bogus"],         # unknown option
