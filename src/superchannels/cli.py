@@ -134,7 +134,7 @@ def cmd_characterize(args) -> RunReport:
     form = pre_post_form(sc)
     rep.add("aux dim", form.e)
     iso = frob(form.v_pre.conj().T @ form.v_pre - np.eye(sc.d2))
-    rep.judge("isometry residual", iso, 1e-9)
+    rep.judge("isometry residual", iso, DEFAULTS.rel_tol)
     rebuilt = recompose(form.v_pre, form.post, form.e)
     rep.judge("recomposition residual", frob(rebuilt.choi - sc.choi), 1e-8)
     if args.out:

@@ -21,13 +21,6 @@ def vec(m: np.ndarray) -> np.ndarray:
     return np.asarray(m, dtype=complex).reshape(-1)
 
 
-def unvec(v: np.ndarray, rows: int, cols: int) -> np.ndarray:
-    v = np.asarray(v, dtype=complex)
-    if v.size != rows * cols:
-        raise ValueError(f"cannot reshape length-{v.size} vector to {rows}x{cols}")
-    return v.reshape(rows, cols)
-
-
 def hs_inner(a: np.ndarray, b: np.ndarray) -> complex:
     """Hilbert-Schmidt inner product Tr(a^dagger b)."""
     return complex(np.vdot(a, b))
@@ -48,13 +41,6 @@ def matrix_unit(n: int, i: int, j: int) -> np.ndarray:
     return u
 
 
-def matrix_units(n: int) -> Iterable[np.ndarray]:
-    """All matrix units of M_n in row-major order."""
-    for i in range(n):
-        for j in range(n):
-            yield matrix_unit(n, i, j)
-
-
 def is_hermitian(m: np.ndarray, tol: float | None = None) -> bool:
     m = np.asarray(m, dtype=complex)
     tol = resolve(tol, DEFAULTS.herm_tol)
@@ -71,10 +57,10 @@ def require_hermitian(m: np.ndarray, tol: float | None = None) -> np.ndarray:
 
 
 def is_isometry(m: np.ndarray) -> bool:
-    """Whether the columns of ``m`` are orthonormal, to 1e-9 * max(1, sqrt(n)) in
-    the Frobenius norm of ``m^dagger m - I_n`` (n columns)."""
+    """Whether the columns of ``m`` are orthonormal, to ``DEFAULTS.rel_tol *
+    max(1, sqrt(n))`` in the Frobenius norm of ``m^dagger m - I_n`` (n columns)."""
     n = m.shape[1]
-    return frob(m.conj().T @ m - np.eye(n)) <= 1e-9 * max(1.0, np.sqrt(n))
+    return frob(m.conj().T @ m - np.eye(n)) <= DEFAULTS.rel_tol * max(1.0, np.sqrt(n))
 
 
 def herm_eig(m: np.ndarray, tol: float | None = None) -> tuple[np.ndarray, np.ndarray]:

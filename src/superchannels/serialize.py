@@ -26,7 +26,7 @@ def encode_matrix(m: np.ndarray) -> dict:
     m = np.asarray(m, dtype=complex)
     if m.ndim != 2:
         raise SerializationError(f"expected a matrix, got array of rank {m.ndim}")
-    data = [[float(z.real), float(z.imag)] for z in m.reshape(-1)]
+    data = np.stack((m.real, m.imag), -1).reshape(-1, 2).tolist()
     return {"rows": int(m.shape[0]), "cols": int(m.shape[1]), "data": data}
 
 

@@ -5,7 +5,9 @@ constraints on a Choi matrix as an explicit complex system on vec(C), turn it
 into a real system on Hermitian coordinates and project with a
 pseudo-inverse; the loops evaluate a supermap or a pre/post realisation on
 every matrix unit, or test span preservation and restriction equality one
-span basis element at a time.
+span basis element at a time.  ``reference_solve`` is the Douglas-Rachford
+loop written out with validated, symmetrised eigendecompositions and
+out-of-place updates.
 """
 
 import numpy as np
@@ -17,9 +19,16 @@ from superchannels.channels import (
     identity_channel,
     tensor,
 )
-from superchannels.config import DEFAULTS
+from superchannels.config import DEFAULTS, resolve
 from superchannels.extremal import from_coords, hermitian_basis
-from superchannels.feasibility import AffineSet
+from superchannels.feasibility import (
+    FEASIBLE,
+    INFEASIBLE,
+    UNDETERMINED,
+    AffineSet,
+    ProjectionReport,
+    certificate,
+)
 from superchannels.linalg import (
     frob,
     herm_eig,
@@ -179,3 +188,43 @@ def restrictions_equal_by_basis(a: Superchannel, b: Superchannel, tol: float) ->
         if frob(ya - yb) > tol * max(1.0, frob(ya), frob(yb)):
             return False
     return True
+
+
+def reference_solve(affine: AffineSet, seed_point=None, max_iter=None) -> ProjectionReport:
+    """``feasibility.solve`` with every step spelled out: ``herm_eig`` (checked
+    and symmetrised) for the PSD shadow, a symmetrised reconstruction, and a
+    fresh array for each update."""
+    max_iter = int(resolve(max_iter, DEFAULTS.max_iter))
+    affine_thr = DEFAULTS.affine_tol * affine.rhs_scale
+    if affine.residual(affine.anchor) > affine_thr:
+        raise ValueError("affine constraint system is inconsistent")
+    project = affine.project
+    if seed_point is not None:
+        s = np.asarray(seed_point, dtype=complex)
+        x = project((s + s.conj().T) / 2)
+    else:
+        x = affine.anchor.copy()
+    px = py = x
+    cert = None
+    history = []
+    for it in range(1, max_iter + 1):
+        w, v = herm_eig(x)
+        m = (v * np.maximum(w, 0.0)) @ v.conj().T
+        y = (m + m.conj().T) / 2
+        py = project(y)
+        gap = float(np.linalg.norm(y - py))
+        history.append(gap)
+        if affine.row_bound * gap <= 2 * affine_thr or gap <= affine_thr:
+            affine_res = affine.residual(y)
+            if affine_res <= affine_thr:
+                return ProjectionReport(FEASIBLE, y, gap, it, affine_res, 0.0, history)
+        if it & (it - 1) == 0:
+            cert = certificate(affine, y, py)
+            if cert.margin < 0:
+                return ProjectionReport(INFEASIBLE, None, gap, it,
+                                        affine.residual(y), gap, history, cert)
+        x = x + 2 * py - px - y
+        px = py
+    w, _ = herm_eig(py)
+    return ProjectionReport(UNDETERMINED, None, history[-1] if history else np.inf,
+                            max_iter, 0.0, float(max(0.0, -w[-1])), history, cert)

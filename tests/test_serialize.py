@@ -1,3 +1,4 @@
+import json
 from pathlib import Path
 
 import numpy as np
@@ -32,6 +33,16 @@ def test_matrix_round_trip():
     rng = np.random.default_rng(0)
     m = rng.standard_normal((2, 3)) + 1j * rng.standard_normal((2, 3))
     np.testing.assert_allclose(decode_matrix(encode_matrix(m)), m)
+
+
+def test_matrix_json_text_matches_per_entry_encoding():
+    """The array encoding writes the same JSON text as converting entry by entry."""
+    rng = np.random.default_rng(1)
+    m = rng.standard_normal((9, 9)) + 1j * rng.standard_normal((9, 9))
+    m[0, :4] = [-0.0, complex(0.0, -0.0), 5e-324, complex(1e300, -1e300)]
+    per_entry = {"rows": 9, "cols": 9,
+                 "data": [[float(z.real), float(z.imag)] for z in m.reshape(-1)]}
+    assert json.dumps(encode_matrix(m)) == json.dumps(per_entry)
 
 
 def test_matrix_rejects_length_mismatch():
