@@ -16,10 +16,14 @@ import numpy as np
 
 from . import extremal, feasibility
 from .channels import (
+    ChannelChoi,
+    apply_choi,
     choi_from_kraus,
     kraus_from_choi,
     random_channel,
+    tensor,
 )
+from .config import resolve
 from .extend import extend_action, tp_extension
 from .gallery import (
     block_trace_readout,
@@ -31,10 +35,13 @@ from .gallery import (
 from .linalg import (
     frob,
     kron,
+    partial_trace,
     psd_project,
     random_hermitian,
     random_unitary,
     rel_scale,
+    svd_rank,
+    vec,
 )
 from .opsys import (
     decompose_into_channels,
@@ -45,6 +52,7 @@ from .opsys import (
 from .report import FAIL, PASS, RunReport
 from .supermaps import (
     apply_superchannel,
+    as_channel,
     aux_dim,
     check_order_unit,
     conjugation_supermap,
@@ -60,16 +68,6 @@ from .supermaps import (
     tensor_superchannels,
     unitary_superchannel,
 )
-
-
-def _pick(tol_default: float, tol: float | None) -> float:
-    return tol_default if tol is None else tol
-
-
-def _rank_of_vectors(mats) -> int:
-    stack = np.array([np.asarray(m).reshape(-1) for m in mats])
-    s = np.linalg.svd(stack, compute_uv=False)
-    return int(np.count_nonzero(s > 1e-9 * max(1.0, s[0])))
 
 
 def check_dimension_formula(tol: float | None = None, seed: int | None = None) -> RunReport:
@@ -90,14 +88,10 @@ def check_tensor_gap(tol: float | None = None, seed: int | None = None) -> RunRe
     start = time.perf_counter()
     rep.expect("gap(2,2,2,2)", tensor_dimension_gap(2, 2, 2, 2), 72)
     rep.expect("241 - 169", span_dim(4, 4) - span_dim(2, 2) ** 2, 72)
-    b22 = span_basis(2, 2)
-    b44 = span_basis(4, 4)
-    from .linalg import permute_factors
-
-    prods = [permute_factors(kron(x, y), (2, 2, 2, 2), (0, 2, 1, 3))
-             for x in b22 for y in b22]
-    rank_prod = _rank_of_vectors(prods)
-    rank_join = _rank_of_vectors(list(b44) + prods)
+    b22 = [ChannelChoi(2, 2, x) for x in span_basis(2, 2)]
+    prods = [vec(tensor(x, y).choi) for x in b22 for y in b22]
+    rank_prod = svd_rank(np.array(prods))
+    rank_join = svd_rank(np.array([vec(m) for m in span_basis(4, 4)] + prods))
     rep.expect("rank of product span", rank_prod, 169)
     rep.expect("rank of joint span", rank_join, 241)
     rep.expect("rank gap", rank_join - rank_prod, 72)
@@ -113,9 +107,9 @@ def check_nonunique_extension(tol: float | None = None, seed: int | None = None)
     g1 = block_trace_readout(0)
     g2 = block_trace_readout(1)
     rep.judge("| ||C1 - C2||_F - 2 |", abs(frob(g1.choi - g2.choi) - 2.0),
-              _pick(1e-12, tol))
-    same = restrictions_equal(g1, g2, _pick(1e-10, tol))
-    rep.add("restrictions equal", same, tol=_pick(1e-10, tol), ok=same)
+              resolve(tol, 1e-12))
+    same = restrictions_equal(g1, g2, resolve(tol, 1e-10))
+    rep.add("restrictions equal", same, tol=resolve(tol, 1e-10), ok=same)
     elapsed = time.perf_counter() - start
     rep.add("runtime_s", round(elapsed, 3), tol=1.0, ok=elapsed < 1.0)
     return rep
@@ -124,7 +118,7 @@ def check_nonunique_extension(tol: float | None = None, seed: int | None = None)
 def check_marginal_ranks(tol: float | None = None, seed: int | None = None) -> RunReport:
     """Auxiliary dimension of the readout extensions and their mixtures."""
     rep = RunReport("marginal-ranks")
-    t = _pick(1e-12, tol)
+    t = resolve(tol, 1e-12)
     g1 = block_trace_readout(0)
     g2 = block_trace_readout(1)
     rep.expect("aux_dim first readout", aux_dim(g1), 1)
@@ -159,7 +153,7 @@ def check_no_tp_extension(tol: float | None = None, seed: int | None = None) -> 
     rep.add("seeded status", seeded.status, ok=seeded.status == feasibility.FEASIBLE)
     if seeded.witness is not None:
         rep.judge("seeded witness reproduces the diagonal supermap",
-                  frob(seeded.witness.choi - printed.choi), _pick(1e-8, tol))
+                  frob(seeded.witness.choi - printed.choi), resolve(tol, 1e-8))
     else:
         rep.add("seeded witness", None, ok=False)
     elapsed = time.perf_counter() - start
@@ -173,7 +167,7 @@ def check_tensor_pathology(tol: float | None = None, seed: int | None = None) ->
     start = time.perf_counter()
     sa = entry_readout(0)
     sb = entry_readout(1)
-    t = _pick(1e-10, tol)
+    t = resolve(tol, 1e-10)
     same_small = restrictions_equal(sa, sb, t)
     rep.add("restrictions equal on the small span", same_small, ok=same_small)
     ident = identity_superchannel(2, 2)
@@ -214,21 +208,19 @@ def check_pre_post_roundtrip(tol: float | None = None, seed: int | None = None) 
                         - apply_superchannel(rebuilt, phi).choi)
             worst_apply = max(worst_apply, diff)
     rep.add("aux dim never exceeds the generator", max_e_excess <= 0, ok=max_e_excess <= 0)
-    rep.judge("worst isometry residual", worst_iso, _pick(1e-9, tol))
-    rep.judge("worst action disagreement", worst_apply, _pick(1e-8, tol))
+    rep.judge("worst isometry residual", worst_iso, resolve(tol, 1e-9))
+    rep.judge("worst action disagreement", worst_apply, resolve(tol, 1e-8))
     return rep
 
 
 def check_induced_map_identity(tol: float | None = None, seed: int | None = None) -> RunReport:
     """Output marginals factor through one unital CP map on the input factor."""
     rep = RunReport("induced-map-identity")
-    t = _pick(1e-9, tol)
+    t = resolve(tol, 1e-9)
     rng = np.random.default_rng(7177 if seed is None else seed + 2)
     worst_eq = 0.0
     worst_unital = 0.0
     worst_marg = 0.0
-    from .linalg import partial_trace
-
     for sc, _ in _roundtrip_instances(seed=seed):
         n_map, _, unital = marginal_map_residual(sc.choi, sc.dims)
         worst_unital = max(worst_unital, unital)
@@ -236,8 +228,7 @@ def check_induced_map_identity(tol: float | None = None, seed: int | None = None
         for _ in range(50):
             c = random_hermitian(sc.d1 * sc.r1, rng)
             lhs = partial_trace(apply_superchannel(sc, c), (sc.d2, sc.r2), {1})
-            rhs = np.einsum("ij,isjt->st", partial_trace(c, (sc.d1, sc.r1), {1}),
-                            n_map.as_tensor())
+            rhs = apply_choi(n_map, partial_trace(c, (sc.d1, sc.r1), {1}))
             worst_eq = max(worst_eq, frob(lhs - rhs))
     rep.judge("worst marginal-factorisation residual", worst_eq, t)
     rep.judge("worst unitality residual", worst_unital, t)
@@ -263,14 +254,14 @@ def check_scale_preservation(tol: float | None = None, seed: int | None = None) 
     rep = RunReport("scale-preservation")
     worst = max(max(marginal_map_residual(sc.choi, sc.dims)[1:])
                 for sc in _fixture_superchannels())
-    rep.judge("worst scale drift", worst, _pick(1e-9, tol))
+    rep.judge("worst scale drift", worst, resolve(tol, 1e-9))
     return rep
 
 
 def check_unitary_superchannels(tol: float | None = None, seed: int | None = None) -> RunReport:
     """Product conjugations are superchannels, non-product conjugations are not."""
     rep = RunReport("unitary-superchannels")
-    t = _pick(1e-8, tol)
+    t = resolve(tol, 1e-8)
     rng = np.random.default_rng(2026 if seed is None else seed + 3)
     worst_recovery = 0.0
     all_good = True
@@ -309,8 +300,6 @@ def check_extremality(tol: float | None = None, seed: int | None = None) -> RunR
     """Extremality of the readout extensions and agreement of the two testers."""
     rep = RunReport("extremality")
     spaces = extremal.extension_constraint_spaces(2, 2)
-    from .supermaps import as_channel
-
     g1 = as_channel(block_trace_readout(0))
     g2 = as_channel(block_trace_readout(1))
     mid = as_channel(readout_mixture(0.5))
@@ -324,14 +313,14 @@ def check_extremality(tol: float | None = None, seed: int | None = None) -> RunR
     rng = np.random.default_rng(4242 if seed is None else seed + 4)
     agree_choi = True
     agree_oracle = True
-    fixed_unit = [extremal.ConstraintSpaces((np.eye(2, dtype=complex),), ())]
+    fixed_unit = extremal.ConstraintSpaces((np.eye(2, dtype=complex),), ())
     for k in range(20):
         phi = random_channel(2, 2, 1 + (k % 4), rng)
         via_choi = extremal.is_extreme_choi(phi)
-        via_constrained = extremal.is_extreme_constrained(phi, fixed_unit[0])
+        via_constrained = extremal.is_extreme_constrained(phi, fixed_unit)
         agree_choi &= via_choi == via_constrained
         if k < 8:
-            agree_oracle &= (extremal.perturbation_search(phi, fixed_unit[0])
+            agree_oracle &= (extremal.perturbation_search(phi, fixed_unit)
                              == via_constrained)
     for phi, space in ((g1, spaces), (g2, spaces), (mid, spaces)):
         agree_oracle &= (extremal.perturbation_search(phi, space)
@@ -344,7 +333,7 @@ def check_extremality(tol: float | None = None, seed: int | None = None) -> RunR
 def check_property_gate(tol: float | None = None, seed: int | None = None) -> RunReport:
     """Round trips, projection optimality and span decompositions in bulk."""
     rep = RunReport("property-gate")
-    t = _pick(1e-9, tol)
+    t = resolve(tol, 1e-9)
     rng = np.random.default_rng(31337 if seed is None else seed + 5)
     dims = [(2, 2), (2, 3), (3, 2), (3, 3)]
     worst_rt = 0.0

@@ -27,7 +27,7 @@ from .channels import (
     kraus_gram,
 )
 from .config import DEFAULTS, resolve
-from .linalg import frob, herm_eig, is_hermitian, rel_scale, vec
+from .linalg import frob, herm_eig, is_hermitian, rel_scale, svd_rank, vec
 from .opsys import hermitian_span, span_basis
 
 
@@ -64,11 +64,6 @@ def minimal_kraus(phi: ChannelChoi, tol: float | None = None) -> KrausSet:
     return ks
 
 
-def _v_ops(phi: ChannelChoi, tol: float | None) -> list[np.ndarray]:
-    # adjoint convention: with phi(X) = sum A X A^dagger, set V_i = A_i^dagger
-    return [a.conj().T for a in minimal_kraus(phi, tol).ops]
-
-
 def _pair_rows(v_ops, s_mats, t_mats) -> np.ndarray:
     """Row (i, j) concatenates vec(V_i^* A_k V_j) over k with vec(V_j B_l V_i^*) over l."""
     rows = []
@@ -81,56 +76,49 @@ def _pair_rows(v_ops, s_mats, t_mats) -> np.ndarray:
     return np.array(rows)
 
 
-def _full_row_rank(rows: np.ndarray, tol: float) -> bool:
-    if rows.size == 0:
-        return False
-    s = np.linalg.svd(rows, compute_uv=False)
-    return bool(np.count_nonzero(s > tol * max(1.0, s[0])) == rows.shape[0])
-
-
 def is_extreme_choi(phi: ChannelChoi, tol: float | None = None) -> bool:
     """Extremality among CP maps sharing the image of the identity.
 
     The map is extreme exactly when the products V_i^* V_j of a minimal
-    Kraus family are linearly independent.
+    Kraus family are linearly independent: the constrained test with the
+    identity as the only input-side constraint.
     """
-    tol = resolve(tol, DEFAULTS.rel_tol)
-    if not is_cp(phi, tol):
-        raise ValueError("extremality test requires a CP map")
-    v_ops = _v_ops(phi, tol)
-    eye = np.eye(phi.d, dtype=complex)
-    return _full_row_rank(_pair_rows(v_ops, [eye], []), tol)
+    return is_extreme_constrained(
+        phi, ConstraintSpaces((np.eye(phi.d, dtype=complex),), ()), tol)
 
 
 def is_extreme_unital_tp(phi: ChannelChoi, tol: float | None = None) -> bool:
     """Extremality among unital trace-preserving channels.
 
     Tests linear independence of the direct sums V_i^* V_j + V_j V_i^*
-    (stacked side by side), the unital-TP refinement of the CP criterion.
+    (stacked side by side), the unital-TP refinement of the CP criterion:
+    the constrained test with the identity pinned on both sides.
     """
-    tol = resolve(tol, DEFAULTS.rel_tol)
-    if not is_cp(phi, tol):
-        raise ValueError("extremality test requires a CP map")
     if not (is_tp(phi, 1e-8) and is_unital(phi, 1e-8)):
         raise ValueError("extremality test requires a unital trace-preserving map")
-    v_ops = _v_ops(phi, tol)
-    return _full_row_rank(
-        _pair_rows(v_ops, [np.eye(phi.d, dtype=complex)], [np.eye(phi.r, dtype=complex)]),
-        tol)
+    return is_extreme_constrained(
+        phi, ConstraintSpaces((np.eye(phi.d, dtype=complex),),
+                              (np.eye(phi.r, dtype=complex),)), tol)
 
 
 def is_extreme_constrained(phi: ChannelChoi, spaces: ConstraintSpaces,
                            tol: float | None = None) -> bool:
     """Extremality among CP maps pinned on the given constraint subspaces.
 
-    The decision is basis independent: any Hermitian spanning sets of the
-    same subspaces give the same rank verdict.
+    With a minimal Kraus family V_i and spanning sets A_k, B_l, the map is
+    extreme exactly when the families (V_i^* A_k V_j)_k + (V_j B_l V_i^*)_l,
+    one per pair (i, j), are linearly independent.  This is the one rank
+    test; the two specialisations above call it.  The decision is basis
+    independent: any Hermitian spanning sets of the same subspaces give the
+    same rank verdict.
     """
     tol = resolve(tol, DEFAULTS.rel_tol)
     if not is_cp(phi, tol):
         raise ValueError("extremality test requires a CP map")
-    v_ops = _v_ops(phi, tol)
-    return _full_row_rank(_pair_rows(v_ops, spaces.s_basis, spaces.t_basis), tol)
+    # adjoint convention: with phi(X) = sum A X A^dagger, set V_i = A_i^dagger
+    v_ops = [a.conj().T for a in minimal_kraus(phi, tol).ops]
+    rows = _pair_rows(v_ops, spaces.s_basis, spaces.t_basis)
+    return svd_rank(rows, tol) == rows.shape[0]
 
 
 # Real coordinates on the Hermitian matrices for the perturbation search; in

@@ -96,9 +96,8 @@ class Certificate:
 class ProjectionReport:
     """Outcome of one Douglas-Rachford run.
 
-    Without a witness, ``certificate`` is the last displacement checked
-    (None only when no iteration ran); it proves infeasibility only when
-    its margin is negative.
+    Without a witness, ``certificate`` is the last displacement checked; it
+    proves infeasibility only when its margin is negative.
     """
 
     status: str
@@ -142,10 +141,13 @@ def solve(affine: AffineSet,
     PSD shadow as witness once its affine residual drops below tolerance,
     ``infeasible`` once the displacement checks as a certificate (checked
     at iterations 1, 2, 4, 8, ...), and ``undetermined`` at the iteration
-    cap.  Raises ``ValueError`` when the affine set is empty, that is when
-    its anchor leaves a residual above tolerance.
+    cap.  Raises ``ValueError`` when ``max_iter`` is below 1 and when the
+    affine set is empty, that is when its anchor leaves a residual above
+    tolerance.
     """
     max_iter = int(resolve(max_iter, DEFAULTS.max_iter))
+    if max_iter < 1:
+        raise ValueError(f"iteration cap must be at least 1, got {max_iter}")
     affine_thr = DEFAULTS.affine_tol * affine.rhs_scale
     if affine.residual(affine.anchor) > affine_thr:
         raise ValueError("affine constraint system is inconsistent")
@@ -191,7 +193,5 @@ def solve(affine: AffineSet,
         px = py
 
     w, _ = herm_eig(py)
-    return ProjectionReport(UNDETERMINED, None,
-                            history[-1] if history else np.inf,
-                            max_iter,
+    return ProjectionReport(UNDETERMINED, None, history[-1], max_iter,
                             0.0, float(max(0.0, -w[-1])), history, cert)

@@ -90,6 +90,15 @@ def rank_eps(m: np.ndarray, eps: float | None = None) -> int:
     return int(np.count_nonzero(np.abs(w) > eps * rel_scale(m)))
 
 
+def svd_rank(m: np.ndarray, tol: float | None = None) -> int:
+    """Numerical rank of any matrix: the number of singular values above
+    ``tol * max(1, s_max)``.  An empty matrix has rank 0."""
+    if m.size == 0:
+        return 0
+    s = np.linalg.svd(m, compute_uv=False)
+    return int(np.count_nonzero(s > resolve(tol, DEFAULTS.rel_tol) * max(1.0, s[0])))
+
+
 def partial_trace(m: np.ndarray, dims: Sequence[int], traced: Iterable[int]) -> np.ndarray:
     """Trace out tensor factors of a matrix on a product space.
 

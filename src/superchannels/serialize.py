@@ -8,6 +8,7 @@ formats wrap that encoding with dimension metadata.
 from __future__ import annotations
 
 import json
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -20,6 +21,19 @@ from .supermaps import PrePostForm, Superchannel
 
 class SerializationError(ValueError):
     pass
+
+
+@contextmanager
+def _input_errors(where: str):
+    """Report malformed input met in the block (a missing key, a wrong type
+    or a value its constructor rejects) as a ``SerializationError`` prefixed
+    with ``where``; one raised by a nested decoder passes unchanged."""
+    try:
+        yield
+    except SerializationError:
+        raise
+    except (KeyError, TypeError, ValueError) as exc:
+        raise SerializationError(f"{where}: {exc}") from exc
 
 
 def encode_matrix(m: np.ndarray) -> dict:
@@ -58,15 +72,9 @@ def encode_channel(phi: ChannelChoi) -> dict:
 
 
 def decode_channel(obj, where: str = "channel") -> ChannelChoi:
-    try:
+    with _input_errors(where):
         d, r = int(obj["d"]), int(obj["r"])
-        choi = decode_matrix(obj["choi"], where=f"{where}.choi")
-    except (KeyError, TypeError) as exc:
-        raise SerializationError(f"{where}: {exc}") from exc
-    try:
-        return ChannelChoi(d, r, choi)
-    except ValueError as exc:
-        raise SerializationError(f"{where}: {exc}") from exc
+        return ChannelChoi(d, r, decode_matrix(obj["choi"], where=f"{where}.choi"))
 
 
 def encode_kraus(k: KrausSet) -> dict:
@@ -74,15 +82,10 @@ def encode_kraus(k: KrausSet) -> dict:
 
 
 def decode_kraus(obj, where: str = "kraus") -> KrausSet:
-    try:
+    with _input_errors(where):
         d, r = int(obj["d"]), int(obj["r"])
         ops = [decode_matrix(a, where=f"{where}.ops[{i}]") for i, a in enumerate(obj["ops"])]
-    except (KeyError, TypeError) as exc:
-        raise SerializationError(f"{where}: {exc}") from exc
-    try:
         return KrausSet(d, r, tuple(ops))
-    except ValueError as exc:
-        raise SerializationError(f"{where}: {exc}") from exc
 
 
 def encode_superchannel(sc: Superchannel) -> dict:
@@ -91,15 +94,9 @@ def encode_superchannel(sc: Superchannel) -> dict:
 
 
 def decode_superchannel(obj, where: str = "superchannel") -> Superchannel:
-    try:
+    with _input_errors(where):
         dims = [int(obj[k]) for k in ("d1", "r1", "d2", "r2")]
-        choi = decode_matrix(obj["choi"], where=f"{where}.choi")
-    except (KeyError, TypeError) as exc:
-        raise SerializationError(f"{where}: {exc}") from exc
-    try:
-        return Superchannel(*dims, choi)
-    except ValueError as exc:
-        raise SerializationError(f"{where}: {exc}") from exc
+        return Superchannel(*dims, decode_matrix(obj["choi"], where=f"{where}.choi"))
 
 
 def encode_action(action: SpanAction) -> dict:
@@ -108,19 +105,14 @@ def encode_action(action: SpanAction) -> dict:
 
 
 def decode_action(obj, where: str = "action") -> SpanAction:
-    try:
+    with _input_errors(where):
         dims = [int(obj[k]) for k in ("d1", "r1", "d2", "r2")]
         images = obj["images"]
-    except (KeyError, TypeError) as exc:
-        raise SerializationError(f"{where}: {exc}") from exc
-    if not isinstance(images, list) or len(images) != span_dim(dims[0], dims[1]):
-        raise SerializationError(
-            f"{where}: expected {span_dim(dims[0], dims[1])} images for the canonical basis")
-    mats = [decode_matrix(m, where=f"{where}.images[{i}]") for i, m in enumerate(images)]
-    try:
+        count = span_dim(dims[0], dims[1])
+        if not isinstance(images, list) or len(images) != count:
+            raise SerializationError(f"{where}: expected {count} images for the canonical basis")
+        mats = [decode_matrix(m, where=f"{where}.images[{i}]") for i, m in enumerate(images)]
         return SpanAction(*dims, tuple(mats))
-    except ValueError as exc:
-        raise SerializationError(f"{where}: {exc}") from exc
 
 
 def encode_pre_post(form: PrePostForm) -> dict:
@@ -129,13 +121,10 @@ def encode_pre_post(form: PrePostForm) -> dict:
 
 
 def decode_pre_post(obj, where: str = "characterisation") -> PrePostForm:
-    try:
+    with _input_errors(where):
         e = int(obj["e"])
         v = decode_matrix(obj["v_pre"], where=f"{where}.v_pre")
-        post = decode_channel(obj["post"], where=f"{where}.post")
-    except (KeyError, TypeError) as exc:
-        raise SerializationError(f"{where}: {exc}") from exc
-    return PrePostForm(e, v, post)
+        return PrePostForm(e, v, decode_channel(obj["post"], where=f"{where}.post"))
 
 
 def encode_feasibility(report: FeasibilityReport) -> dict:

@@ -246,9 +246,9 @@ def pre_post_form(sc: Superchannel, tol: float | None = None) -> PrePostForm:
     the supermap Choi matrix, regrouped to ((d1,d2),(r1,r2)), sandwiched by
     the pseudo-inverse of ``W`` tensored with the identity on (r1,r2) and
     regrouped to (r1,e,r2).  The auxiliary dimension e equals ``aux_dim``.
-    Raises ``ValueError`` when the marginal map is lift-dependent or the
-    marginal is not PSD, and ``ArithmeticError`` when the post map fails the
-    channel check or the recomposition misses the input.
+    Raises ``ValueError`` when the marginal map is lift-dependent, the
+    marginal is not PSD or the post map fails ``recompose``'s channel check,
+    and ``ArithmeticError`` when the recomposition misses the input.
     """
     tol = resolve(tol, DEFAULTS.rel_tol)
     d1, r1, d2, r2 = sc.dims
@@ -270,8 +270,6 @@ def pre_post_form(sc: Superchannel, tol: float | None = None) -> PrePostForm:
     c_post = np.einsum("aij,ikjsIlJt,bIJ->kaslbt", inv, c, inv.conj(), optimize=True)
     c_post = c_post.reshape(n_post, n_post)
     post = ChannelChoi(r1 * e, r2, (c_post + c_post.conj().T) / 2)
-    if not (is_cp(post) and is_tp(post, tol=1e-7)):
-        raise ArithmeticError("recovered post-processing map failed the channel check")
     rebuilt = recompose(v, post, e)
     residual = frob(rebuilt.choi - sc.choi)
     if residual > 1e-8 * rel_scale(sc.choi):

@@ -236,6 +236,16 @@ def test_extend_undetermined_exit_code(capsys, fixtures):
     assert reports[0]["status"] == "undetermined"
 
 
+@pytest.mark.parametrize("command", ["extend", "tp-extend"])
+@pytest.mark.parametrize("cap", ["0", "-5"])
+def test_non_positive_iteration_cap_is_an_error(capsys, fixtures, command, cap):
+    code = main([command, str(fixtures / "readout_action.json"), "--max-iter", cap, "--json"])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    assert "iteration cap" in captured.err
+
+
 def test_demo_reseeded_still_passes(capsys):
     code, _ = run_json(capsys, "demo-paper", "--seed", "7")
     assert code == 0
@@ -247,6 +257,13 @@ def test_input_error_exit_code(capsys, tmp_path):
     code = main(["check-channel", str(bad)])
     assert code == 3
     assert "line" in capsys.readouterr().err
+
+
+def test_non_integer_dimension_is_an_input_error(capsys, tmp_path):
+    path = tmp_path / "c.json"
+    save_json(path, {"d": "two", "r": 2, "choi": encode_matrix(np.eye(4))})
+    assert main(["check-channel", str(path)]) == 3
+    assert capsys.readouterr().err.startswith("input error: channel: ")
 
 
 def test_null_matrix_entry_is_an_input_error(capsys, tmp_path):

@@ -262,3 +262,9 @@ def test_adjoint_incompatible_action_makes_system_inconsistent():
     action = SpanAction(2, 1, 1, 2, (image,))
     with pytest.raises(ValueError):
         extend_action(action)
+
+
+def test_non_positive_iteration_cap_rejected():
+    for cap in (0, -5):
+        with pytest.raises(ValueError, match="iteration cap"):
+            extend_action(readout_action(), max_iter=cap)

@@ -13,6 +13,7 @@ from superchannels.serialize import (
     decode_channel,
     decode_kraus,
     decode_matrix,
+    decode_pre_post,
     decode_superchannel,
     encode_action,
     encode_basis,
@@ -96,6 +97,44 @@ def test_action_round_trip_and_count_check():
     obj["images"] = obj["images"][:-1]
     with pytest.raises(SerializationError):
         decode_action(obj)
+
+
+# decoder, its default ``where``, a valid encoding, a dimension key, and the
+# key of a nested matrix (or list of matrices) with that matrix's ``where``.
+DECODERS = [
+    (decode_channel, "channel", lambda: encode_channel(depolarizing_channel(2, 2)),
+     "d", "choi", "channel.choi"),
+    (decode_kraus, "kraus", lambda: encode_kraus(KrausSet(2, 2, (np.eye(2, dtype=complex),))),
+     "d", "ops", "kraus.ops[0]"),
+    (decode_superchannel, "superchannel", lambda: encode_superchannel(block_trace_readout(0)),
+     "d1", "choi", "superchannel.choi"),
+    (decode_action, "action", lambda: encode_action(readout_action()),
+     "d1", "images", "action.images[0]"),
+    (decode_pre_post, "characterisation",
+     lambda: encode_pre_post(pre_post_form(identity_superchannel(2, 2))),
+     "e", "v_pre", "characterisation.v_pre"),
+]
+
+
+@pytest.mark.parametrize("decode, where, build, dim_key, nested_key, nested_where", DECODERS,
+                         ids=[case[1] for case in DECODERS])
+def test_decoders_report_malformed_input_with_their_location(
+        decode, where, build, dim_key, nested_key, nested_where):
+    decode(build())
+    missing = build()
+    del missing[dim_key]
+    wrong_type = build()
+    wrong_type[dim_key] = "two"
+    nested = build()
+    if isinstance(nested[nested_key], list):
+        nested[nested_key][0] = []
+    else:
+        nested[nested_key] = []
+    for bad, prefix in ((missing, where), (wrong_type, where), ([], where),
+                        (nested, nested_where)):
+        with pytest.raises(SerializationError) as err:
+            decode(bad)
+        assert str(err.value).startswith(f"{prefix}: "), str(err.value)
 
 
 def test_pre_post_encoding_keys():
