@@ -26,6 +26,7 @@ from .serialize import (
     decode_action,
     decode_channel,
     decode_matrix,
+    decode_spaces,
     decode_superchannel,
     encode_basis,
     encode_feasibility,
@@ -98,6 +99,7 @@ def _run_extend(args, trace_preserving: bool) -> RunReport:
             ok={feasibility.FEASIBLE: True,
                 feasibility.INFEASIBLE: False}.get(report.status))
     rep.add("iterations", report.iterations)
+    rep.add("newton steps", report.newton_steps)
     rep.add("gap", report.gap)
     rep.judge("affine residual", report.affine_residual, DEFAULTS.affine_tol)
     rep.judge("psd residual", report.psd_residual, DEFAULTS.psd_tol)
@@ -154,10 +156,7 @@ def cmd_extreme(args) -> RunReport:
     except ValueError:
         rep.add("extreme_unital_tp", None)
     if args.spaces:
-        raw = load_json(args.spaces)
-        spaces = extremal.ConstraintSpaces(
-            tuple(decode_matrix(m, "s_basis") for m in raw.get("s_basis", [])),
-            tuple(decode_matrix(m, "t_basis") for m in raw.get("t_basis", [])))
+        spaces = decode_spaces(load_json(args.spaces))
         rep.add("extreme_constrained",
                 extremal.is_extreme_constrained(phi, spaces, args.tol))
     else:

@@ -9,10 +9,19 @@ vanishing on S have Choi matrices in ``S^perp (x) M_{n2}``, where
 ``x_k`` of S with images ``y_k``.  Projecting onto the set therefore takes a
 partial trace over r1, removes the d1 trace and tensors ``I_{r1}/r1`` back;
 trace preservation adds the projection that acts on the output factor only,
-and the two commute.  The search runs Douglas-Rachford splitting between
-the affine set and the cone (``feasibility.solve``): "feasible" comes with a
-PSD witness, and "infeasible" only with a Farkas certificate that checks
-at one of the iterations 1, 2, 4, 8, ...
+and the two commute.  The same description gives the set's directions an
+orthonormal basis in closed form, ``A (x) I_{r1}/sqrt(r1) (x) H`` with A
+running over a traceless Hermitian basis on d1 and H over a Hermitian basis
+on n2 (traceless under trace preservation): ``(d1^2 - 1) n2^2`` directions,
+or ``(d1^2 - 1)(n2^2 - 1)``.
+
+The search runs Douglas-Rachford splitting between the affine set and the
+cone (``feasibility.solve``): "feasible" comes with a PSD witness, and
+"infeasible" only with a Farkas certificate that checks at one of the
+iterations 1, 2, 4, 8, ...  A search still open after iteration 1,024 runs
+one barrier Newton phase over the directions basis; it either returns a
+witness that a Cholesky factorisation proves positive definite, or leaves
+the DR run to go on exactly as before.
 """
 
 from __future__ import annotations
@@ -23,7 +32,8 @@ from itertools import combinations
 import numpy as np
 
 from . import feasibility
-from .feasibility import FEASIBLE, AffineSet, Certificate
+from .feasibility import FEASIBLE, AffineSet, Certificate, Directions
+from .linalg import hermitian_basis
 from .opsys import span_basis, span_dim
 from .supermaps import Superchannel, aux_dim, preserves_span, span_images
 
@@ -60,7 +70,8 @@ class FeasibilityReport:
 
     Without a witness, ``certificate`` is the last displacement checked as
     a Farkas certificate (at iterations 1, 2, 4, 8, ...); it proves
-    infeasibility when its margin is negative.
+    infeasibility when its margin is negative.  ``newton_steps`` counts the
+    steps of the solver's Newton phase, 0 when it did not run.
     """
 
     status: str
@@ -71,6 +82,7 @@ class FeasibilityReport:
     psd_residual: float
     gap_history: list[float] = field(default_factory=list)
     certificate: Certificate | None = None
+    newton_steps: int = 0
 
 
 @dataclass(frozen=True)
@@ -113,7 +125,8 @@ def validate_action(action: SpanAction, tol: float | None = None) -> None:
 
 
 def affine_set(action: SpanAction, trace_preserving: bool = False) -> AffineSet:
-    """The supermap Choi matrices that reproduce ``action``, with their projection.
+    """The supermap Choi matrices that reproduce ``action``, with their
+    projection and an orthonormal basis of their directions.
 
     With ``trace_preserving`` the set also asks ``Tr_{n2} C = I``.  The
     anchor is the Hermitian part of the minimum-norm extension ``x0`` (see
@@ -159,6 +172,8 @@ def affine_set(action: SpanAction, trace_preserving: bool = False) -> AffineSet:
         # sums n2 diagonal entries
         row_bound=float(np.sqrt(n2)) if trace_preserving else 1.0,
         rhs_scale=max(1.0, float(np.max(np.abs(ys.real))), float(np.max(np.abs(ys.imag)))),
+        directions=Directions(hermitian_basis(d1, traceless=True),
+                              hermitian_basis(n2, traceless=trace_preserving), r1),
     )
 
 
@@ -183,7 +198,7 @@ def extend_action(action: SpanAction,
         witness = Superchannel(action.d1, action.r1, action.d2, action.r2, res.point)
     return FeasibilityReport(res.status, witness, res.gap, res.iterations,
                              res.affine_residual, res.psd_residual, res.gap_history,
-                             res.certificate)
+                             res.certificate, res.newton_steps)
 
 
 def tp_extension(action: SpanAction, **kwargs) -> FeasibilityReport:

@@ -27,7 +27,7 @@ from .channels import (
     kraus_gram,
 )
 from .config import DEFAULTS, resolve
-from .linalg import frob, herm_eig, is_hermitian, rel_scale, svd_rank, vec
+from .linalg import frob, herm_eig, hermitian_basis, is_hermitian, rel_scale, svd_rank, vec
 from .opsys import hermitian_span, span_basis
 
 
@@ -124,34 +124,6 @@ def is_extreme_constrained(phi: ChannelChoi, spaces: ConstraintSpaces,
 # Real coordinates on the Hermitian matrices for the perturbation search; in
 # these coordinates Euclidean geometry coincides with Frobenius geometry.
 _SQRT2 = np.sqrt(2.0)
-
-
-@lru_cache(maxsize=None)
-def hermitian_basis(n: int) -> np.ndarray:
-    """Orthonormal real basis of the Hermitian n x n matrices, shape (n^2, n, n).
-
-    Ordering: the n diagonal units, then the symmetric combinations over the
-    upper triangle in row-major order, then the antisymmetric ones.
-    """
-    mats = []
-    for p in range(n):
-        m = np.zeros((n, n), dtype=complex)
-        m[p, p] = 1.0
-        mats.append(m)
-    pairs = [(p, q) for p in range(n) for q in range(p + 1, n)]
-    for p, q in pairs:
-        m = np.zeros((n, n), dtype=complex)
-        m[p, q] = 1 / _SQRT2
-        m[q, p] = 1 / _SQRT2
-        mats.append(m)
-    for p, q in pairs:
-        m = np.zeros((n, n), dtype=complex)
-        m[p, q] = 1j / _SQRT2
-        m[q, p] = -1j / _SQRT2
-        mats.append(m)
-    out = np.array(mats)
-    out.setflags(write=False)
-    return out
 
 
 @lru_cache(maxsize=None)

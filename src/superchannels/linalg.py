@@ -7,6 +7,7 @@ Kronecker product follows numpy's indexing, so composite indices read
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -97,6 +98,33 @@ def svd_rank(m: np.ndarray, tol: float | None = None) -> int:
         return 0
     s = np.linalg.svd(m, compute_uv=False)
     return int(np.count_nonzero(s > resolve(tol, DEFAULTS.rel_tol) * max(1.0, s[0])))
+
+
+@lru_cache(maxsize=None)
+def hermitian_basis(n: int, traceless: bool = False) -> np.ndarray:
+    """Orthonormal real basis of the Hermitian n x n matrices, shape (n^2, n, n),
+    or of the traceless ones, shape (n^2 - 1, n, n).
+
+    Ordering: the n diagonal units (with ``traceless``, the n - 1 Helmert
+    contrasts ``(E_00 + ... + E_{k-1,k-1} - k E_kk) / sqrt(k(k+1))`` in their
+    place), then the symmetric combinations over the upper triangle in
+    row-major order, then the antisymmetric ones.
+    """
+    diag = np.eye(n)
+    if traceless:
+        diag = np.array([np.r_[np.ones(k), -k, np.zeros(n - k - 1)] / np.sqrt(k * (k + 1))
+                         for k in range(1, n)]).reshape(n - 1, n)
+    mats = [np.diag(v).astype(complex) for v in diag]
+    pairs = [(p, q) for p in range(n) for q in range(p + 1, n)]
+    for phase in (1.0, 1j):
+        for p, q in pairs:
+            m = np.zeros((n, n), dtype=complex)
+            m[p, q] = phase / np.sqrt(2.0)
+            m[q, p] = np.conj(phase) / np.sqrt(2.0)
+            mats.append(m)
+    out = np.array(mats).reshape(-1, n, n)
+    out.setflags(write=False)
+    return out
 
 
 def partial_trace(m: np.ndarray, dims: Sequence[int], traced: Iterable[int]) -> np.ndarray:

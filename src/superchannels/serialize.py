@@ -15,6 +15,7 @@ import numpy as np
 
 from .channels import ChannelChoi, KrausSet
 from .extend import FeasibilityReport, SpanAction
+from .extremal import ConstraintSpaces
 from .opsys import span_dim
 from .supermaps import PrePostForm, Superchannel
 
@@ -127,9 +128,22 @@ def decode_pre_post(obj, where: str = "characterisation") -> PrePostForm:
         return PrePostForm(e, v, decode_channel(obj["post"], where=f"{where}.post"))
 
 
+def decode_spaces(obj, where: str = "spaces") -> ConstraintSpaces:
+    """The ``{"s_basis": [...], "t_basis": [...]}`` spanning sets of the
+    extremality constraints; a missing list is empty."""
+    with _input_errors(where):
+        if not isinstance(obj, dict):
+            raise TypeError("expected an object with s_basis/t_basis lists")
+        return ConstraintSpaces(*(
+            tuple(decode_matrix(m, where=f"{where}.{key}[{i}]")
+                  for i, m in enumerate(obj.get(key, [])))
+            for key in ("s_basis", "t_basis")))
+
+
 def encode_feasibility(report: FeasibilityReport) -> dict:
     out = {"status": report.status,
            "iterations": report.iterations,
+           "newton_steps": report.newton_steps,
            "gap": report.gap,
            "affine_residual": report.affine_residual,
            "psd_residual": report.psd_residual,

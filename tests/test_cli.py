@@ -5,18 +5,20 @@ import pytest
 
 from _dense_reference import linear_system
 from superchannels.cli import main
+from superchannels.extend import restrict_superchannel
 from superchannels.gallery import write_fixtures
 from superchannels.serialize import (
     decode_action,
     decode_matrix,
     decode_pre_post,
     decode_superchannel,
+    encode_action,
     encode_matrix,
     load_json,
     save_json,
 )
 from superchannels.linalg import kron, random_unitary, vec
-from superchannels.supermaps import is_superchannel
+from superchannels.supermaps import is_superchannel, random_superchannel
 
 
 @pytest.fixture(scope="module")
@@ -99,6 +101,20 @@ def test_extend_readout_action(capsys, fixtures, tmp_path):
     assert reports[0]["status"] == "pass"
     witness = decode_superchannel(load_json(out))
     assert (witness.d1, witness.r1, witness.d2, witness.r2) == (2, 2, 1, 1)
+
+
+def test_extend_reports_the_newton_steps(capsys, tmp_path):
+    """Seed 415's thin extension set: Douglas-Rachford runs to iteration
+    1,024, then the Newton phase returns a strict witness."""
+    path = tmp_path / "action.json"
+    sc = random_superchannel(2, 2, 2, 2, e=2, seed=415)
+    save_json(path, encode_action(restrict_superchannel(sc)))
+    code, reports = run_json(capsys, "extend", str(path), "--max-iter", "20000")
+    assert code == 0
+    results = {f["key"]: f["value"] for f in reports[0]["results"]}
+    assert results["status"] == "feasible"
+    assert results["iterations"] == 1024
+    assert 0 < results["newton steps"] <= 60
 
 
 def test_extend_with_seed(capsys, fixtures):
@@ -207,6 +223,17 @@ def test_extreme_reports(capsys, fixtures, tmp_path):
     assert results["extreme_choi"] is False
     assert results["extreme_unital_tp"] is False
     assert results["extreme_constrained"] is False
+
+
+@pytest.mark.parametrize("content", [[], "x"])
+def test_extreme_spaces_file_that_is_not_an_object_is_an_input_error(
+        capsys, fixtures, tmp_path, content):
+    spaces_path = tmp_path / "spaces.json"
+    save_json(spaces_path, content)
+    code = main(["extreme", str(fixtures / "identity_channel_2.json"),
+                 "--spaces", str(spaces_path)])
+    assert code == 3
+    assert capsys.readouterr().err.startswith("input error: spaces: ")
 
 
 def test_factor_unitary_command(capsys, tmp_path):

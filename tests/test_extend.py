@@ -61,39 +61,28 @@ def test_seeded_run_is_a_fixed_point():
 def test_extension_of_restrictions_never_infeasible():
     """Restrictions of actual superchannels always re-extend.
 
-    The default-seeded search may hit the iteration cap on a hard instance
-    (tangential contact between the affine set and the cone slows
-    Douglas-Rachford; of these 20, seed 415 does), but at least 19 end
-    feasible, none is reported infeasible, the last certificate checked on
-    an undetermined run has a margin >= 0, and the generating supermap
-    always certifies feasibility directly.
+    All 20 end feasible at a cap of 20,000 iterations, and every witness
+    verifies.  Seeds 415 and 419 have thin extension sets that
+    Douglas-Rachford alone crosses slowly (seed 415 not within the cap);
+    their witnesses come from the Newton phase after iteration 1,024 and are
+    positive definite.  The gap windows of a Douglas-Rachford history after
+    burn-in shrink, here on seed 401's 2,261 iterations, a run that crosses
+    the Newton phase without a strict witness and resumes.
     """
-    statuses = []
-    longest_history = []
-    for seed in range(20):
-        sc = random_superchannel(2, 2, 2, 2, e=1 + seed % 2, seed=400 + seed)
-        action = restrict_superchannel(sc)
-        report = extend_action(action, max_iter=20_000)
-        statuses.append(report.status)
-        assert report.status != INFEASIBLE
-        if report.status == FEASIBLE:
-            assert is_superchannel(report.witness, 1e-7)
-            assert restrictions_equal(report.witness, sc, 1e-6)
-        else:
-            assert report.certificate is not None and report.certificate.margin >= 0
-            # completeness backstop: the generating supermap itself certifies
-            seeded = extend_action(action, seed_point=sc, max_iter=20_000)
-            assert seeded.status == FEASIBLE
-            assert restrictions_equal(seeded.witness, sc, 1e-6)
-        if len(report.gap_history) > len(longest_history):
-            longest_history = report.gap_history
-    assert statuses.count(FEASIBLE) >= 19
-    # gap windows shrink after burn-in, here on seed 415's 20,000 iterations
-    h = longest_history
-    if len(h) >= 500:
-        windows = [max(h[i:i + 100]) for i in range(100, len(h) - 100, 100)]
-        for earlier, later in zip(windows, windows[1:]):
-            assert later <= earlier * (1 + 1e-9)
+    for seed in range(400, 420):
+        sc = random_superchannel(2, 2, 2, 2, e=1 + seed % 2, seed=seed)
+        report = extend_action(restrict_superchannel(sc), max_iter=20_000)
+        assert report.status == FEASIBLE, seed
+        assert is_superchannel(report.witness, 1e-7)
+        assert restrictions_equal(report.witness, sc, 1e-6)
+        if seed in (415, 419):
+            assert np.linalg.eigvalsh(report.witness.choi)[0] > 0
+        if seed == 401:
+            h = report.gap_history
+    assert len(h) == 2261
+    windows = [max(h[i:i + 100]) for i in range(100, len(h) - 100, 100)]
+    for earlier, later in zip(windows, windows[1:]):
+        assert later <= earlier * (1 + 1e-9)
 
 
 def test_certificate_margin_nonnegative_at_a_rounding_edge():
