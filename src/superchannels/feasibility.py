@@ -4,9 +4,8 @@ The solver looks for a Hermitian n x n matrix inside the intersection of an
 affine set and the PSD cone, iterating on the matrices themselves.  The
 affine set arrives as an ``AffineSet``: its nearest-point map, its
 minimum-norm point (the anchor), a residual, a bound relating residuals to
-distances and, optionally, an orthonormal basis of its directions.  Its one
-caller, ``extend.affine_set``, builds the projection and the basis in closed
-form.
+distances and an orthonormal basis of its directions.  Its one caller,
+``extend.affine_set``, builds the projection and the basis in closed form.
 
 The iteration is Douglas-Rachford (Lions & Mercier 1979): with the shadow
 ``y = P_PSD(x)``, ``x <- x + P_A(2y - x) - y``.  The shadow is PSD by
@@ -31,7 +30,8 @@ Boyd, SIAM Review 1996).  It ends in one of three ways:
   pass the same ``affine_tol`` residual rule as a DR witness;
 * the bound ``t + n/eta`` on the best t falls below that floor: the set
   holds no point that a factorisation could prove positive definite;
-* no damped step keeps ``W - t I`` factorisable.
+* ``W - t I`` does not factorise at the start, or no damped step keeps it
+  factorisable.
 
 Without a strict witness DR resumes from its unchanged iterate, so the
 run's status, iteration count and witness are those of DR alone; the
@@ -146,8 +146,8 @@ class AffineSet:
     ``rhs_scale`` is the floor (at least 1) that scales the affine tolerance.
     Every point of the set has the anchor's trace (the identity lies in the
     row space of the equations); the infeasibility certificate relies on it.
-    ``directions``, when given, is an orthonormal basis of the set's
-    directions; without it ``solve`` skips its Newton phase.
+    ``directions`` is an orthonormal basis of the set's directions, for the
+    Newton phase.
     """
 
     project: Callable[[np.ndarray], np.ndarray]
@@ -155,7 +155,7 @@ class AffineSet:
     residual: Callable[[np.ndarray], float]
     row_bound: float
     rhs_scale: float
-    directions: Directions | None = None
+    directions: Directions
 
 
 @dataclass(frozen=True)
@@ -248,7 +248,10 @@ def strict_witness(affine: AffineSet) -> tuple[np.ndarray | None, int]:
     complex arithmetic and the rounding of the shift, so ``lambda_min(W) >=
     t/2 - floor/2 > 0``.  Returns ``(None, steps)`` when the bound
     ``t + n/eta`` falls below the floor, when no damped step keeps F
-    factorisable, or after ``_NEWTON_STEP_CAP`` steps.
+    factorisable, or after ``_NEWTON_STEP_CAP`` steps; ``(None, 0)`` when the
+    trace is not positive or F does not factorise at the start (its smallest
+    eigenvalue, ``Tr(anchor)/n``, can lie within the rounding of
+    ``||anchor||``).
     """
     dirs, anchor = affine.directions, affine.anchor
     n, m = anchor.shape[0], dirs.size
@@ -269,7 +272,10 @@ def strict_witness(affine: AffineSet) -> tuple[np.ndarray | None, int]:
     w = anchor
     t = float(np.linalg.eigvalsh(anchor)[0]) - trace / n
     eta = n / (trace / n - t)
-    low, logdet = factor(w, t)
+    start = factor(w, t)
+    if start is None:
+        return None, 0
+    low, logdet = start
     for step in range(1, _NEWTON_STEP_CAP + 1):
         inv_low = np.linalg.inv(low)
         g = inv_low.conj().T @ inv_low           # F^{-1}
@@ -317,9 +323,9 @@ def solve(affine: AffineSet,
     PSD shadow as witness once its affine residual drops below tolerance,
     ``infeasible`` once the displacement checks as a certificate (checked
     at iterations 1, 2, 4, 8, ...), and ``undetermined`` at the iteration
-    cap.  With a cap above ``NEWTON_AFTER`` and ``affine.directions`` given,
-    a run without a verdict at that iteration first tries
-    ``strict_witness``; if it finds none, the iteration resumes unchanged.
+    cap.  With a cap above ``NEWTON_AFTER``, a run without a verdict at that
+    iteration first tries ``strict_witness``; if it finds none, the
+    iteration resumes unchanged.
     Raises ``ValueError`` when ``max_iter`` is below 1 and when the
     affine set is empty, that is when its anchor leaves a residual above
     tolerance.
@@ -367,7 +373,7 @@ def solve(affine: AffineSet,
                 return ProjectionReport(INFEASIBLE, None, gap, it,
                                         affine.residual(y), gap, history, cert,
                                         newton_steps)
-        if it == NEWTON_AFTER and max_iter > NEWTON_AFTER and affine.directions is not None:
+        if it == NEWTON_AFTER and max_iter > NEWTON_AFTER:
             point, newton_steps = strict_witness(affine)
             if point is not None:
                 affine_res = affine.residual(point)

@@ -26,6 +26,7 @@ from superchannels.feasibility import (
     INFEASIBLE,
     UNDETERMINED,
     AffineSet,
+    Directions,
     ProjectionReport,
     certificate,
 )
@@ -100,13 +101,15 @@ def realify(a_complex: np.ndarray, b_complex: np.ndarray, n: int) -> tuple[np.nd
     return a_real, b_real
 
 
-def linear_affine_set(a_complex: np.ndarray, b_complex: np.ndarray, n: int) -> AffineSet:
+def linear_affine_set(a_complex: np.ndarray, b_complex: np.ndarray, n: int,
+                      directions: Directions) -> AffineSet:
     """The Hermitian solutions of ``a_complex @ vec(C) = b_complex`` as an ``AffineSet``.
 
     Realifies the system and takes its pseudo-inverse.  Singular values below
     ``DEFAULTS.rel_tol`` times the largest are treated as zero; numpy's own
     cutoff near machine precision keeps noise directions and can turn a
-    consistent system inconsistent.
+    consistent system inconsistent.  ``directions``, the basis of the set's
+    directions that the Newton phase uses, is passed through.
     """
     a_real, b_real = realify(a_complex, b_complex, n)
     pinv = np.linalg.pinv(a_real, rcond=DEFAULTS.rel_tol)
@@ -122,6 +125,7 @@ def linear_affine_set(a_complex: np.ndarray, b_complex: np.ndarray, n: int) -> A
         residual=residual,
         row_bound=float(np.sqrt((a_real * a_real).sum(axis=1).max())),
         rhs_scale=max(1.0, float(np.max(np.abs(b_real)))),
+        directions=directions,
     )
 
 

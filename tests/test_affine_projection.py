@@ -112,7 +112,7 @@ def test_linear_affine_set_matches_closed_form(dims, tp):
     numpy's default pinv cutoff fails."""
     action = _action(dims)
     closed = affine_set(action, tp)
-    dense = linear_affine_set(*linear_system(action, tp))
+    dense = linear_affine_set(*linear_system(action, tp), closed.directions)
     np.testing.assert_allclose(dense.anchor, closed.anchor, rtol=0, atol=1e-12)
     assert dense.row_bound == pytest.approx(closed.row_bound)
     assert dense.rhs_scale == pytest.approx(closed.rhs_scale)
@@ -127,7 +127,8 @@ def test_linear_affine_set_matches_closed_form(dims, tp):
 @pytest.mark.parametrize("tp", [False, True])
 def test_solve_on_either_affine_set_gives_the_same_verdict(tp):
     action = no_tp_action()
-    dense = solve(linear_affine_set(*linear_system(action, tp)))
+    dense = solve(linear_affine_set(*linear_system(action, tp),
+                                    affine_set(action, tp).directions))
     closed = extend_action(action, trace_preserving=tp)
     assert (dense.status, dense.iterations) == (closed.status, closed.iterations)
     assert dense.gap == pytest.approx(closed.gap, rel=1e-6, abs=1e-12)

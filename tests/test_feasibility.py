@@ -11,6 +11,8 @@ leave its inputs alone.  The phase's closed-form directions basis and
 Hessian are checked against dense ones.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -147,6 +149,18 @@ def test_newton_phase_stops_at_once_on_a_set_without_positive_trace():
     action = restrict_superchannel(_cap_instance(415))
     negated = SpanAction(2, 2, 2, 2, tuple(-y for y in action.images))
     assert strict_witness(affine_set(negated)) == (None, 0)
+
+
+def test_newton_phase_stops_at_once_when_the_start_does_not_factorise():
+    """The starting ``F = anchor - t I`` has smallest eigenvalue
+    ``Tr(anchor)/n``; under the rounding of a large anchor it is singular.
+    Here the anchor is ``2^-60 I`` plus a Hermitian part with eigenvalues
+    +-1, so ``F`` rounds to a singular matrix."""
+    affine = _random_restriction(415)
+    n = affine.anchor.shape[0]
+    anchor = np.kron(np.eye(n // 2), [[0, 1], [1, 0]]) + 2.0 ** -60 * np.eye(n)
+    assert np.trace(anchor) > 0
+    assert strict_witness(dataclasses.replace(affine, anchor=anchor.astype(complex))) == (None, 0)
 
 
 LADDER = [(2, 2, 2, 2), (2, 3, 2, 3), (3, 2, 3, 2), (3, 3, 3, 3)]

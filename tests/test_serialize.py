@@ -1,3 +1,4 @@
+import dataclasses
 import json
 from pathlib import Path
 
@@ -27,7 +28,7 @@ from superchannels.serialize import (
     save_json,
 )
 from superchannels.opsys import span_basis
-from superchannels.supermaps import identity_superchannel, pre_post_form, random_superchannel
+from superchannels.supermaps import identity_superchannel, pre_post_form
 
 
 def test_matrix_round_trip():
@@ -153,14 +154,7 @@ def test_feasibility_encoding():
     assert {"iterations", "gap", "affine_residual", "psd_residual"} <= set(obj)
     assert obj["certificate"] is None
     assert obj["newton_steps"] == 0
-
-
-def test_feasibility_encoding_carries_the_newton_steps():
-    sc = random_superchannel(2, 2, 2, 2, e=2, seed=415)
-    report = extend_action(restrict_superchannel(sc), max_iter=20_000)
-    obj = encode_feasibility(report)
-    assert obj["status"] == "feasible" and obj["iterations"] == 1024
-    assert obj["newton_steps"] == report.newton_steps > 0
+    assert encode_feasibility(dataclasses.replace(report, newton_steps=7))["newton_steps"] == 7
 
 
 def test_basis_export_header():
