@@ -99,10 +99,14 @@ def _run_extend(args, trace_preserving: bool) -> RunReport:
             ok={feasibility.FEASIBLE: True,
                 feasibility.INFEASIBLE: False}.get(report.status))
     rep.add("iterations", report.iterations)
+    rep.add("newton after", report.newton_after)
     rep.add("newton steps", report.newton_steps)
+    rep.add("newton exit", report.newton_exit)
     rep.add("gap", report.gap)
     rep.judge("affine residual", report.affine_residual, DEFAULTS.affine_tol)
-    rep.judge("psd residual", report.psd_residual, DEFAULTS.psd_tol)
+    # every witness is PSD by construction (residual 0.0), and without one
+    # the status decides the exit code: the residual is reported, not judged
+    rep.add("psd residual", report.psd_residual)
     if report.certificate is not None:
         margin = report.certificate.margin
         rep.add("certificate margin", margin, tol=0.0, ok=margin < 0)
@@ -138,7 +142,7 @@ def cmd_characterize(args) -> RunReport:
     iso = frob(form.v_pre.conj().T @ form.v_pre - np.eye(sc.d2))
     rep.judge("isometry residual", iso, DEFAULTS.rel_tol)
     rebuilt = recompose(form.v_pre, form.post, form.e)
-    rep.judge("recomposition residual", frob(rebuilt.choi - sc.choi), 1e-8)
+    rep.judge("recomposition residual", frob(rebuilt.choi - sc.choi), DEFAULTS.equal_tol)
     if args.out:
         save_json(args.out, encode_pre_post(form))
         rep.add("characterisation written to", args.out)
@@ -175,7 +179,7 @@ def cmd_factor_unitary(args) -> RunReport:
         return rep
     u1, u2 = factors
     rep.add("factorable", True, ok=True)
-    rep.judge("reconstruction residual", frob(u - kron(u1, u2)), 1e-8)
+    rep.judge("reconstruction residual", frob(u - kron(u1, u2)), DEFAULTS.equal_tol)
     if args.out:
         save_json(args.out, {"u1": encode_matrix(u1), "u2": encode_matrix(u2)})
         rep.add("factors written to", args.out)

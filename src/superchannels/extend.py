@@ -18,10 +18,14 @@ or ``(d1^2 - 1)(n2^2 - 1)``.
 The search runs Douglas-Rachford splitting between the affine set and the
 cone (``feasibility.solve``): "feasible" comes with a PSD witness, and
 "infeasible" only with a Farkas certificate that checks at one of the
-iterations 1, 2, 4, 8, ...  A search still open after iteration 1,024 runs
-one barrier Newton phase over the directions basis; it either returns a
-witness that a Cholesky factorisation proves positive definite, or leaves
-the DR run to go on exactly as before.
+iterations 1, 2, 4, 8, ...  A search still open after iteration
+``feasibility.newton_after(m)``, the first power of two at or above three
+times the number m of directions (256 at (2,2,2,2), 2,048 at (3,3,3,3)),
+runs one barrier Newton phase over the directions basis.  It returns a
+witness that a Cholesky factorisation proves positive definite, or, on a
+set too thin to hold one (a unique extension, for instance), the PSD shadow
+of its point once that passes the affine rule; otherwise the DR run goes on
+exactly as before.
 """
 
 from __future__ import annotations
@@ -70,8 +74,10 @@ class FeasibilityReport:
 
     Without a witness, ``certificate`` is the last displacement checked as
     a Farkas certificate (at iterations 1, 2, 4, 8, ...); it proves
-    infeasibility when its margin is negative.  ``newton_steps`` counts the
-    steps of the solver's Newton phase, 0 when it did not run.
+    infeasibility when its margin is negative.  ``newton_after`` is the
+    iteration that starts the solver's Newton phase, ``newton_steps`` counts
+    its steps and ``newton_exit`` records how it ended: "strict" or "shadow"
+    with a witness, "none" without, "" when it did not run.
     """
 
     status: str
@@ -82,7 +88,9 @@ class FeasibilityReport:
     psd_residual: float
     gap_history: list[float] = field(default_factory=list)
     certificate: Certificate | None = None
+    newton_after: int = 0
     newton_steps: int = 0
+    newton_exit: str = ""
 
 
 @dataclass(frozen=True)
@@ -198,7 +206,8 @@ def extend_action(action: SpanAction,
         witness = Superchannel(action.d1, action.r1, action.d2, action.r2, res.point)
     return FeasibilityReport(res.status, witness, res.gap, res.iterations,
                              res.affine_residual, res.psd_residual, res.gap_history,
-                             res.certificate, res.newton_steps)
+                             res.certificate, res.newton_after, res.newton_steps,
+                             res.newton_exit)
 
 
 def tp_extension(action: SpanAction, **kwargs) -> FeasibilityReport:

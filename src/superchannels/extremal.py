@@ -94,7 +94,7 @@ def is_extreme_unital_tp(phi: ChannelChoi, tol: float | None = None) -> bool:
     (stacked side by side), the unital-TP refinement of the CP criterion:
     the constrained test with the identity pinned on both sides.
     """
-    if not (is_tp(phi, 1e-8) and is_unital(phi, 1e-8)):
+    if not (is_tp(phi, DEFAULTS.equal_tol) and is_unital(phi, DEFAULTS.equal_tol)):
         raise ValueError("extremality test requires a unital trace-preserving map")
     return is_extreme_constrained(
         phi, ConstraintSpaces((np.eye(phi.d, dtype=complex),),
@@ -187,29 +187,29 @@ def perturbation_search(phi: ChannelChoi, spaces: ConstraintSpaces,
         candidates.append(null.T @ rng.standard_normal(null.shape[0]))
     for direction in candidates:
         norm = np.linalg.norm(direction)
-        if norm < 1e-12:
+        if norm < DEFAULTS.zero_tol:
             continue
         lam = from_coords(direction / norm, k)
         w, _ = herm_eig(lam)
         lam = lam * (eps / float(np.max(np.abs(w))))
         shift = w_mat.T @ lam @ w_mat.conj()
-        if frob(shift) <= 1e-10 * rel_scale(phi.choi):
+        if frob(shift) <= DEFAULTS.gs_drop_tol * rel_scale(phi.choi):
             continue
         ok = True
         for sign in (1.0, -1.0):
             cand = ChannelChoi(phi.d, phi.r, phi.choi + sign * shift)
-            if not is_cp(cand, 1e-8):
+            if not is_cp(cand, DEFAULTS.equal_tol):
                 ok = False
                 break
             for a in spaces.s_basis:
-                if frob(apply_choi(cand, a) - apply_choi(phi, a)) > 1e-8 * rel_scale(a):
+                if frob(apply_choi(cand, a) - apply_choi(phi, a)) > DEFAULTS.equal_tol * rel_scale(a):
                     ok = False
                     break
             if not ok:
                 break
             dual_c, dual_p = dual_channel(cand), dual_channel(phi)
             for b in spaces.t_basis:
-                if frob(apply_choi(dual_c, b) - apply_choi(dual_p, b)) > 1e-8 * rel_scale(b):
+                if frob(apply_choi(dual_c, b) - apply_choi(dual_p, b)) > DEFAULTS.equal_tol * rel_scale(b):
                     ok = False
                     break
             if not ok:

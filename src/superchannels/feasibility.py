@@ -19,23 +19,33 @@ Farkas certificate (see ``Certificate``).  The check runs at iterations 1, 2,
 some iteration on, "infeasible" comes at most twice as late.
 
 DR crosses a thin set slowly: one whose largest smallest eigenvalue is
-1e-5 takes it tens of thousands of iterations.  So a run with a cap above
-``NEWTON_AFTER`` (1,024) and no verdict after that iteration's certificate
-check runs ``strict_witness`` once: a barrier Newton method that maximises
-t subject to ``W - t I > 0`` over the directions basis (Vandenberghe &
-Boyd, SIAM Review 1996).  It ends in one of three ways:
+1e-5 takes it tens of thousands of iterations, and a set that holds no
+positive definite point (a unique extension, say) it approaches
+tangentially (Sturm, SIAM J. Optim. 2000).  So a run with a cap above
+``newton_after(m)`` and no verdict after that iteration's certificate check
+runs ``newton_phase`` once: a barrier Newton method that maximises t
+subject to ``W - t I > 0`` over the set's m-element directions basis
+(Vandenberghe & Boyd, SIAM Review 1996).  The switch follows a ski-rental
+argument: start the phase once DR has spent about what the phase costs.  A
+Newton step costs 5-35 DR iterations (0.05-0.12 m) and the phase takes
+40-70 steps, so about 2.5-8 m iterations; ``newton_after(m)`` is the first
+power of two at or above ``3 m``, keeping the switch on the certificate
+schedule: 256 at (2,2,2,2) (m = 48), 512 at (2,3,2,3), 1,024 at (3,2,3,2)
+and 2,048 at (3,3,3,3) (m = 648).  The phase ends in one of three ways:
 
 * a strict witness: ``t`` clears a rounding floor and a Cholesky
-  factorisation of ``W - (t/2) I`` proves W positive definite; W must then
-  pass the same ``affine_tol`` residual rule as a DR witness;
-* the bound ``t + n/eta`` on the best t falls below that floor: the set
-  holds no point that a factorisation could prove positive definite;
-* ``W - t I`` does not factorise at the start, or no damped step keeps it
-  factorisable.
+  factorisation of ``W - (t/2) I`` proves W positive definite;
+* a shadow witness: at a centred point the bound ``t + n/eta`` on the best
+  t lies below the witness tolerance ``affine_tol * rhs_scale``, so no
+  matrix of the set has a smallest eigenvalue above it, and W's PSD shadow,
+  formed as DR forms its own, passes DR's affine residual rule;
+* nothing: the bound falls below the floor, ``W - t I`` does not factorise
+  at the start, or no damped step keeps it factorisable.
 
-Without a strict witness DR resumes from its unchanged iterate, so the
-run's status, iteration count and witness are those of DR alone; the
-report records the phase's step count either way.
+Either witness must pass the same ``affine_tol`` residual rule as a DR
+witness.  Without one DR resumes from its unchanged iterate, so the run's
+status, iteration count and witness are those of DR alone; the report
+records the switch, the phase's step count and how it ended either way.
 
 An iteration is one bare ``np.linalg.eigh(x)``, which reads only the lower
 triangle of x, so x is never symmetrised; the shadow as one Gram product
@@ -60,13 +70,14 @@ FEASIBLE = "feasible"
 INFEASIBLE = "infeasible"
 UNDETERMINED = "undetermined"
 
-# The Douglas-Rachford iteration after which a run without a verdict tries
-# the Newton phase, once.  A power of two, so that iteration's certificate
-# check comes first.
-NEWTON_AFTER = 1024
+# How the Newton phase ended (``ProjectionReport.newton_exit``); "" when it
+# did not run.
+STRICT = "strict"
+SHADOW = "shadow"
+NONE = "none"
 # Newton phase: barrier weight growth per centring, the half squared Newton
 # decrement below which a point counts as centred, and a step budget that
-# bounds the phase should centring stall (the benchmark sets need at most 89).
+# bounds the phase should centring stall (the measured sets need at most 70).
 _ETA_GROWTH = 10.0
 _CENTRED = 1e-2
 _NEWTON_STEP_CAP = 200
@@ -193,9 +204,11 @@ class ProjectionReport:
     """Outcome of one ``solve`` run.
 
     Without a witness, ``certificate`` is the last displacement checked; it
-    proves infeasibility only when its margin is negative.  ``newton_steps``
-    counts the steps of the Newton phase, 0 when it did not run; a witness
-    found there comes with ``iterations == NEWTON_AFTER``.
+    proves infeasibility only when its margin is negative.  ``newton_after``
+    is the iteration that starts the Newton phase (``newton_after(m)``),
+    ``newton_steps`` counts the phase's steps and ``newton_exit`` records how
+    it ended: ``STRICT``, ``SHADOW``, ``NONE``, or "" when it did not run.  A
+    witness found there comes with ``iterations == newton_after``.
     """
 
     status: str
@@ -206,7 +219,9 @@ class ProjectionReport:
     psd_residual: float
     gap_history: list[float] = field(default_factory=list)
     certificate: Certificate | None = None
+    newton_after: int = 0
     newton_steps: int = 0
+    newton_exit: str = ""
 
 
 def certificate(affine: AffineSet, y: np.ndarray, py: np.ndarray) -> Certificate:
@@ -230,35 +245,58 @@ def certificate(affine: AffineSet, y: np.ndarray, py: np.ndarray) -> Certificate
                        residue * (t + float(np.linalg.norm(anchor))))
 
 
-def strict_witness(affine: AffineSet) -> tuple[np.ndarray | None, int]:
-    """A positive definite point of the affine set, by a barrier Newton method.
+def _shadow(x: np.ndarray) -> np.ndarray:
+    """The PSD part of x as one Gram product ``B B^H``, ``B = V sqrt(max(w, 0))``
+    from a bare ``eigh`` of x's lower triangle; PSD, not exactly Hermitian."""
+    w, v = np.linalg.eigh(x)
+    b = v * np.sqrt(np.maximum(w, 0.0))
+    return b @ b.conj().T
+
+
+def newton_after(m: int) -> int:
+    """The DR iteration after which a run without a verdict runs the Newton
+    phase: the first power of two at or above ``3 m`` for ``m`` directions
+    (a power of two, so that iteration's certificate check comes first)."""
+    return 1 << (3 * m - 1).bit_length()
+
+
+def newton_phase(affine: AffineSet) -> tuple[np.ndarray | None, str, int]:
+    """A witness of the affine set, by a barrier Newton method.
 
     Maximises t subject to ``F = W - t I > 0`` over ``W = anchor + sum_a z_a
     B_a`` (the ``affine.directions`` basis B_a), from ``z = 0`` and ``t`` below
     the smallest eigenvalue of the anchor: damped Newton steps on
     ``-eta t - log det F`` in the coordinates ``(z, t)``, with ``eta`` grown
     tenfold whenever the Newton decrement shows the point centred.  A centred
-    point bounds the optimum by ``t + n/eta``.
+    point bounds the optimum by ``t + n/eta``.  Returns ``(W, kind, steps)``;
+    a witness passes the affine rule ``residual <= affine_tol * rhs_scale``
+    (``thr``), as a DR witness does.
 
-    Returns ``(W, steps)`` once ``t`` clears the floor ``4 (n+1) eps Tr(anchor)``
-    and a Cholesky factorisation of ``W - (t/2) I`` succeeds.  The backward
-    error of a factorisation that succeeds is at most about ``(n+1) eps/2``
-    times the trace (Demmel 1989; Rump, BIT 2006), and every point of the
-    set shares the anchor's trace; the floor leaves a factor of four for
-    complex arithmetic and the rounding of the shift, so ``lambda_min(W) >=
-    t/2 - floor/2 > 0``.  Returns ``(None, steps)`` when the bound
-    ``t + n/eta`` falls below the floor, when no damped step keeps F
-    factorisable, or after ``_NEWTON_STEP_CAP`` steps; ``(None, 0)`` when the
-    trace is not positive or F does not factorise at the start (its smallest
-    eigenvalue, ``Tr(anchor)/n``, can lie within the rounding of
-    ``||anchor||``).
+    * ``STRICT``: ``t`` clears the floor ``4 (n+1) eps Tr(anchor)`` and a
+      Cholesky factorisation of ``W - (t/2) I`` succeeds.  The backward
+      error of a factorisation that succeeds is at most about ``(n+1) eps/2``
+      times the trace (Demmel 1989; Rump, BIT 2006), and every point of the
+      set shares the anchor's trace; the floor leaves a factor of four for
+      complex arithmetic and the rounding of the shift, so ``lambda_min(W)
+      >= t/2 - floor/2 > 0``.  This check comes first.
+    * ``SHADOW``: at a centred point with ``t + n/eta < thr`` no matrix of
+      the set has ``lambda_min`` above ``thr``, so the set is at most that
+      thin (a single point, say).  W's PSD shadow (``_shadow``, as DR forms
+      it) is returned, symmetrised, once it passes the affine rule.
+    * ``NONE``: ``(None, NONE, steps)`` when the bound ``t + n/eta`` falls
+      below the floor, when no damped step keeps F factorisable, or after
+      ``_NEWTON_STEP_CAP`` steps; ``(None, NONE, 0)`` when the trace is not
+      positive or F does not factorise at the start (its smallest
+      eigenvalue, ``Tr(anchor)/n``, can lie within the rounding of
+      ``||anchor||``).
     """
     dirs, anchor = affine.directions, affine.anchor
     n, m = anchor.shape[0], dirs.size
     trace = float(np.trace(anchor).real)
     if trace <= 0:  # a positive definite point has a positive trace
-        return None, 0
+        return None, NONE, 0
     floor = 4 * (n + 1) * np.finfo(float).eps * trace
+    thr = DEFAULTS.affine_tol * affine.rhs_scale
     eye = np.eye(n)
 
     def factor(w: np.ndarray, t: float):
@@ -274,7 +312,7 @@ def strict_witness(affine: AffineSet) -> tuple[np.ndarray | None, int]:
     eta = n / (trace / n - t)
     start = factor(w, t)
     if start is None:
-        return None, 0
+        return None, NONE, 0
     low, logdet = start
     for step in range(1, _NEWTON_STEP_CAP + 1):
         inv_low = np.linalg.inv(low)
@@ -288,7 +326,7 @@ def strict_witness(affine: AffineSet) -> tuple[np.ndarray | None, int]:
         try:
             dx = np.linalg.solve(hess, -grad)
         except np.linalg.LinAlgError:
-            return None, step
+            return None, NONE, step
         slope = float(grad @ dx)
         dw, dt = dirs.combine(dx[:m]), float(dx[m])
         value = logdet - eta * t
@@ -299,18 +337,25 @@ def strict_witness(affine: AffineSet) -> tuple[np.ndarray | None, int]:
                 break
             alpha /= 2
             if alpha < 2.0 ** -30:
-                return None, step
+                return None, NONE, step
         w, t = w + alpha * dw, t + alpha * dt
         low, logdet = trial
         if t > floor:
             point = (w + w.conj().T) / 2
             if factor(point, t / 2) is not None:
-                return point, step
+                if affine.residual(point) <= thr:
+                    return point, STRICT, step
+                return None, NONE, step
         if -slope / 2 <= _CENTRED:
+            if t + n / eta < thr:
+                shadow = _shadow(w)
+                shadow = (shadow + shadow.conj().T) / 2
+                if affine.residual(shadow) <= thr:
+                    return shadow, SHADOW, step
             if t + n / eta < floor:
-                return None, step
+                return None, NONE, step
             eta *= _ETA_GROWTH
-    return None, _NEWTON_STEP_CAP
+    return None, NONE, _NEWTON_STEP_CAP
 
 
 def solve(affine: AffineSet,
@@ -323,9 +368,10 @@ def solve(affine: AffineSet,
     PSD shadow as witness once its affine residual drops below tolerance,
     ``infeasible`` once the displacement checks as a certificate (checked
     at iterations 1, 2, 4, 8, ...), and ``undetermined`` at the iteration
-    cap.  With a cap above ``NEWTON_AFTER``, a run without a verdict at that
-    iteration first tries ``strict_witness``; if it finds none, the
-    iteration resumes unchanged.
+    cap.  With a cap above ``newton_after(m)`` for the set's ``m``
+    directions, a run without a verdict at that iteration first runs
+    ``newton_phase``; if it returns no witness, the iteration resumes
+    unchanged.
     Raises ``ValueError`` when ``max_iter`` is below 1 and when the
     affine set is empty, that is when its anchor leaves a residual above
     tolerance.
@@ -351,12 +397,11 @@ def solve(affine: AffineSet,
     x = x.copy()
     cert = None
     history: list[float] = []
-    newton_steps = 0
+    switch = newton_after(affine.directions.size)
+    phase = {"newton_after": switch}
 
     for it in range(1, max_iter + 1):
-        w, v = np.linalg.eigh(x)
-        b = v * np.sqrt(np.maximum(w, 0.0))
-        y = b @ b.conj().T
+        y = _shadow(x)
         py = project(y)
         gap = float(np.linalg.norm(y - py))
         history.append(gap)
@@ -366,21 +411,18 @@ def solve(affine: AffineSet,
             affine_res = affine.residual(y)
             if affine_res <= affine_thr:
                 return ProjectionReport(FEASIBLE, (y + y.conj().T) / 2, gap, it,
-                                        affine_res, 0.0, history, newton_steps=newton_steps)
+                                        affine_res, 0.0, history, **phase)
         if it & (it - 1) == 0:  # it is a power of two
             cert = certificate(affine, y, py)
             if cert.margin < 0:
                 return ProjectionReport(INFEASIBLE, None, gap, it,
-                                        affine.residual(y), gap, history, cert,
-                                        newton_steps)
-        if it == NEWTON_AFTER and max_iter > NEWTON_AFTER:
-            point, newton_steps = strict_witness(affine)
+                                        affine.residual(y), gap, history, cert, **phase)
+        if it == switch and max_iter > switch:
+            point, phase["newton_exit"], phase["newton_steps"] = newton_phase(affine)
             if point is not None:
-                affine_res = affine.residual(point)
-                if affine_res <= affine_thr:
-                    return ProjectionReport(FEASIBLE, point,
-                                            float(np.linalg.norm(point - project(point))), it,
-                                            affine_res, 0.0, history, newton_steps=newton_steps)
+                return ProjectionReport(FEASIBLE, point,
+                                        float(np.linalg.norm(point - project(point))), it,
+                                        affine.residual(point), 0.0, history, **phase)
         x += py
         x += py
         x -= px
@@ -389,4 +431,4 @@ def solve(affine: AffineSet,
 
     w, _ = herm_eig(py)
     return ProjectionReport(UNDETERMINED, None, history[-1], max_iter,
-                            0.0, float(max(0.0, -w[-1])), history, cert, newton_steps)
+                            0.0, float(max(0.0, -w[-1])), history, cert, **phase)

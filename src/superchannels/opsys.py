@@ -150,6 +150,6 @@ def hermitian_span(mats) -> tuple:
     for m in mats:
         m = np.asarray(m, dtype=complex)
         for h in ((m + m.conj().T) / 2, (m - m.conj().T) / (2j)):
-            if frob(h) > 1e-12 * rel_scale(m):
+            if frob(h) > DEFAULTS.zero_tol * rel_scale(m):
                 out.append(h)
     return tuple(out)

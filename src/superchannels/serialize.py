@@ -143,7 +143,9 @@ def decode_spaces(obj, where: str = "spaces") -> ConstraintSpaces:
 def encode_feasibility(report: FeasibilityReport) -> dict:
     out = {"status": report.status,
            "iterations": report.iterations,
+           "newton_after": report.newton_after,
            "newton_steps": report.newton_steps,
+           "newton_exit": report.newton_exit,
            "gap": report.gap,
            "affine_residual": report.affine_residual,
            "psd_residual": report.psd_residual,

@@ -272,7 +272,7 @@ def pre_post_form(sc: Superchannel, tol: float | None = None) -> PrePostForm:
     post = ChannelChoi(r1 * e, r2, (c_post + c_post.conj().T) / 2)
     rebuilt = recompose(v, post, e)
     residual = frob(rebuilt.choi - sc.choi)
-    if residual > 1e-8 * rel_scale(sc.choi):
+    if residual > DEFAULTS.equal_tol * rel_scale(sc.choi):
         raise ArithmeticError(f"recomposition residual {residual:.3e} above tolerance")
     return PrePostForm(e, v, post)
 
@@ -320,11 +320,11 @@ def factor_unitary(u: np.ndarray, d: int, r: int,
     u1 = np.sqrt(d) * left[:, 0].reshape(d, d)
     u2 = np.sqrt(r) * right[0, :].reshape(r, r)
     flat = u1.reshape(-1)
-    pos = int(np.argmax(np.abs(flat) > 1e-8 * np.max(np.abs(flat))))
+    pos = int(np.argmax(np.abs(flat) > DEFAULTS.equal_tol * np.max(np.abs(flat))))
     phase = flat[pos] / abs(flat[pos])
     u1 = u1 / phase
     u2 = u2 * phase
-    if frob(u - kron(u1, u2)) > 1e-8 * rel_scale(u):
+    if frob(u - kron(u1, u2)) > DEFAULTS.equal_tol * rel_scale(u):
         return None
     return u1, u2
 

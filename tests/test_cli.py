@@ -18,7 +18,7 @@ from superchannels.serialize import (
     save_json,
 )
 from superchannels.linalg import kron, random_unitary, vec
-from superchannels.supermaps import is_superchannel, random_superchannel
+from superchannels.supermaps import is_superchannel, random_superchannel, restrictions_equal
 
 
 @pytest.fixture(scope="module")
@@ -103,18 +103,67 @@ def test_extend_readout_action(capsys, fixtures, tmp_path):
     assert (witness.d1, witness.r1, witness.d2, witness.r2) == (2, 2, 1, 1)
 
 
+def _cap_action(tmp_path, seed):
+    path = tmp_path / f"action_{seed}.json"
+    sc = random_superchannel(2, 2, 2, 2, e=1 + seed % 2, seed=seed)
+    save_json(path, encode_action(restrict_superchannel(sc)))
+    return path
+
+
 def test_extend_reports_the_newton_steps(capsys, tmp_path):
     """Seed 415's thin extension set: Douglas-Rachford runs to iteration
-    1,024, then the Newton phase returns a strict witness."""
-    path = tmp_path / "action.json"
-    sc = random_superchannel(2, 2, 2, 2, e=2, seed=415)
-    save_json(path, encode_action(restrict_superchannel(sc)))
+    256, the switch for its 48 directions, then the Newton phase returns a
+    strict witness."""
+    path = _cap_action(tmp_path, 415)
     code, reports = run_json(capsys, "extend", str(path), "--max-iter", "20000")
     assert code == 0
     results = {f["key"]: f["value"] for f in reports[0]["results"]}
     assert results["status"] == "feasible"
-    assert results["iterations"] == 1024
+    assert results["iterations"] == results["newton after"] == 256
+    assert results["newton exit"] == "strict"
     assert 0 < results["newton steps"] <= 60
+    code, out = run(capsys, "extend", str(path), "--max-iter", "20000")
+    assert code == 0
+    assert "newton exit: strict" in out and "newton after: 256" in out
+
+
+def test_extend_reports_a_shadow_exit(capsys, tmp_path):
+    """Seed 401's extension is unique: the phase returns the PSD shadow of
+    its point at the switch, and ``--out`` writes it as the witness."""
+    path, out = _cap_action(tmp_path, 401), tmp_path / "witness.json"
+    code, reports = run_json(capsys, "extend", str(path), "--max-iter", "20000",
+                             "--out", str(out))
+    assert code == 0
+    results = {f["key"]: f["value"] for f in reports[0]["results"]}
+    assert results["iterations"] == results["newton after"] == 256
+    assert results["newton exit"] == "shadow"
+    assert 0 < results["newton steps"] <= 60
+    sc = random_superchannel(2, 2, 2, 2, e=2, seed=401)
+    assert restrictions_equal(decode_superchannel(load_json(out)), sc, 1e-6)
+    code, text = run(capsys, "extend", str(path), "--max-iter", "20000")
+    assert code == 0
+    assert "newton exit: shadow" in text
+
+
+def test_psd_residual_decides_no_exit_code(capsys, fixtures, tmp_path):
+    """The psd residual is 0.0 on a feasible report, dropped on an
+    infeasible one, and reported unjudged on an undetermined one, where the
+    status sets the exit code; the phase has not run in any of them."""
+    runs = [(0, "feasible", ["extend", str(fixtures / "readout_action.json")]),
+            (1, "infeasible", ["tp-extend", str(fixtures / "no_tp_action.json")]),
+            (2, "undetermined", ["extend", str(_cap_action(tmp_path, 415)), "--max-iter", "100"])]
+    for code_want, status, argv in runs:
+        code, reports = run_json(capsys, *argv)
+        assert code == code_want
+        findings = {f["key"]: f for f in reports[0]["results"]}
+        assert findings["status"]["value"] == status
+        assert findings["newton exit"]["value"] == ""
+        if status == "infeasible":
+            assert "psd residual" not in findings
+            continue
+        psd = findings["psd residual"]
+        assert psd["tol"] is None and psd["ok"] is None
+        assert (psd["value"] == 0.0) == (status == "feasible")
 
 
 def test_extend_with_seed(capsys, fixtures):

@@ -1,14 +1,14 @@
 """The Douglas-Rachford loop of ``feasibility.solve`` against its written-out
-reference, and the Newton phase that ``solve`` runs after ``NEWTON_AFTER``.
+reference, and the Newton phase that ``solve`` runs after ``newton_after(m)``.
 
 ``solve`` takes a bare ``eigh`` of the lower triangle, forms the PSD shadow
 as one Gram product and updates its iterate in place; ``reference_solve``
 validates and symmetrises each eigendecomposition and each shadow and builds
 a fresh iterate every step, and has no Newton phase.  The two must agree on
-status, iteration count and witness wherever the phase finds no strict
-witness, ``solve``'s witness must be exactly Hermitian, and ``solve`` must
-leave its inputs alone.  The phase's closed-form directions basis and
-Hessian are checked against dense ones.
+status, iteration count and witness up to the switch, and after it wherever
+the phase returns no witness; ``solve``'s witness must be exactly Hermitian,
+and ``solve`` must leave its inputs alone.  The phase's closed-form
+directions basis and Hessian are checked against dense ones.
 """
 
 import dataclasses
@@ -24,10 +24,13 @@ from superchannels.extend import SpanAction, affine_set, restrict_superchannel
 from superchannels.feasibility import (
     FEASIBLE,
     INFEASIBLE,
-    NEWTON_AFTER,
+    NONE,
+    SHADOW,
+    STRICT,
     UNDETERMINED,
+    newton_after,
+    newton_phase,
     solve,
-    strict_witness,
 )
 from superchannels.gallery import block_trace_readout, no_tp_action
 from superchannels.linalg import random_hermitian
@@ -104,43 +107,130 @@ def _cap_instance(seed):
     return random_superchannel(2, 2, 2, 2, e=1 + seed % 2, seed=seed)
 
 
+def _thr(affine):
+    return DEFAULTS.affine_tol * affine.rhs_scale
+
+
+def _assert_verified(point, sc, affine):
+    """A witness of the restriction of ``sc``: it passes the affine rule, and
+    as a supermap it is a superchannel that agrees with ``sc`` on the span."""
+    assert np.array_equal(point, point.conj().T)
+    assert affine.residual(point) <= _thr(affine)
+    ext = Superchannel(sc.d1, sc.r1, sc.d2, sc.r2, point)
+    assert is_superchannel(ext, 1e-7)
+    assert restrictions_equal(ext, sc, 1e-6)
+
+
+@pytest.mark.parametrize("m, switch", [(48, 256), (108, 512), (288, 1024), (648, 2048),
+                                       (1, 4), (85, 256), (86, 512)])
+def test_switch_is_the_first_power_of_two_at_or_above_three_m(m, switch):
+    """The ladder's direction counts, (2,2,2,2) to (3,3,3,3), and two edges."""
+    assert newton_after(m) == switch
+
+
 @pytest.mark.parametrize("seed", [s for s in range(400, 420) if s not in (415, 419)])
 def test_solve_matches_reference_loop_on_the_cap_instances(seed):
-    """Every ``extend-cap`` instance whose set Douglas-Rachford crosses
-    quickly: seed 401 runs past iteration 1,024, gets no strict witness from
-    the Newton phase, and must resume with its iterate unchanged."""
+    """Douglas-Rachford up to the switch (256 here) is the reference loop.
+    The instances that end before it end with the reference's iteration
+    count and witness; seeds 401 and 402, still open at the switch, match
+    the reference's undetermined run at a cap equal to the switch."""
     affine = affine_set(restrict_superchannel(_cap_instance(seed)))
-    got, want = solve(affine, max_iter=20_000), reference_solve(affine, max_iter=20_000)
-    assert got.status == want.status == FEASIBLE
+    switch = newton_after(affine.directions.size)
+    assert switch == 256
+    want = reference_solve(affine, max_iter=switch)
+    assert (want.status == UNDETERMINED) == (seed in (401, 402))
+    got = solve(affine, max_iter=switch if seed in (401, 402) else 20_000)
+    assert got.status == want.status
     assert got.iterations == want.iterations
-    np.testing.assert_allclose(got.point, want.point, rtol=0, atol=1e-10)
-    assert (got.newton_steps > 0) == (got.iterations > NEWTON_AFTER)
+    assert (got.newton_after, got.newton_steps, got.newton_exit) == (switch, 0, "")
+    if want.status == FEASIBLE:
+        np.testing.assert_allclose(got.point, want.point, rtol=0, atol=1e-10)
+    else:
+        assert got.gap == pytest.approx(want.gap, rel=1e-8)
 
 
-@pytest.mark.parametrize("seed", [415, 419])
+@pytest.mark.parametrize("seed", [402, 415, 419])
 def test_thin_sets_get_a_strict_witness_after_the_switch(seed):
     affine = affine_set(restrict_superchannel(_cap_instance(seed)))
     report = solve(affine, max_iter=20_000)
     assert report.status == FEASIBLE
-    assert report.iterations == NEWTON_AFTER
+    assert report.iterations == report.newton_after == 256
+    assert report.newton_exit == STRICT
     assert 0 < report.newton_steps <= 60
     assert np.linalg.eigvalsh(report.point)[0] > 0
-    assert np.array_equal(report.point, report.point.conj().T)
-    assert report.affine_residual <= DEFAULTS.affine_tol * affine.rhs_scale
+    _assert_verified(report.point, _cap_instance(seed), affine)
 
 
 def test_cap_at_the_switch_is_pure_douglas_rachford():
     affine = affine_set(restrict_superchannel(_cap_instance(415)))
-    got, want = solve(affine, max_iter=NEWTON_AFTER), reference_solve(affine, max_iter=NEWTON_AFTER)
+    switch = newton_after(affine.directions.size)
+    got, want = solve(affine, max_iter=switch), reference_solve(affine, max_iter=switch)
     assert got.status == want.status == UNDETERMINED
-    assert got.newton_steps == 0
+    assert (got.newton_steps, got.newton_exit) == (0, "")
 
 
 @pytest.mark.parametrize("seed", [401, 403, 404, 410, 411, 412, 413, 417])
 def test_sets_without_a_positive_definite_point_exit_the_phase(seed):
-    witness, steps = strict_witness(affine_set(restrict_superchannel(_cap_instance(seed))))
-    assert witness is None
-    assert 0 < steps <= 100
+    """The unique extensions: no point of the set is positive definite, and
+    the phase exits with the PSD shadow of its point as the witness."""
+    affine = affine_set(restrict_superchannel(_cap_instance(seed)))
+    witness, kind, steps = newton_phase(affine)
+    assert kind == SHADOW
+    assert 0 < steps <= 60
+    _assert_verified(witness, _cap_instance(seed), affine)
+
+
+def test_a_unique_extension_ends_at_the_switch_with_a_shadow():
+    """Seed 401, which Douglas-Rachford alone ends at iteration 2,261."""
+    affine = affine_set(restrict_superchannel(_cap_instance(401)))
+    report = solve(affine, max_iter=20_000)
+    assert report.status == FEASIBLE
+    assert report.iterations == report.newton_after == 256
+    assert report.newton_exit == SHADOW
+    assert 0 < report.newton_steps <= 60
+    assert report.affine_residual == affine.residual(report.point)
+    _assert_verified(report.point, _cap_instance(401), affine)
+
+
+def test_a_phase_without_a_witness_resumes_douglas_rachford():
+    """TP extension of a restriction that has none: the phase runs at
+    iteration 256, returns nothing, and the run ends as the reference's does,
+    infeasible at the certificate check of iteration 512."""
+    affine = affine_set(restrict_superchannel(random_superchannel(2, 2, 2, 2, e=2, seed=32)),
+                        trace_preserving=True)
+    got, want = solve(affine, max_iter=5_000), reference_solve(affine, max_iter=5_000)
+    assert got.status == want.status == INFEASIBLE
+    assert got.iterations == want.iterations == 512
+    assert got.newton_after == 256 and got.newton_exit == NONE and got.newton_steps > 0
+    assert got.certificate.margin < 0
+    assert got.certificate.margin == pytest.approx(want.certificate.margin, abs=1e-10)
+
+
+def test_douglas_rachford_gap_windows_shrink():
+    """The gap windows of a Douglas-Rachford history after burn-in shrink,
+    here on the reference loop's 2,261 iterations of seed 401 (the iterates
+    ``solve`` follows up to its switch)."""
+    affine = affine_set(restrict_superchannel(_cap_instance(401)))
+    report = reference_solve(affine, max_iter=20_000)
+    assert report.status == FEASIBLE
+    h = report.gap_history
+    assert len(h) == 2261
+    windows = [max(h[i:i + 100]) for i in range(100, len(h) - 100, 100)]
+    for earlier, later in zip(windows, windows[1:]):
+        assert later <= earlier * (1 + 1e-9)
+
+
+def test_a_larger_set_without_a_positive_definite_point_crosses_at_1024():
+    """``(3,2,3,2)``, seed 2, e = 2: m = 288 directions, so the switch comes at
+    iteration 1,024; Douglas-Rachford alone needs 16,149 iterations."""
+    sc = random_superchannel(3, 2, 3, 2, e=2, seed=2)
+    affine = affine_set(restrict_superchannel(sc))
+    report = solve(affine, max_iter=20_000)
+    assert report.status == FEASIBLE
+    assert report.iterations == report.newton_after == 1024
+    assert report.newton_exit == SHADOW
+    assert 0 < report.newton_steps <= 80
+    _assert_verified(report.point, sc, affine)
 
 
 def test_newton_phase_stops_at_once_on_a_set_without_positive_trace():
@@ -148,7 +238,7 @@ def test_newton_phase_stops_at_once_on_a_set_without_positive_trace():
     restriction has no positive definite point, and no floor to clear."""
     action = restrict_superchannel(_cap_instance(415))
     negated = SpanAction(2, 2, 2, 2, tuple(-y for y in action.images))
-    assert strict_witness(affine_set(negated)) == (None, 0)
+    assert newton_phase(affine_set(negated)) == (None, NONE, 0)
 
 
 def test_newton_phase_stops_at_once_when_the_start_does_not_factorise():
@@ -160,7 +250,7 @@ def test_newton_phase_stops_at_once_when_the_start_does_not_factorise():
     n = affine.anchor.shape[0]
     anchor = np.kron(np.eye(n // 2), [[0, 1], [1, 0]]) + 2.0 ** -60 * np.eye(n)
     assert np.trace(anchor) > 0
-    assert strict_witness(dataclasses.replace(affine, anchor=anchor.astype(complex))) == (None, 0)
+    assert newton_phase(dataclasses.replace(affine, anchor=anchor.astype(complex))) == (None, NONE, 0)
 
 
 LADDER = [(2, 2, 2, 2), (2, 3, 2, 3), (3, 2, 3, 2), (3, 3, 3, 3)]
@@ -213,12 +303,14 @@ def test_closed_form_hessian_matches_the_dense_one(dims, tp):
 @given(dims=st.sampled_from([(2, 2, 2, 2), (2, 3, 2, 3)]),
        e=st.integers(1, 3), seed=st.integers(0, 2**32 - 1))
 def test_newton_phase_returns_a_proved_witness_or_none(dims, e, seed):
+    """A strict witness is positive definite, a shadow passes the affine
+    rule, and either kind verifies."""
     sc = random_superchannel(*dims, e=e, seed=seed)
     affine = affine_set(restrict_superchannel(sc))
-    witness, steps = strict_witness(affine)
+    witness, kind, steps = newton_phase(affine)
     assert steps >= 1
-    if witness is not None:
+    assert (witness is None) == (kind == NONE)
+    if kind == STRICT:
         assert np.linalg.eigvalsh(witness)[0] > 0
-        ext = Superchannel(*dims, witness)
-        assert is_superchannel(ext, 1e-7)
-        assert restrictions_equal(ext, sc, 1e-6)
+    if witness is not None:
+        _assert_verified(witness, sc, affine)

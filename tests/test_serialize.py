@@ -154,7 +154,11 @@ def test_feasibility_encoding():
     assert {"iterations", "gap", "affine_residual", "psd_residual"} <= set(obj)
     assert obj["certificate"] is None
     assert obj["newton_steps"] == 0
-    assert encode_feasibility(dataclasses.replace(report, newton_steps=7))["newton_steps"] == 7
+    assert obj["newton_exit"] == ""
+    assert obj["newton_after"] == report.newton_after == 16  # 3 directions
+    phase = dataclasses.replace(report, newton_steps=7, newton_exit="shadow")
+    assert encode_feasibility(phase)["newton_steps"] == 7
+    assert encode_feasibility(phase)["newton_exit"] == "shadow"
 
 
 def test_basis_export_header():
