@@ -9,6 +9,7 @@ Reports print as text or, with --json, as machine-readable JSON.  Exit codes:
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 
@@ -45,8 +46,6 @@ from .supermaps import (
     pre_post_form,
     recompose,
 )
-
-_EXIT = {PASS: 0, FAIL: 1, UNDETERMINED: 2}
 
 
 def cmd_check_channel(args) -> RunReport:
@@ -95,18 +94,19 @@ def _run_extend(args, trace_preserving: bool) -> RunReport:
                            max_iter=args.max_iter)
     name = "tp-extend" if trace_preserving else "extend"
     rep = RunReport(name, inputs=(args.path,))
-    rep.add("status", report.status,
-            ok={feasibility.FEASIBLE: True,
-                feasibility.INFEASIBLE: False}.get(report.status))
-    rep.add("iterations", report.iterations)
-    rep.add("newton after", report.newton_after)
-    rep.add("newton steps", report.newton_steps)
-    rep.add("newton exit", report.newton_exit)
-    rep.add("gap", report.gap)
-    rep.judge("affine residual", report.affine_residual, DEFAULTS.affine_tol)
-    # every witness is PSD by construction (residual 0.0), and without one
-    # the status decides the exit code: the residual is reported, not judged
-    rep.add("psd residual", report.psd_residual)
+    # one finding per scalar field of the report, in declaration order
+    for field in dataclasses.fields(feasibility.FeasibilityReport):
+        key, value = field.name.replace("_", " "), getattr(report, field.name)
+        if field.name == "status":
+            rep.add(key, value, ok={feasibility.FEASIBLE: True,
+                                    feasibility.INFEASIBLE: False}.get(value))
+        elif field.name == "affine_residual":
+            rep.judge(key, value, DEFAULTS.affine_tol)
+        elif field.name not in ("witness", "certificate"):
+            # the psd residual among them: every witness is PSD by
+            # construction (residual 0.0), and without one the status decides
+            # the exit code, so it is reported, not judged
+            rep.add(key, value)
     if report.certificate is not None:
         margin = report.certificate.margin
         rep.add("certificate margin", margin, tol=0.0, ok=margin < 0)

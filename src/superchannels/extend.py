@@ -25,18 +25,19 @@ runs one barrier Newton phase over the directions basis.  It returns a
 witness that a Cholesky factorisation proves positive definite, or, on a
 set too thin to hold one (a unique extension, for instance), the PSD shadow
 of its point once that passes the affine rule; otherwise the DR run goes on
-exactly as before.
+exactly as before.  ``extend_action`` returns the solver's
+``feasibility.FeasibilityReport`` with the witness as a ``Superchannel``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from itertools import combinations
 
 import numpy as np
 
 from . import feasibility
-from .feasibility import FEASIBLE, AffineSet, Certificate, Directions
+from .feasibility import FEASIBLE, AffineSet, Directions, FeasibilityReport
 from .linalg import hermitian_basis
 from .opsys import span_basis, span_dim
 from .supermaps import Superchannel, aux_dim, preserves_span, span_images
@@ -66,31 +67,6 @@ class SpanAction:
             if m.shape != (n2, n2):
                 raise ValueError(f"image shape {m.shape}, expected ({n2}, {n2})")
         object.__setattr__(self, "images", images)
-
-
-@dataclass
-class FeasibilityReport:
-    """Outcome of an extension search.
-
-    Without a witness, ``certificate`` is the last displacement checked as
-    a Farkas certificate (at iterations 1, 2, 4, 8, ...); it proves
-    infeasibility when its margin is negative.  ``newton_after`` is the
-    iteration that starts the solver's Newton phase, ``newton_steps`` counts
-    its steps and ``newton_exit`` records how it ended: "strict" or "shadow"
-    with a witness, "none" without, "" when it did not run.
-    """
-
-    status: str
-    witness: Superchannel | None
-    gap: float
-    iterations: int
-    affine_residual: float
-    psd_residual: float
-    gap_history: list[float] = field(default_factory=list)
-    certificate: Certificate | None = None
-    newton_after: int = 0
-    newton_steps: int = 0
-    newton_exit: str = ""
 
 
 @dataclass(frozen=True)
@@ -195,19 +171,17 @@ def extend_action(action: SpanAction,
     full trace preservation when ``trace_preserving``); the other set is the
     PSD cone.  ``seed_point`` may be a Hermitian matrix or a Superchannel;
     by default the iteration starts from the minimum-norm affine point.
+    Returns ``feasibility.solve``'s report, with a witness as a Superchannel.
     """
     validate_action(action)
     if isinstance(seed_point, Superchannel):
         seed_point = seed_point.choi
-    res = feasibility.solve(affine_set(action, trace_preserving), seed_point=seed_point,
-                            max_iter=max_iter)
-    witness = None
-    if res.status == FEASIBLE:
-        witness = Superchannel(action.d1, action.r1, action.d2, action.r2, res.point)
-    return FeasibilityReport(res.status, witness, res.gap, res.iterations,
-                             res.affine_residual, res.psd_residual, res.gap_history,
-                             res.certificate, res.newton_after, res.newton_steps,
-                             res.newton_exit)
+    report = feasibility.solve(affine_set(action, trace_preserving), seed_point=seed_point,
+                               max_iter=max_iter)
+    if report.witness is None:
+        return report
+    return replace(report, witness=Superchannel(
+        action.d1, action.r1, action.d2, action.r2, report.witness))
 
 
 def tp_extension(action: SpanAction, **kwargs) -> FeasibilityReport:

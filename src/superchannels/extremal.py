@@ -11,7 +11,6 @@ perturbation that stays inside the class.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -121,27 +120,6 @@ def is_extreme_constrained(phi: ChannelChoi, spaces: ConstraintSpaces,
     return svd_rank(rows, tol) == rows.shape[0]
 
 
-# Real coordinates on the Hermitian matrices for the perturbation search; in
-# these coordinates Euclidean geometry coincides with Frobenius geometry.
-_SQRT2 = np.sqrt(2.0)
-
-
-@lru_cache(maxsize=None)
-def _triu(n: int):
-    return np.triu_indices(n, 1)
-
-
-def from_coords(x: np.ndarray, n: int) -> np.ndarray:
-    m = np.zeros((n, n), dtype=complex)
-    iu, ju = _triu(n)
-    k = len(iu)
-    off = (x[n:n + k] + 1j * x[n + k:]) / _SQRT2
-    m[iu, ju] = off
-    m[ju, iu] = off.conj()
-    m[np.diag_indices(n)] = x[:n]
-    return m
-
-
 def perturbation_search(phi: ChannelChoi, spaces: ConstraintSpaces,
                         trials: int = 8, eps: float = 0.5,
                         tol: float | None = None, seed=0) -> bool:
@@ -189,7 +167,7 @@ def perturbation_search(phi: ChannelChoi, spaces: ConstraintSpaces,
         norm = np.linalg.norm(direction)
         if norm < DEFAULTS.zero_tol:
             continue
-        lam = from_coords(direction / norm, k)
+        lam = np.tensordot(direction / norm, herm, 1)
         w, _ = herm_eig(lam)
         lam = lam * (eps / float(np.max(np.abs(w))))
         shift = w_mat.T @ lam @ w_mat.conj()

@@ -47,6 +47,11 @@ witness.  Without one DR resumes from its unchanged iterate, so the run's
 status, iteration count and witness are those of DR alone; the report
 records the switch, the phase's step count and how it ended either way.
 
+A run ends in a ``FeasibilityReport``, the one declaration of an extension
+search's outcome: ``extend.extend_action`` returns the same report with its
+witness wrapped as a ``Superchannel``, and ``serialize.encode_feasibility``
+and the CLI's ``extend`` findings are derived from its fields.
+
 An iteration is one bare ``np.linalg.eigh(x)``, which reads only the lower
 triangle of x, so x is never symmetrised; the shadow as one Gram product
 ``B B^H`` with ``B = V sqrt(max(w, 0))``; the closed-form ``P_A(y)``; and an
@@ -58,19 +63,22 @@ with load, about three quarters of it in ``eigh``; a Newton step took about
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable
+from dataclasses import dataclass
+from typing import TYPE_CHECKING, Callable
 
 import numpy as np
 
 from .config import DEFAULTS, resolve
 from .linalg import herm_eig
 
+if TYPE_CHECKING:
+    from .supermaps import Superchannel
+
 FEASIBLE = "feasible"
 INFEASIBLE = "infeasible"
 UNDETERMINED = "undetermined"
 
-# How the Newton phase ended (``ProjectionReport.newton_exit``); "" when it
+# How the Newton phase ended (``FeasibilityReport.newton_exit``); "" when it
 # did not run.
 STRICT = "strict"
 SHADOW = "shadow"
@@ -199,29 +207,33 @@ class Certificate:
         return self.inner + self.eig_term + self.kernel_term
 
 
-@dataclass
-class ProjectionReport:
-    """Outcome of one ``solve`` run.
+@dataclass(frozen=True, kw_only=True)
+class FeasibilityReport:
+    """Outcome of an extension search, from ``solve`` and ``extend_action``.
 
-    Without a witness, ``certificate`` is the last displacement checked; it
-    proves infeasibility only when its margin is negative.  ``newton_after``
-    is the iteration that starts the Newton phase (``newton_after(m)``),
+    ``witness`` is the PSD point found: a Hermitian matrix from ``solve``, a
+    ``Superchannel`` from ``extend_action``.  Without one, ``certificate`` is
+    the last displacement checked (at iterations 1, 2, 4, 8, ...); it proves
+    infeasibility only when its margin is negative.  ``newton_after`` is the
+    iteration that starts the Newton phase (``newton_after(m)``),
     ``newton_steps`` counts the phase's steps and ``newton_exit`` records how
-    it ended: ``STRICT``, ``SHADOW``, ``NONE``, or "" when it did not run.  A
-    witness found there comes with ``iterations == newton_after``.
+    it ended: ``STRICT`` or ``SHADOW`` with a witness, ``NONE`` without, ""
+    when it did not run.  A witness found there comes with ``iterations ==
+    newton_after``.  The fields other than ``witness`` and ``certificate``
+    are scalars; their declaration order is the order of the JSON keys and
+    of the CLI findings.
     """
 
     status: str
-    point: np.ndarray | None
-    gap: float
     iterations: int
-    affine_residual: float
-    psd_residual: float
-    gap_history: list[float] = field(default_factory=list)
-    certificate: Certificate | None = None
-    newton_after: int = 0
+    newton_after: int
     newton_steps: int = 0
     newton_exit: str = ""
+    gap: float
+    affine_residual: float
+    psd_residual: float
+    witness: np.ndarray | Superchannel | None = None
+    certificate: Certificate | None = None
 
 
 def certificate(affine: AffineSet, y: np.ndarray, py: np.ndarray) -> Certificate:
@@ -360,7 +372,7 @@ def newton_phase(affine: AffineSet) -> tuple[np.ndarray | None, str, int]:
 
 def solve(affine: AffineSet,
           seed_point: np.ndarray | None = None,
-          max_iter: int | None = None) -> ProjectionReport:
+          max_iter: int | None = None) -> FeasibilityReport:
     """Search the intersection of an affine set with the PSD cone.
 
     Starts from the affine projection of ``seed_point`` (from the anchor, the
@@ -396,7 +408,6 @@ def solve(affine: AffineSet,
     px = py = x
     x = x.copy()
     cert = None
-    history: list[float] = []
     switch = newton_after(affine.directions.size)
     phase = {"newton_after": switch}
 
@@ -404,25 +415,27 @@ def solve(affine: AffineSet,
         y = _shadow(x)
         py = project(y)
         gap = float(np.linalg.norm(y - py))
-        history.append(gap)
 
         # y is PSD exactly; accept it once its affine residual qualifies.
         if rowmax * gap <= 2 * affine_thr or gap <= affine_thr:
             affine_res = affine.residual(y)
             if affine_res <= affine_thr:
-                return ProjectionReport(FEASIBLE, (y + y.conj().T) / 2, gap, it,
-                                        affine_res, 0.0, history, **phase)
+                return FeasibilityReport(status=FEASIBLE, iterations=it, gap=gap,
+                                         affine_residual=affine_res, psd_residual=0.0,
+                                         witness=(y + y.conj().T) / 2, **phase)
         if it & (it - 1) == 0:  # it is a power of two
             cert = certificate(affine, y, py)
             if cert.margin < 0:
-                return ProjectionReport(INFEASIBLE, None, gap, it,
-                                        affine.residual(y), gap, history, cert, **phase)
+                return FeasibilityReport(status=INFEASIBLE, iterations=it, gap=gap,
+                                         affine_residual=affine.residual(y), psd_residual=gap,
+                                         certificate=cert, **phase)
         if it == switch and max_iter > switch:
             point, phase["newton_exit"], phase["newton_steps"] = newton_phase(affine)
             if point is not None:
-                return ProjectionReport(FEASIBLE, point,
-                                        float(np.linalg.norm(point - project(point))), it,
-                                        affine.residual(point), 0.0, history, **phase)
+                return FeasibilityReport(status=FEASIBLE, iterations=it,
+                                         gap=float(np.linalg.norm(point - project(point))),
+                                         affine_residual=affine.residual(point),
+                                         psd_residual=0.0, witness=point, **phase)
         x += py
         x += py
         x -= px
@@ -430,5 +443,6 @@ def solve(affine: AffineSet,
         px = py
 
     w, _ = herm_eig(py)
-    return ProjectionReport(UNDETERMINED, None, history[-1], max_iter,
-                            0.0, float(max(0.0, -w[-1])), history, cert, **phase)
+    return FeasibilityReport(status=UNDETERMINED, iterations=max_iter, gap=gap,
+                             affine_residual=0.0, psd_residual=float(max(0.0, -w[-1])),
+                             certificate=cert, **phase)

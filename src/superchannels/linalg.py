@@ -42,17 +42,16 @@ def matrix_unit(n: int, i: int, j: int) -> np.ndarray:
     return u
 
 
-def is_hermitian(m: np.ndarray, tol: float | None = None) -> bool:
+def is_hermitian(m: np.ndarray) -> bool:
     m = np.asarray(m, dtype=complex)
-    tol = resolve(tol, DEFAULTS.herm_tol)
-    return frob(m - m.conj().T) <= tol * rel_scale(m)
+    return frob(m - m.conj().T) <= DEFAULTS.herm_tol * rel_scale(m)
 
 
-def require_hermitian(m: np.ndarray, tol: float | None = None) -> np.ndarray:
+def require_hermitian(m: np.ndarray) -> np.ndarray:
     m = np.asarray(m, dtype=complex)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {m.shape}")
-    if not is_hermitian(m, tol):
+    if not is_hermitian(m):
         raise ValueError("matrix is not Hermitian within tolerance")
     return m
 
@@ -64,14 +63,14 @@ def is_isometry(m: np.ndarray) -> bool:
     return frob(m.conj().T @ m - np.eye(n)) <= DEFAULTS.rel_tol * max(1.0, np.sqrt(n))
 
 
-def herm_eig(m: np.ndarray, tol: float | None = None) -> tuple[np.ndarray, np.ndarray]:
+def herm_eig(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Eigendecomposition of a Hermitian matrix, eigenvalues descending.
 
     Returns ``(w, v)`` with ``m @ v == v @ diag(w)``.  Raises ``ValueError``
     on non-Hermitian input and ``numpy.linalg.LinAlgError`` if the solver
     fails to converge.
     """
-    m = require_hermitian(m, tol)
+    m = require_hermitian(m)
     w, v = np.linalg.eigh((m + m.conj().T) / 2)
     return w[::-1].copy(), v[:, ::-1].copy()
 

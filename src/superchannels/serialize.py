@@ -7,6 +7,7 @@ formats wrap that encoding with dimension metadata.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 from contextlib import contextmanager
 from pathlib import Path
@@ -14,8 +15,9 @@ from pathlib import Path
 import numpy as np
 
 from .channels import ChannelChoi, KrausSet
-from .extend import FeasibilityReport, SpanAction
+from .extend import SpanAction
 from .extremal import ConstraintSpaces
+from .feasibility import FeasibilityReport
 from .opsys import span_dim
 from .supermaps import PrePostForm, Superchannel
 
@@ -141,16 +143,9 @@ def decode_spaces(obj, where: str = "spaces") -> ConstraintSpaces:
 
 
 def encode_feasibility(report: FeasibilityReport) -> dict:
-    out = {"status": report.status,
-           "iterations": report.iterations,
-           "newton_after": report.newton_after,
-           "newton_steps": report.newton_steps,
-           "newton_exit": report.newton_exit,
-           "gap": report.gap,
-           "affine_residual": report.affine_residual,
-           "psd_residual": report.psd_residual,
-           "witness": None,
-           "certificate": None}
+    """One key per field of the report, in declaration order; ``witness`` and
+    ``certificate`` are encoded objects or null."""
+    out = {f.name: getattr(report, f.name) for f in dataclasses.fields(FeasibilityReport)}
     if report.witness is not None:
         out["witness"] = encode_superchannel(report.witness)
     cert = report.certificate

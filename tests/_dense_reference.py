@@ -20,19 +20,19 @@ from superchannels.channels import (
     tensor,
 )
 from superchannels.config import DEFAULTS, resolve
-from superchannels.extremal import from_coords, hermitian_basis
 from superchannels.feasibility import (
     FEASIBLE,
     INFEASIBLE,
     UNDETERMINED,
     AffineSet,
     Directions,
-    ProjectionReport,
+    FeasibilityReport,
     certificate,
 )
 from superchannels.linalg import (
     frob,
     herm_eig,
+    hermitian_basis,
     kron,
     matrix_unit,
     partial_trace,
@@ -83,8 +83,13 @@ def linear_system(action, tp: bool) -> tuple[np.ndarray, np.ndarray, int]:
     return np.vstack(rows), np.concatenate(rhs), n
 
 
+def from_coords(x: np.ndarray, n: int) -> np.ndarray:
+    """The Hermitian matrix with coordinates ``x`` in ``linalg.hermitian_basis(n)``."""
+    return np.tensordot(x, hermitian_basis(n), 1)
+
+
 def to_coords(m: np.ndarray, n: int) -> np.ndarray:
-    """Coordinates of a Hermitian matrix in ``extremal.hermitian_basis(n)``."""
+    """Coordinates of a Hermitian matrix in ``linalg.hermitian_basis(n)``."""
     iu, ju = np.triu_indices(n, 1)
     off = m[iu, ju]
     return np.concatenate([np.diagonal(m).real, np.sqrt(2.0) * off.real,
@@ -194,10 +199,12 @@ def restrictions_equal_by_basis(a: Superchannel, b: Superchannel, tol: float) ->
     return True
 
 
-def reference_solve(affine: AffineSet, seed_point=None, max_iter=None) -> ProjectionReport:
-    """``feasibility.solve`` with every step spelled out: ``herm_eig`` (checked
-    and symmetrised) for the PSD shadow, a symmetrised reconstruction, and a
-    fresh array for each update."""
+def reference_solve(affine: AffineSet, seed_point=None,
+                    max_iter=None) -> tuple[FeasibilityReport, list[float]]:
+    """``feasibility.solve`` without its Newton phase and with every step
+    spelled out: ``herm_eig`` (checked and symmetrised) for the PSD shadow, a
+    symmetrised reconstruction, and a fresh array for each update.  Returns
+    the report and the gap of every iteration."""
     max_iter = int(resolve(max_iter, DEFAULTS.max_iter))
     affine_thr = DEFAULTS.affine_tol * affine.rhs_scale
     if affine.residual(affine.anchor) > affine_thr:
@@ -211,6 +218,7 @@ def reference_solve(affine: AffineSet, seed_point=None, max_iter=None) -> Projec
     px = py = x
     cert = None
     history = []
+    phase = {"newton_after": 0}  # no Newton phase
     for it in range(1, max_iter + 1):
         w, v = herm_eig(x)
         m = (v * np.maximum(w, 0.0)) @ v.conj().T
@@ -221,14 +229,18 @@ def reference_solve(affine: AffineSet, seed_point=None, max_iter=None) -> Projec
         if affine.row_bound * gap <= 2 * affine_thr or gap <= affine_thr:
             affine_res = affine.residual(y)
             if affine_res <= affine_thr:
-                return ProjectionReport(FEASIBLE, y, gap, it, affine_res, 0.0, history)
+                return FeasibilityReport(status=FEASIBLE, iterations=it, gap=gap,
+                                         affine_residual=affine_res, psd_residual=0.0,
+                                         witness=y, **phase), history
         if it & (it - 1) == 0:
             cert = certificate(affine, y, py)
             if cert.margin < 0:
-                return ProjectionReport(INFEASIBLE, None, gap, it,
-                                        affine.residual(y), gap, history, cert)
+                return FeasibilityReport(status=INFEASIBLE, iterations=it, gap=gap,
+                                         affine_residual=affine.residual(y), psd_residual=gap,
+                                         certificate=cert, **phase), history
         x = x + 2 * py - px - y
         px = py
     w, _ = herm_eig(py)
-    return ProjectionReport(UNDETERMINED, None, history[-1] if history else np.inf,
-                            max_iter, 0.0, float(max(0.0, -w[-1])), history, cert)
+    return FeasibilityReport(status=UNDETERMINED, iterations=max_iter,
+                             gap=history[-1] if history else np.inf, affine_residual=0.0, psd_residual=float(max(0.0, -w[-1])),
+                             certificate=cert, **phase), history

@@ -13,9 +13,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from _dense_reference import linear_affine_set, linear_system, realify, to_coords
+from _dense_reference import from_coords, linear_affine_set, linear_system, realify, to_coords
 from superchannels.extend import affine_set, extend_action, restrict_superchannel
-from superchannels.extremal import from_coords
 from superchannels.feasibility import solve
 from superchannels.gallery import no_tp_action
 from superchannels.supermaps import random_superchannel

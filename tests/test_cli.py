@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -6,6 +7,7 @@ import pytest
 from _dense_reference import linear_system
 from superchannels.cli import main
 from superchannels.extend import restrict_superchannel
+from superchannels.feasibility import FeasibilityReport
 from superchannels.gallery import write_fixtures
 from superchannels.serialize import (
     decode_action,
@@ -164,6 +166,21 @@ def test_psd_residual_decides_no_exit_code(capsys, fixtures, tmp_path):
         psd = findings["psd residual"]
         assert psd["tol"] is None and psd["ok"] is None
         assert (psd["value"] == 0.0) == (status == "feasible")
+
+
+def test_extend_findings_are_the_report_fields(capsys, fixtures):
+    """One finding per scalar field of ``FeasibilityReport``, in declaration
+    order, with ``_`` read as a space; an infeasible run drops the two
+    residuals and adds the certificate margin."""
+    scalars = [f.name.replace("_", " ") for f in dataclasses.fields(FeasibilityReport)
+               if f.name not in ("witness", "certificate")]
+    code, reports = run_json(capsys, "extend", str(fixtures / "readout_action.json"))
+    assert code == 0
+    assert [f["key"] for f in reports[0]["results"]] == scalars
+    code, reports = run_json(capsys, "tp-extend", str(fixtures / "no_tp_action.json"))
+    assert code == 1
+    assert [f["key"] for f in reports[0]["results"]] == [
+        k for k in scalars if k not in ("affine residual", "psd residual")] + ["certificate margin"]
 
 
 def test_extend_with_seed(capsys, fixtures):

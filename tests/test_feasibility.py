@@ -63,16 +63,16 @@ CASES = {
 @pytest.mark.parametrize("name", CASES)
 def test_solve_matches_reference_loop(name):
     affine = CASES[name]()
-    got, want = solve(affine, max_iter=20_000), reference_solve(affine, max_iter=20_000)
+    got, (want, _) = solve(affine, max_iter=20_000), reference_solve(affine, max_iter=20_000)
     assert got.status == want.status == FEASIBLE
     assert got.iterations == want.iterations
-    np.testing.assert_allclose(got.point, want.point, rtol=0, atol=1e-10)
-    assert np.array_equal(got.point, got.point.conj().T)
+    np.testing.assert_allclose(got.witness, want.witness, rtol=0, atol=1e-10)
+    assert np.array_equal(got.witness, got.witness.conj().T)
 
 
 def test_tp_no_tp_action_infeasible_at_the_reference_iteration():
     affine = affine_set(no_tp_action(), trace_preserving=True)
-    got, want = solve(affine), reference_solve(affine)
+    got, (want, _) = solve(affine), reference_solve(affine)
     assert got.status == want.status == INFEASIBLE
     assert got.iterations == want.iterations == 4
     assert got.certificate.margin < 0
@@ -97,7 +97,7 @@ def test_feasible_seed_returns_itself_at_iteration_one():
     seed = g1.choi.copy()
     report = solve(affine, seed_point=seed)
     assert report.status == FEASIBLE and report.iterations == 1
-    np.testing.assert_allclose(report.point, g1.choi, rtol=0, atol=1e-10)
+    np.testing.assert_allclose(report.witness, g1.choi, rtol=0, atol=1e-10)
     assert np.array_equal(seed, g1.choi)
 
 
@@ -137,14 +137,14 @@ def test_solve_matches_reference_loop_on_the_cap_instances(seed):
     affine = affine_set(restrict_superchannel(_cap_instance(seed)))
     switch = newton_after(affine.directions.size)
     assert switch == 256
-    want = reference_solve(affine, max_iter=switch)
+    want, _ = reference_solve(affine, max_iter=switch)
     assert (want.status == UNDETERMINED) == (seed in (401, 402))
     got = solve(affine, max_iter=switch if seed in (401, 402) else 20_000)
     assert got.status == want.status
     assert got.iterations == want.iterations
     assert (got.newton_after, got.newton_steps, got.newton_exit) == (switch, 0, "")
     if want.status == FEASIBLE:
-        np.testing.assert_allclose(got.point, want.point, rtol=0, atol=1e-10)
+        np.testing.assert_allclose(got.witness, want.witness, rtol=0, atol=1e-10)
     else:
         assert got.gap == pytest.approx(want.gap, rel=1e-8)
 
@@ -157,14 +157,14 @@ def test_thin_sets_get_a_strict_witness_after_the_switch(seed):
     assert report.iterations == report.newton_after == 256
     assert report.newton_exit == STRICT
     assert 0 < report.newton_steps <= 60
-    assert np.linalg.eigvalsh(report.point)[0] > 0
-    _assert_verified(report.point, _cap_instance(seed), affine)
+    assert np.linalg.eigvalsh(report.witness)[0] > 0
+    _assert_verified(report.witness, _cap_instance(seed), affine)
 
 
 def test_cap_at_the_switch_is_pure_douglas_rachford():
     affine = affine_set(restrict_superchannel(_cap_instance(415)))
     switch = newton_after(affine.directions.size)
-    got, want = solve(affine, max_iter=switch), reference_solve(affine, max_iter=switch)
+    got, (want, _) = solve(affine, max_iter=switch), reference_solve(affine, max_iter=switch)
     assert got.status == want.status == UNDETERMINED
     assert (got.newton_steps, got.newton_exit) == (0, "")
 
@@ -188,8 +188,8 @@ def test_a_unique_extension_ends_at_the_switch_with_a_shadow():
     assert report.iterations == report.newton_after == 256
     assert report.newton_exit == SHADOW
     assert 0 < report.newton_steps <= 60
-    assert report.affine_residual == affine.residual(report.point)
-    _assert_verified(report.point, _cap_instance(401), affine)
+    assert report.affine_residual == affine.residual(report.witness)
+    _assert_verified(report.witness, _cap_instance(401), affine)
 
 
 def test_a_phase_without_a_witness_resumes_douglas_rachford():
@@ -198,7 +198,7 @@ def test_a_phase_without_a_witness_resumes_douglas_rachford():
     infeasible at the certificate check of iteration 512."""
     affine = affine_set(restrict_superchannel(random_superchannel(2, 2, 2, 2, e=2, seed=32)),
                         trace_preserving=True)
-    got, want = solve(affine, max_iter=5_000), reference_solve(affine, max_iter=5_000)
+    got, (want, _) = solve(affine, max_iter=5_000), reference_solve(affine, max_iter=5_000)
     assert got.status == want.status == INFEASIBLE
     assert got.iterations == want.iterations == 512
     assert got.newton_after == 256 and got.newton_exit == NONE and got.newton_steps > 0
@@ -211,9 +211,8 @@ def test_douglas_rachford_gap_windows_shrink():
     here on the reference loop's 2,261 iterations of seed 401 (the iterates
     ``solve`` follows up to its switch)."""
     affine = affine_set(restrict_superchannel(_cap_instance(401)))
-    report = reference_solve(affine, max_iter=20_000)
+    report, h = reference_solve(affine, max_iter=20_000)
     assert report.status == FEASIBLE
-    h = report.gap_history
     assert len(h) == 2261
     windows = [max(h[i:i + 100]) for i in range(100, len(h) - 100, 100)]
     for earlier, later in zip(windows, windows[1:]):
@@ -230,7 +229,7 @@ def test_a_larger_set_without_a_positive_definite_point_crosses_at_1024():
     assert report.iterations == report.newton_after == 1024
     assert report.newton_exit == SHADOW
     assert 0 < report.newton_steps <= 80
-    _assert_verified(report.point, sc, affine)
+    _assert_verified(report.witness, sc, affine)
 
 
 def test_newton_phase_stops_at_once_on_a_set_without_positive_trace():

@@ -1,13 +1,14 @@
 import dataclasses
 import json
+import re
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from superchannels.channels import KrausSet, depolarizing_channel, random_channel
-from superchannels.extend import extend_action, restrict_superchannel
-from superchannels.gallery import FIXTURES, block_trace_readout, readout_action
+from superchannels.extend import FeasibilityReport, extend_action, restrict_superchannel
+from superchannels.gallery import FIXTURES, block_trace_readout, no_tp_action, readout_action
 from superchannels.serialize import (
     SerializationError,
     decode_action,
@@ -159,6 +160,17 @@ def test_feasibility_encoding():
     phase = dataclasses.replace(report, newton_steps=7, newton_exit="shadow")
     assert encode_feasibility(phase)["newton_steps"] == 7
     assert encode_feasibility(phase)["newton_exit"] == "shadow"
+
+
+def test_feasibility_encoding_keys_are_the_report_fields_and_the_readme_list():
+    """The encoding, the report's declaration and the README's file-format
+    list name the same keys."""
+    fields = [f.name for f in dataclasses.fields(FeasibilityReport)]
+    report = extend_action(no_tp_action(), trace_preserving=True)
+    assert list(encode_feasibility(report)) == fields
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    listed = re.search(r"saves its report as `\{(.*?)\}`", readme, re.S).group(1)
+    assert re.findall(r'"(\w+)"', listed) == fields
 
 
 def test_basis_export_header():

@@ -3,12 +3,12 @@ import pytest
 
 from _dense_reference import (
     choi_action_rows,
+    from_coords,
     marginal_residual_by_matrix_units,
     realify,
     recompose_by_matrix_units,
     to_coords,
 )
-from superchannels import extremal
 from superchannels.channels import (
     ChannelChoi,
     apply_choi,
@@ -423,7 +423,7 @@ def _project_to_scale_preserving(c: np.ndarray) -> np.ndarray:
     coords = to_coords(c, 16)
     pinv = np.linalg.pinv(a_real)
     sol = coords - pinv @ (a_real @ coords - b_real)
-    return extremal.from_coords(sol, 16)
+    return from_coords(sol, 16)
 
 
 def test_superchannel_iff_psd_once_scale_preserving():
