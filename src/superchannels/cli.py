@@ -94,15 +94,20 @@ def _run_extend(args, trace_preserving: bool) -> RunReport:
                            max_iter=args.max_iter)
     name = "tp-extend" if trace_preserving else "extend"
     rep = RunReport(name, inputs=(args.path,))
-    # one finding per scalar field of the report, in declaration order
+    # one finding per scalar field of the report, in declaration order; an
+    # infeasible run has no witness, so no residuals
+    skip = {"witness", "certificate"} | ({"affine_residual", "psd_residual"}
+                                         if report.status == feasibility.INFEASIBLE else set())
     for field in dataclasses.fields(feasibility.FeasibilityReport):
+        if field.name in skip:
+            continue
         key, value = field.name.replace("_", " "), getattr(report, field.name)
         if field.name == "status":
             rep.add(key, value, ok={feasibility.FEASIBLE: True,
                                     feasibility.INFEASIBLE: False}.get(value))
         elif field.name == "affine_residual":
             rep.judge(key, value, DEFAULTS.affine_tol)
-        elif field.name not in ("witness", "certificate"):
+        else:
             # the psd residual among them: every witness is PSD by
             # construction (residual 0.0), and without one the status decides
             # the exit code, so it is reported, not judged
@@ -112,10 +117,6 @@ def _run_extend(args, trace_preserving: bool) -> RunReport:
         rep.add("certificate margin", margin, tol=0.0, ok=margin < 0)
     if report.status == feasibility.UNDETERMINED:
         rep.status = UNDETERMINED
-    elif report.status == feasibility.INFEASIBLE:
-        rep.status = FAIL
-        rep.results = [f for f in rep.results if f.key not in ("affine residual",
-                                                               "psd residual")]
     if args.out:
         if report.witness is not None:
             save_json(args.out, encode_superchannel(report.witness))

@@ -19,12 +19,13 @@ The search runs Douglas-Rachford splitting between the affine set and the
 cone (``feasibility.solve``): "feasible" comes with a PSD witness, and
 "infeasible" only with a Farkas certificate that checks at one of the
 iterations 1, 2, 4, 8, ...  A search still open after iteration
-``feasibility.newton_after(m)``, the first power of two at or above three
-times the number m of directions (256 at (2,2,2,2), 2,048 at (3,3,3,3)),
-runs one barrier Newton phase over the directions basis.  It returns a
-witness that a Cholesky factorisation proves positive definite, or, on a
-set too thin to hold one (a unique extension, for instance), the PSD shadow
-of its point once that passes the affine rule; otherwise the DR run goes on
+``feasibility.newton_after(m)``, the first power of two at or above the
+number m of directions (64 at (2,2,2,2), 1,024 at (3,3,3,3)), under a cap
+of at least twice that, runs one primal-dual Newton phase over the
+directions basis.  It returns a witness that a Cholesky factorisation
+proves positive definite; on a set too thin to hold one (a unique
+extension, say), the PSD shadow of its point; or, on a set that misses the
+cone, its dual matrix as a certificate.  Otherwise the DR run goes on
 exactly as before.  ``extend_action`` returns the solver's
 ``feasibility.FeasibilityReport`` with the witness as a ``Superchannel``.
 """

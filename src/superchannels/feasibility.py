@@ -1,4 +1,4 @@
-"""PSD-affine feasibility: Douglas-Rachford splitting with one Newton phase.
+"""PSD-affine feasibility: Douglas-Rachford splitting with one primal-dual phase.
 
 The solver looks for a Hermitian n x n matrix inside the intersection of an
 affine set and the PSD cone, iterating on the matrices themselves.  The
@@ -21,31 +21,26 @@ some iteration on, "infeasible" comes at most twice as late.
 DR crosses a thin set slowly: one whose largest smallest eigenvalue is
 1e-5 takes it tens of thousands of iterations, and a set that holds no
 positive definite point (a unique extension, say) it approaches
-tangentially (Sturm, SIAM J. Optim. 2000).  So a run with a cap above
-``newton_after(m)`` and no verdict after that iteration's certificate check
-runs ``newton_phase`` once: a barrier Newton method that maximises t
-subject to ``W - t I > 0`` over the set's m-element directions basis
-(Vandenberghe & Boyd, SIAM Review 1996).  The switch follows a ski-rental
-argument: start the phase once DR has spent about what the phase costs.  A
-Newton step costs 5-35 DR iterations (0.05-0.12 m) and the phase takes
-40-70 steps, so about 2.5-8 m iterations; ``newton_after(m)`` is the first
-power of two at or above ``3 m``, keeping the switch on the certificate
-schedule: 256 at (2,2,2,2) (m = 48), 512 at (2,3,2,3), 1,024 at (3,2,3,2)
-and 2,048 at (3,3,3,3) (m = 648).  The phase ends in one of three ways:
-
-* a strict witness: ``t`` clears a rounding floor and a Cholesky
-  factorisation of ``W - (t/2) I`` proves W positive definite;
-* a shadow witness: at a centred point the bound ``t + n/eta`` on the best
-  t lies below the witness tolerance ``affine_tol * rhs_scale``, so no
-  matrix of the set has a smallest eigenvalue above it, and W's PSD shadow,
-  formed as DR forms its own, passes DR's affine residual rule;
-* nothing: the bound falls below the floor, ``W - t I`` does not factorise
-  at the start, or no damped step keeps it factorisable.
-
-Either witness must pass the same ``affine_tol`` residual rule as a DR
-witness.  Without one DR resumes from its unchanged iterate, so the run's
-status, iteration count and witness are those of DR alone; the report
-records the switch, the phase's step count and how it ended either way.
+tangentially (Sturm, SIAM J. Optim. 2000).  So a run with a cap of at least
+``2 newton_after(m)`` and no verdict after that iteration's certificate
+check runs ``newton_phase`` once: a primal-dual interior-point method that
+maximises t subject to ``W - t I >= 0`` over the set's m-element directions
+basis, with a dual matrix X that bounds the best t (Vandenberghe & Boyd,
+SIAM Review 1996).  The switch follows a ski-rental argument: start the
+phase once DR has spent about what the phase costs.  A step costs
+0.07-0.18 m DR iterations and the phase takes 2-20 steps, about 0.8-2.9 m
+iterations in all; ``newton_after(m)`` is the first power of two at or
+above m, keeping the switch on the certificate schedule: 64 at (2,2,2,2)
+(m = 48), 128 at (2,3,2,3), 512 at (3,2,3,2) and 1,024 at (3,3,3,3)
+(m = 648).  A cap below twice the switch runs DR alone, so a capped run
+pays at most about its cap.  The phase ends with a strict witness, which
+a Cholesky factorisation proves positive definite; a shadow witness, W's
+PSD part, on a set too thin to hold one; a certificate, its dual matrix, on
+a set that misses the cone, so the run ends "infeasible" at the switch; or
+with nothing (see ``newton_phase``).  Without a verdict DR resumes from its
+unchanged iterate, so the run's status, iteration count and witness are
+those of DR alone; the report records the switch, the phase's step count
+and how it ended either way.
 
 A run ends in a ``FeasibilityReport``, the one declaration of an extension
 search's outcome: ``extend.extend_action`` returns the same report with its
@@ -56,9 +51,9 @@ An iteration is one bare ``np.linalg.eigh(x)``, which reads only the lower
 triangle of x, so x is never symmetrised; the shadow as one Gram product
 ``B B^H`` with ``B = V sqrt(max(w, 0))``; the closed-form ``P_A(y)``; and an
 in-place update of x.  The witness is symmetrised once, when it is returned.
-At n = 16 (one BLAS thread, a shared 2-core Xeon) an iteration took 65-130 us
+At n = 16 (one BLAS thread, a shared 2-core Xeon) an iteration took 65-160 us
 with load, about three quarters of it in ``eigh``; a Newton step took about
-0.4 ms there and 7.5 ms at n = 36.
+1.2 ms there, 17 ms at n = 36 and 71-88 ms at n = 81.
 """
 
 from __future__ import annotations
@@ -82,12 +77,11 @@ UNDETERMINED = "undetermined"
 # did not run.
 STRICT = "strict"
 SHADOW = "shadow"
+CERTIFICATE = "certificate"
 NONE = "none"
-# Newton phase: barrier weight growth per centring, the half squared Newton
-# decrement below which a point counts as centred, and a step budget that
-# bounds the phase should centring stall (the measured sets need at most 70).
-_ETA_GROWTH = 10.0
-_CENTRED = 1e-2
+# Newton phase: the share of the longest step to the cone's boundary that a
+# step takes, and a step budget should the method stall.
+_STEP_FRACTION = 0.98
 _NEWTON_STEP_CAP = 200
 
 
@@ -213,12 +207,13 @@ class FeasibilityReport:
 
     ``witness`` is the PSD point found: a Hermitian matrix from ``solve``, a
     ``Superchannel`` from ``extend_action``.  Without one, ``certificate`` is
-    the last displacement checked (at iterations 1, 2, 4, 8, ...); it proves
-    infeasibility only when its margin is negative.  ``newton_after`` is the
-    iteration that starts the Newton phase (``newton_after(m)``),
-    ``newton_steps`` counts the phase's steps and ``newton_exit`` records how
-    it ended: ``STRICT`` or ``SHADOW`` with a witness, ``NONE`` without, ""
-    when it did not run.  A witness found there comes with ``iterations ==
+    the last displacement checked (at iterations 1, 2, 4, 8, ...) or the
+    Newton phase's dual matrix; it proves infeasibility only when its margin
+    is negative.  ``newton_after`` is the iteration that starts the Newton
+    phase (``newton_after(m)``), ``newton_steps`` counts the phase's steps
+    and ``newton_exit`` records how it ended: ``STRICT`` or ``SHADOW`` with a
+    witness, ``CERTIFICATE`` with a certificate, ``NONE`` without either, ""
+    when it did not run.  A verdict found there comes with ``iterations ==
     newton_after``.  The fields other than ``witness`` and ``certificate``
     are scalars; their declaration order is the order of the JSON keys and
     of the CLI findings.
@@ -248,7 +243,7 @@ def certificate(affine: AffineSet, y: np.ndarray, py: np.ndarray) -> Certificate
     base = project(np.zeros_like(w))
     w = w - (project(w) - base)
     t = float(np.trace(anchor).real)
-    lam_min = float(herm_eig(w)[0][-1])
+    lam_min = float(np.linalg.eigvalsh(w)[0])
     residue = float(np.linalg.norm(project(w) - base)
                     + w.shape[0] ** 2 * np.finfo(float).eps * np.linalg.norm(w))
     return Certificate(w,
@@ -267,22 +262,28 @@ def _shadow(x: np.ndarray) -> np.ndarray:
 
 def newton_after(m: int) -> int:
     """The DR iteration after which a run without a verdict runs the Newton
-    phase: the first power of two at or above ``3 m`` for ``m`` directions
+    phase: the first power of two at or above ``m`` for ``m`` directions
     (a power of two, so that iteration's certificate check comes first)."""
-    return 1 << (3 * m - 1).bit_length()
+    return 1 << (m - 1).bit_length()
 
 
-def newton_phase(affine: AffineSet) -> tuple[np.ndarray | None, str, int]:
-    """A witness of the affine set, by a barrier Newton method.
+def newton_phase(affine: AffineSet) -> tuple[np.ndarray | Certificate | None, str, int,
+                                             tuple[float, np.ndarray] | None]:
+    """A witness of the affine set, or a certificate that it misses the cone,
+    by a primal-dual interior-point method.
 
-    Maximises t subject to ``F = W - t I > 0`` over ``W = anchor + sum_a z_a
-    B_a`` (the ``affine.directions`` basis B_a), from ``z = 0`` and ``t`` below
-    the smallest eigenvalue of the anchor: damped Newton steps on
-    ``-eta t - log det F`` in the coordinates ``(z, t)``, with ``eta`` grown
-    tenfold whenever the Newton decrement shows the point centred.  A centred
-    point bounds the optimum by ``t + n/eta``.  Returns ``(W, kind, steps)``;
-    a witness passes the affine rule ``residual <= affine_tol * rhs_scale``
-    (``thr``), as a DR witness does.
+    The primal maximises t subject to ``S = W - t I >= 0`` over ``W = anchor
+    + sum_a z_a B_a`` (the ``affine.directions`` basis B_a); the dual
+    minimises ``<anchor, X>`` over ``X >= 0`` with ``Tr X = 1`` and ``<B_a,
+    X> = 0``, so every dual point bounds the best t.  Both start feasible, at
+    ``z = 0`` (t below the anchor's spectrum) and ``X = I/n``.  A step is
+    Mehrotra's predictor-corrector under Nesterov-Todd scaling (Todd, Toh &
+    Tutuncu, SIAM J. Optim. 1998), with the Schur complement ``Tr(G A_i G
+    A_j)``, ``A = (B_a, I)``, at the scaling matrix G (``G S G = X``); each
+    matrix moves ``_STEP_FRACTION`` of the way to the cone's boundary, at
+    most a full step.  Returns ``(found, kind, steps, dual)``, ``dual`` the
+    last ``(t, X)``; a witness passes the affine rule ``residual <=
+    affine_tol * rhs_scale`` (``thr``), as a DR witness does.
 
     * ``STRICT``: ``t`` clears the floor ``4 (n+1) eps Tr(anchor)`` and a
       Cholesky factorisation of ``W - (t/2) I`` succeeds.  The backward
@@ -291,14 +292,17 @@ def newton_phase(affine: AffineSet) -> tuple[np.ndarray | None, str, int]:
       set shares the anchor's trace; the floor leaves a factor of four for
       complex arithmetic and the rounding of the shift, so ``lambda_min(W)
       >= t/2 - floor/2 > 0``.  This check comes first.
-    * ``SHADOW``: at a centred point with ``t + n/eta < thr`` no matrix of
-      the set has ``lambda_min`` above ``thr``, so the set is at most that
-      thin (a single point, say).  W's PSD shadow (``_shadow``, as DR forms
-      it) is returned, symmetrised, once it passes the affine rule.
-    * ``NONE``: ``(None, NONE, steps)`` when the bound ``t + n/eta`` falls
-      below the floor, when no damped step keeps F factorisable, or after
-      ``_NEWTON_STEP_CAP`` steps; ``(None, NONE, 0)`` when the trace is not
-      positive or F does not factorise at the start (its smallest
+    * ``SHADOW``: with ``<anchor, X> < thr`` no matrix of the set has
+      ``lambda_min`` above ``thr``, so the set is at most that thin (a
+      single point, say).  W's PSD shadow (``_shadow``, as DR forms it) is
+      returned, symmetrised, once it passes the affine rule.
+    * ``CERTIFICATE``: with ``<anchor, X> < 0``, X is checked as a Farkas
+      certificate by the rule DR's displacements pass, ``certificate(affine,
+      X, 0)``, and returned once its margin is negative.
+    * ``NONE``: when the duality gap ``<anchor, X> - t`` falls below the
+      floor, S stops factorising, X or the Schur complement turns singular,
+      or after ``_NEWTON_STEP_CAP`` steps; ``(None, NONE, 0, None)`` when the
+      trace is not positive or S does not factorise at the start (its least
       eigenvalue, ``Tr(anchor)/n``, can lie within the rounding of
       ``||anchor||``).
     """
@@ -306,68 +310,88 @@ def newton_phase(affine: AffineSet) -> tuple[np.ndarray | None, str, int]:
     n, m = anchor.shape[0], dirs.size
     trace = float(np.trace(anchor).real)
     if trace <= 0:  # a positive definite point has a positive trace
-        return None, NONE, 0
+        return None, NONE, 0, None
     floor = 4 * (n + 1) * np.finfo(float).eps * trace
     thr = DEFAULTS.affine_tol * affine.rhs_scale
     eye = np.eye(n)
 
-    def factor(w: np.ndarray, t: float):
-        """The Cholesky factor of ``w - t I`` and ``-log det``, or None."""
+    def cholesky(a: np.ndarray):
         try:
-            low = np.linalg.cholesky(w - t * eye)
+            return np.linalg.cholesky(a)
         except np.linalg.LinAlgError:
             return None
-        return low, -2.0 * float(np.log(np.diagonal(low).real).sum())
 
-    w = anchor
+    w, x = anchor, eye / n
     t = float(np.linalg.eigvalsh(anchor)[0]) - trace / n
-    eta = n / (trace / n - t)
-    start = factor(w, t)
-    if start is None:
-        return None, NONE, 0
-    low, logdet = start
+    low = cholesky(w - t * eye)
+    if low is None:
+        return None, NONE, 0, None
     for step in range(1, _NEWTON_STEP_CAP + 1):
-        inv_low = np.linalg.inv(low)
-        g = inv_low.conj().T @ inv_low           # F^{-1}
+        # R = L^-H Q diag(sqrt(lam)) for S = L L^H and L^H X L = Q diag(lam^2) Q^H
+        # scales both matrices to diag(lam): R^H S R = R^-1 X R^-H; G = R R^H
+        lam2, q = np.linalg.eigh(low.conj().T @ x @ low)
+        if lam2[0] <= 0:
+            return None, NONE, step, (t, x)
+        lam = np.sqrt(lam2)
+        r = np.linalg.inv(low).conj().T @ (q * np.sqrt(lam))
+        g = r @ r.conj().T
         g2 = g @ g
-        grad = np.append(-dirs.coords(g), np.trace(g).real - eta)
-        hess = np.empty((m + 1, m + 1))
-        hess[:m, :m] = dirs.hessian(g)
-        hess[:m, m] = hess[m, :m] = -dirs.coords(g2)
-        hess[m, m] = np.trace(g2).real
+        schur = np.empty((m + 1, m + 1))
+        schur[:m, :m] = dirs.hessian(g)
+        schur[:m, m] = schur[m, :m] = -dirs.coords(g2)
+        schur[m, m] = np.trace(g2).real
+
+        def direction(target: np.ndarray):
+            """The step ``(dz, dt)`` and the scaled steps of S and X, whose sum D
+            solves ``(diag(lam) D + D diag(lam)) / 2 = target`` and X's equations."""
+            d = 2 * target / np.add.outer(lam, lam)
+            y = x + r @ d @ r.conj().T
+            dy = np.linalg.solve(schur, np.append(dirs.coords(y), 1 - np.trace(y).real))
+            ds = r.conj().T @ (dirs.combine(dy[:m]) - dy[m] * eye) @ r
+            return dy, ds, d - ds
+
+        def longest(d: np.ndarray, frac: float) -> float:
+            """``frac`` of the longest step keeping ``diag(lam) + a d`` PSD, at most 1."""
+            lowest = float(np.linalg.eigvalsh(d / np.sqrt(np.outer(lam, lam)))[0])
+            return frac / max(frac, -lowest)
+
         try:
-            dx = np.linalg.solve(hess, -grad)
+            _, ds, dx = direction(-np.diag(lam2))  # predictor
+            mu = float(lam2.sum()) / n
+            affine_mu = np.vdot(np.diag(lam) + longest(dx, 1.0) * dx,
+                                np.diag(lam) + longest(ds, 1.0) * ds).real / n
+            cross = dx @ ds
+            dy, ds, dx = direction((affine_mu / mu) ** 3 * mu * eye - np.diag(lam2)
+                                   - (cross + cross.conj().T) / 2)
         except np.linalg.LinAlgError:
-            return None, NONE, step
-        slope = float(grad @ dx)
-        dw, dt = dirs.combine(dx[:m]), float(dx[m])
-        value = logdet - eta * t
-        alpha = 1.0
-        while True:
-            trial = factor(w + alpha * dw, t + alpha * dt)
-            if trial is not None and trial[1] - eta * (t + alpha * dt) <= value + alpha * slope / 4:
-                break
-            alpha /= 2
-            if alpha < 2.0 ** -30:
-                return None, NONE, step
-        w, t = w + alpha * dw, t + alpha * dt
-        low, logdet = trial
+            return None, NONE, step, (t, x)
+        step_s, step_x = longest(ds, _STEP_FRACTION), longest(dx, _STEP_FRACTION)
+        w = w + step_s * dirs.combine(dy[:m])
+        t += step_s * float(dy[m])
+        x = x + step_x * (r @ dx @ r.conj().T)
+        x = (x + x.conj().T) / 2
+        low = cholesky(w - t * eye)
+        if low is None:
+            return None, NONE, step, (t, x)
         if t > floor:
             point = (w + w.conj().T) / 2
-            if factor(point, t / 2) is not None:
+            if cholesky(point - t / 2 * eye) is not None:
                 if affine.residual(point) <= thr:
-                    return point, STRICT, step
-                return None, NONE, step
-        if -slope / 2 <= _CENTRED:
-            if t + n / eta < thr:
-                shadow = _shadow(w)
-                shadow = (shadow + shadow.conj().T) / 2
-                if affine.residual(shadow) <= thr:
-                    return shadow, SHADOW, step
-            if t + n / eta < floor:
-                return None, NONE, step
-            eta *= _ETA_GROWTH
-    return None, NONE, _NEWTON_STEP_CAP
+                    return point, STRICT, step, (t, x)
+                return None, NONE, step, (t, x)
+        bound = float(np.vdot(x, anchor).real)
+        if bound < thr:
+            shadow = _shadow(w)
+            shadow = (shadow + shadow.conj().T) / 2
+            if affine.residual(shadow) <= thr:
+                return shadow, SHADOW, step, (t, x)
+        if bound < 0:
+            cert = certificate(affine, x, 0)
+            if cert.margin < 0:
+                return cert, CERTIFICATE, step, (t, x)
+        if bound - t < floor:
+            return None, NONE, step, (t, x)
+    return None, NONE, _NEWTON_STEP_CAP, (t, x)
 
 
 def solve(affine: AffineSet,
@@ -380,10 +404,10 @@ def solve(affine: AffineSet,
     PSD shadow as witness once its affine residual drops below tolerance,
     ``infeasible`` once the displacement checks as a certificate (checked
     at iterations 1, 2, 4, 8, ...), and ``undetermined`` at the iteration
-    cap.  With a cap above ``newton_after(m)`` for the set's ``m``
+    cap.  With a cap of at least ``2 newton_after(m)`` for the set's ``m``
     directions, a run without a verdict at that iteration first runs
-    ``newton_phase``; if it returns no witness, the iteration resumes
-    unchanged.
+    ``newton_phase``; if it returns neither a witness nor a certificate, the
+    iteration resumes unchanged.
     Raises ``ValueError`` when ``max_iter`` is below 1 and when the
     affine set is empty, that is when its anchor leaves a residual above
     tolerance.
@@ -425,17 +449,19 @@ def solve(affine: AffineSet,
                                          witness=(y + y.conj().T) / 2, **phase)
         if it & (it - 1) == 0:  # it is a power of two
             cert = certificate(affine, y, py)
+            if it == switch and max_iter >= 2 * switch and cert.margin >= 0:
+                found, phase["newton_exit"], phase["newton_steps"], _ = newton_phase(affine)
+                if isinstance(found, Certificate):
+                    cert = found
+                elif found is not None:
+                    return FeasibilityReport(status=FEASIBLE, iterations=it,
+                                             gap=float(np.linalg.norm(found - project(found))),
+                                             affine_residual=affine.residual(found),
+                                             psd_residual=0.0, witness=found, **phase)
             if cert.margin < 0:
                 return FeasibilityReport(status=INFEASIBLE, iterations=it, gap=gap,
                                          affine_residual=affine.residual(y), psd_residual=gap,
                                          certificate=cert, **phase)
-        if it == switch and max_iter > switch:
-            point, phase["newton_exit"], phase["newton_steps"] = newton_phase(affine)
-            if point is not None:
-                return FeasibilityReport(status=FEASIBLE, iterations=it,
-                                         gap=float(np.linalg.norm(point - project(point))),
-                                         affine_residual=affine.residual(point),
-                                         psd_residual=0.0, witness=point, **phase)
         x += py
         x += py
         x -= px

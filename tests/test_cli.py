@@ -114,19 +114,19 @@ def _cap_action(tmp_path, seed):
 
 def test_extend_reports_the_newton_steps(capsys, tmp_path):
     """Seed 415's thin extension set: Douglas-Rachford runs to iteration
-    256, the switch for its 48 directions, then the Newton phase returns a
+    64, the switch for its 48 directions, then the Newton phase returns a
     strict witness."""
     path = _cap_action(tmp_path, 415)
     code, reports = run_json(capsys, "extend", str(path), "--max-iter", "20000")
     assert code == 0
     results = {f["key"]: f["value"] for f in reports[0]["results"]}
     assert results["status"] == "feasible"
-    assert results["iterations"] == results["newton after"] == 256
+    assert results["iterations"] == results["newton after"] == 64
     assert results["newton exit"] == "strict"
-    assert 0 < results["newton steps"] <= 60
+    assert 0 < results["newton steps"] <= 12
     code, out = run(capsys, "extend", str(path), "--max-iter", "20000")
     assert code == 0
-    assert "newton exit: strict" in out and "newton after: 256" in out
+    assert "newton exit: strict" in out and "newton after: 64" in out
 
 
 def test_extend_reports_a_shadow_exit(capsys, tmp_path):
@@ -137,9 +137,9 @@ def test_extend_reports_a_shadow_exit(capsys, tmp_path):
                              "--out", str(out))
     assert code == 0
     results = {f["key"]: f["value"] for f in reports[0]["results"]}
-    assert results["iterations"] == results["newton after"] == 256
+    assert results["iterations"] == results["newton after"] == 64
     assert results["newton exit"] == "shadow"
-    assert 0 < results["newton steps"] <= 60
+    assert 0 < results["newton steps"] <= 12
     sc = random_superchannel(2, 2, 2, 2, e=2, seed=401)
     assert restrictions_equal(decode_superchannel(load_json(out)), sc, 1e-6)
     code, text = run(capsys, "extend", str(path), "--max-iter", "20000")
@@ -150,7 +150,8 @@ def test_extend_reports_a_shadow_exit(capsys, tmp_path):
 def test_psd_residual_decides_no_exit_code(capsys, fixtures, tmp_path):
     """The psd residual is 0.0 on a feasible report, dropped on an
     infeasible one, and reported unjudged on an undetermined one, where the
-    status sets the exit code; the phase has not run in any of them."""
+    status sets the exit code; the phase has not run in any of them.  An
+    infeasible report judges no residual either."""
     runs = [(0, "feasible", ["extend", str(fixtures / "readout_action.json")]),
             (1, "infeasible", ["tp-extend", str(fixtures / "no_tp_action.json")]),
             (2, "undetermined", ["extend", str(_cap_action(tmp_path, 415)), "--max-iter", "100"])]
@@ -162,6 +163,8 @@ def test_psd_residual_decides_no_exit_code(capsys, fixtures, tmp_path):
         assert findings["newton exit"]["value"] == ""
         if status == "infeasible":
             assert "psd residual" not in findings
+            assert "affine residual" not in findings
+            assert reports[0]["residuals"] == []
             continue
         psd = findings["psd residual"]
         assert psd["tol"] is None and psd["ok"] is None
@@ -197,13 +200,12 @@ def test_tp_extend_infeasible(capsys, fixtures):
     assert results["gap"] > 1e-6
 
 
-def test_tp_extend_certificate_checks_against_the_dense_system(capsys, fixtures, tmp_path):
-    """The Farkas certificate ``tp-extend --out`` saves, checked without the
-    solver: W lies in the row space of the dense constraint matrix, so
-    ``<W, C> = <W, x0>`` on every C that meets the constraints, and that
-    value is negative while W is PSD up to what the trace term absorbs."""
-    out = tmp_path / "report.json"
-    path = fixtures / "no_tp_action.json"
+def _tp_certificate_checks_against_the_dense_system(capsys, path, out):
+    """Run ``tp-extend --out`` on ``path`` and check the Farkas certificate it
+    saves without the solver: W lies in the row space of the dense constraint
+    matrix, so ``<W, C> = <W, x0>`` on every C that meets the constraints,
+    and that value is negative while W is PSD up to what the trace term
+    absorbs.  Returns the findings."""
     code, reports = run_json(capsys, "tp-extend", str(path), "--out", str(out))
     assert code == 1
     results = {f["key"]: f["value"] for f in reports[0]["results"]}
@@ -222,6 +224,26 @@ def test_tp_extend_certificate_checks_against_the_dense_system(capsys, fixtures,
     lam_min = np.linalg.eigvalsh(w)[0]
     assert inner < 0
     assert inner + max(0.0, -lam_min) * np.trace(x0).real < 0
+    return results
+
+
+def test_tp_extend_certificate_checks_against_the_dense_system(capsys, fixtures, tmp_path):
+    """Douglas-Rachford's certificate, at iteration 4."""
+    results = _tp_certificate_checks_against_the_dense_system(
+        capsys, fixtures / "no_tp_action.json", tmp_path / "report.json")
+    assert results["iterations"] == 4 and results["newton exit"] == ""
+
+
+def test_tp_extend_phase_certificate_checks_against_the_dense_system(capsys, tmp_path):
+    """The Newton phase's dual matrix, at the switch: TP ``(2,2,2,2)`` seed 32,
+    e = 2, which Douglas-Rachford alone certifies only at iteration 512."""
+    path = tmp_path / "action.json"
+    sc = random_superchannel(2, 2, 2, 2, e=2, seed=32)
+    save_json(path, encode_action(restrict_superchannel(sc)))
+    results = _tp_certificate_checks_against_the_dense_system(capsys, path,
+                                                              tmp_path / "report.json")
+    assert results["iterations"] == results["newton after"] == 64
+    assert results["newton exit"] == "certificate"
 
 
 @pytest.mark.parametrize("name, expected", [

@@ -1,12 +1,13 @@
 """The Douglas-Rachford loop of ``feasibility.solve`` against its written-out
-reference, and the Newton phase that ``solve`` runs after ``newton_after(m)``.
+reference, and the primal-dual Newton phase that ``solve`` runs after
+``newton_after(m)``.
 
 ``solve`` takes a bare ``eigh`` of the lower triangle, forms the PSD shadow
 as one Gram product and updates its iterate in place; ``reference_solve``
 validates and symmetrises each eigendecomposition and each shadow and builds
 a fresh iterate every step, and has no Newton phase.  The two must agree on
 status, iteration count and witness up to the switch, and after it wherever
-the phase returns no witness; ``solve``'s witness must be exactly Hermitian,
+the phase returns no verdict; ``solve``'s witness must be exactly Hermitian,
 and ``solve`` must leave its inputs alone.  The phase's closed-form
 directions basis and Hessian are checked against dense ones.
 """
@@ -19,15 +20,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from _dense_reference import reference_solve
+from superchannels import feasibility
 from superchannels.config import DEFAULTS
 from superchannels.extend import SpanAction, affine_set, restrict_superchannel
 from superchannels.feasibility import (
+    CERTIFICATE,
     FEASIBLE,
     INFEASIBLE,
     NONE,
     SHADOW,
     STRICT,
     UNDETERMINED,
+    Certificate,
     newton_after,
     newton_phase,
     solve,
@@ -48,23 +52,29 @@ def _random_restriction(seed):
         random_superchannel(2, 2, 2, 2, e=1 + seed % 2, seed=seed)))
 
 
+# each case with its cap; random-403 ends at iteration 112, after its switch
+# at 64, so its cap stays below twice the switch and no phase runs
 CASES = {
-    "random-400": lambda: _random_restriction(400),
-    "random-403": lambda: _random_restriction(403),
-    "random-408": lambda: _random_restriction(408),
-    "identity-2323": lambda: affine_set(restrict_superchannel(identity_superchannel(2, 3))),
-    "identity-3232": lambda: affine_set(restrict_superchannel(identity_superchannel(3, 2))),
+    "random-400": (lambda: _random_restriction(400), 20_000),
+    "random-403": (lambda: _random_restriction(403), 127),
+    "random-408": (lambda: _random_restriction(408), 20_000),
+    "identity-2323": (lambda: affine_set(restrict_superchannel(identity_superchannel(2, 3))),
+                      20_000),
+    "identity-3232": (lambda: affine_set(restrict_superchannel(identity_superchannel(3, 2))),
+                      20_000),
     # here, at n = 81, the Gram product itself is not exactly Hermitian
-    "random-3333": lambda: affine_set(restrict_superchannel(
-        random_superchannel(3, 3, 3, 3, e=1, seed=0))),
+    "random-3333": (lambda: affine_set(restrict_superchannel(
+        random_superchannel(3, 3, 3, 3, e=1, seed=0))), 20_000),
 }
 
 
 @pytest.mark.parametrize("name", CASES)
 def test_solve_matches_reference_loop(name):
-    affine = CASES[name]()
-    got, (want, _) = solve(affine, max_iter=20_000), reference_solve(affine, max_iter=20_000)
+    make, cap = CASES[name]
+    affine = make()
+    got, (want, _) = solve(affine, max_iter=cap), reference_solve(affine, max_iter=cap)
     assert got.status == want.status == FEASIBLE
+    assert got.newton_steps == 0
     assert got.iterations == want.iterations
     np.testing.assert_allclose(got.witness, want.witness, rtol=0, atol=1e-10)
     assert np.array_equal(got.witness, got.witness.conj().T)
@@ -121,25 +131,30 @@ def _assert_verified(point, sc, affine):
     assert restrictions_equal(ext, sc, 1e-6)
 
 
-@pytest.mark.parametrize("m, switch", [(48, 256), (108, 512), (288, 1024), (648, 2048),
-                                       (1, 4), (85, 256), (86, 512)])
-def test_switch_is_the_first_power_of_two_at_or_above_three_m(m, switch):
+@pytest.mark.parametrize("m, switch", [(48, 64), (108, 128), (288, 512), (648, 1024),
+                                       (1, 1), (64, 64), (65, 128)])
+def test_switch_is_the_first_power_of_two_at_or_above_m(m, switch):
     """The ladder's direction counts, (2,2,2,2) to (3,3,3,3), and two edges."""
     assert newton_after(m) == switch
 
 
 @pytest.mark.parametrize("seed", [s for s in range(400, 420) if s not in (415, 419)])
 def test_solve_matches_reference_loop_on_the_cap_instances(seed):
-    """Douglas-Rachford up to the switch (256 here) is the reference loop.
-    The instances that end before it end with the reference's iteration
-    count and witness; seeds 401 and 402, still open at the switch, match
-    the reference's undetermined run at a cap equal to the switch."""
+    """Douglas-Rachford up to the switch (64 here) is the reference loop.
+    Seeds 400, 408, 409, 414, 416, 417 and 418 end by then, at a cap of
+    20,000, with the reference's iteration count and witness.  The others
+    are still open at the switch; under a cap below twice the switch no
+    phase runs, and they match the reference's run at that cap: feasible for
+    seeds 403, 410, 412 and 413, undetermined for the rest."""
     affine = affine_set(restrict_superchannel(_cap_instance(seed)))
     switch = newton_after(affine.directions.size)
-    assert switch == 256
-    want, _ = reference_solve(affine, max_iter=switch)
-    assert (want.status == UNDETERMINED) == (seed in (401, 402))
-    got = solve(affine, max_iter=switch if seed in (401, 402) else 20_000)
+    assert switch == 64
+    early = seed in (400, 408, 409, 414, 416, 417, 418)
+    cap = 20_000 if early else 2 * switch - 1
+    want, _ = reference_solve(affine, max_iter=cap)
+    assert (want.iterations <= switch) == early
+    assert (want.status == UNDETERMINED) == (seed in (401, 402, 404, 405, 406, 407, 411))
+    got = solve(affine, max_iter=cap)
     assert got.status == want.status
     assert got.iterations == want.iterations
     assert (got.newton_after, got.newton_steps, got.newton_exit) == (switch, 0, "")
@@ -154,19 +169,25 @@ def test_thin_sets_get_a_strict_witness_after_the_switch(seed):
     affine = affine_set(restrict_superchannel(_cap_instance(seed)))
     report = solve(affine, max_iter=20_000)
     assert report.status == FEASIBLE
-    assert report.iterations == report.newton_after == 256
+    assert report.iterations == report.newton_after == 64
     assert report.newton_exit == STRICT
-    assert 0 < report.newton_steps <= 60
+    assert 0 < report.newton_steps <= 12
     assert np.linalg.eigvalsh(report.witness)[0] > 0
     _assert_verified(report.witness, _cap_instance(seed), affine)
 
 
 def test_cap_at_the_switch_is_pure_douglas_rachford():
+    """Any cap below twice the switch runs no phase, so a capped run costs at
+    most its cap; from twice the switch on, the phase runs."""
     affine = affine_set(restrict_superchannel(_cap_instance(415)))
     switch = newton_after(affine.directions.size)
-    got, (want, _) = solve(affine, max_iter=switch), reference_solve(affine, max_iter=switch)
-    assert got.status == want.status == UNDETERMINED
-    assert (got.newton_steps, got.newton_exit) == (0, "")
+    for cap in (switch, 2 * switch - 1):
+        got, (want, _) = solve(affine, max_iter=cap), reference_solve(affine, max_iter=cap)
+        assert got.status == want.status == UNDETERMINED
+        assert got.iterations == want.iterations == cap
+        assert got.gap == pytest.approx(want.gap, rel=1e-8)
+        assert (got.newton_steps, got.newton_exit) == (0, "")
+    assert solve(affine, max_iter=2 * switch).newton_exit == STRICT
 
 
 @pytest.mark.parametrize("seed", [401, 403, 404, 410, 411, 412, 413, 417])
@@ -174,9 +195,9 @@ def test_sets_without_a_positive_definite_point_exit_the_phase(seed):
     """The unique extensions: no point of the set is positive definite, and
     the phase exits with the PSD shadow of its point as the witness."""
     affine = affine_set(restrict_superchannel(_cap_instance(seed)))
-    witness, kind, steps = newton_phase(affine)
+    witness, kind, steps, _ = newton_phase(affine)
     assert kind == SHADOW
-    assert 0 < steps <= 60
+    assert 0 < steps <= 12
     _assert_verified(witness, _cap_instance(seed), affine)
 
 
@@ -185,25 +206,88 @@ def test_a_unique_extension_ends_at_the_switch_with_a_shadow():
     affine = affine_set(restrict_superchannel(_cap_instance(401)))
     report = solve(affine, max_iter=20_000)
     assert report.status == FEASIBLE
-    assert report.iterations == report.newton_after == 256
+    assert report.iterations == report.newton_after == 64
     assert report.newton_exit == SHADOW
-    assert 0 < report.newton_steps <= 60
+    assert 0 < report.newton_steps <= 12
     assert report.affine_residual == affine.residual(report.witness)
     _assert_verified(report.witness, _cap_instance(401), affine)
 
 
-def test_a_phase_without_a_witness_resumes_douglas_rachford():
-    """TP extension of a restriction that has none: the phase runs at
-    iteration 256, returns nothing, and the run ends as the reference's does,
-    infeasible at the certificate check of iteration 512."""
-    affine = affine_set(restrict_superchannel(random_superchannel(2, 2, 2, 2, e=2, seed=32)),
-                        trace_preserving=True)
+def test_a_phase_without_a_witness_resumes_douglas_rachford(monkeypatch):
+    """A phase that ends without a verdict leaves the run to Douglas-Rachford,
+    exactly as if it had not run.  No measured set whose start factorises
+    makes the phase end that way, so here the phase runs on seed 401 and its
+    witness is dropped: the run then ends as the reference's does, feasible
+    at iteration 2,261 with the same witness."""
+    def no_verdict(affine):
+        _, _, steps, dual = newton_phase(affine)
+        return None, NONE, steps, dual
+
+    monkeypatch.setattr(feasibility, "newton_phase", no_verdict)
+    affine = affine_set(restrict_superchannel(_cap_instance(401)))
+    got, (want, _) = solve(affine, max_iter=5_000), reference_solve(affine, max_iter=5_000)
+    assert got.status == want.status == FEASIBLE
+    assert got.iterations == want.iterations == 2261
+    assert got.newton_after == 64 and got.newton_exit == NONE and got.newton_steps > 0
+    np.testing.assert_allclose(got.witness, want.witness, rtol=0, atol=1e-10)
+
+
+def _tp_restriction(dims, seed):
+    return affine_set(restrict_superchannel(random_superchannel(*dims, e=2, seed=seed)),
+                      trace_preserving=True)
+
+
+@pytest.mark.parametrize("dims, seed, dr_alone", [((2, 2, 2, 2), 5, 128),
+                                                  ((2, 2, 2, 2), 26, 2048),
+                                                  ((2, 2, 2, 2), 32, 512),
+                                                  ((2, 3, 2, 3), 5, 512),
+                                                  ((2, 3, 2, 3), 26, 512)])
+def test_the_phase_certifies_infeasible_tp_sets_at_the_switch(dims, seed, dr_alone):
+    """TP extensions of restrictions that have none, still open at the
+    switch: the phase's dual matrix checks as a Farkas certificate within
+    five steps, where Douglas-Rachford alone needs ``dr_alone`` iterations.
+    The two verdicts agree."""
+    affine = _tp_restriction(dims, seed)
     got, (want, _) = solve(affine, max_iter=5_000), reference_solve(affine, max_iter=5_000)
     assert got.status == want.status == INFEASIBLE
-    assert got.iterations == want.iterations == 512
-    assert got.newton_after == 256 and got.newton_exit == NONE and got.newton_steps > 0
+    assert want.iterations == dr_alone
+    assert got.iterations == got.newton_after == newton_after(affine.directions.size)
+    assert got.newton_exit == CERTIFICATE
+    assert 0 < got.newton_steps <= 5
     assert got.certificate.margin < 0
-    assert got.certificate.margin == pytest.approx(want.certificate.margin, abs=1e-10)
+    assert got.certificate.kernel_term <= 1e-12
+
+
+def _assert_weak_duality(affine, dual):
+    """The phase's last dual point ``(t, X)`` is feasible and bounds t: X is
+    Hermitian PSD with unit trace and orthogonal to the directions, and
+    ``<anchor, X> >= t``."""
+    t, x = dual
+    assert np.array_equal(x, x.conj().T)
+    assert np.linalg.eigvalsh(x)[0] >= 0
+    assert np.trace(x).real == pytest.approx(1.0, abs=1e-12)
+    assert np.abs(affine.directions.coords(x)).max() <= 1e-12
+    assert np.vdot(x, affine.anchor).real >= t
+
+
+@pytest.mark.parametrize("make, kind", [
+    (lambda: affine_set(restrict_superchannel(_cap_instance(400))), STRICT),
+    (lambda: affine_set(restrict_superchannel(_cap_instance(401))), SHADOW),
+    (lambda: _tp_restriction((2, 2, 2, 2), 32), CERTIFICATE),
+    (lambda: affine_set(no_tp_action(), trace_preserving=True), CERTIFICATE),
+])
+def test_weak_duality_holds_at_every_exit(make, kind):
+    affine = make()
+    found, got, steps, dual = newton_phase(affine)
+    assert got == kind and steps > 0
+    _assert_weak_duality(affine, dual)
+    t, x = dual
+    if kind == CERTIFICATE:
+        assert isinstance(found, Certificate)
+        assert np.vdot(x, affine.anchor).real < 0 and found.margin < 0
+    else:
+        # X bounds every point of the set, the witness's smallest eigenvalue too
+        assert np.vdot(x, affine.anchor).real >= np.linalg.eigvalsh(found)[0] - 1e-12
 
 
 def test_douglas_rachford_gap_windows_shrink():
@@ -219,16 +303,16 @@ def test_douglas_rachford_gap_windows_shrink():
         assert later <= earlier * (1 + 1e-9)
 
 
-def test_a_larger_set_without_a_positive_definite_point_crosses_at_1024():
+def test_a_larger_set_without_a_positive_definite_point_crosses_at_512():
     """``(3,2,3,2)``, seed 2, e = 2: m = 288 directions, so the switch comes at
-    iteration 1,024; Douglas-Rachford alone needs 16,149 iterations."""
+    iteration 512; Douglas-Rachford alone needs 16,149 iterations."""
     sc = random_superchannel(3, 2, 3, 2, e=2, seed=2)
     affine = affine_set(restrict_superchannel(sc))
     report = solve(affine, max_iter=20_000)
     assert report.status == FEASIBLE
-    assert report.iterations == report.newton_after == 1024
+    assert report.iterations == report.newton_after == 512
     assert report.newton_exit == SHADOW
-    assert 0 < report.newton_steps <= 80
+    assert 0 < report.newton_steps <= 25
     _assert_verified(report.witness, sc, affine)
 
 
@@ -237,19 +321,20 @@ def test_newton_phase_stops_at_once_on_a_set_without_positive_trace():
     restriction has no positive definite point, and no floor to clear."""
     action = restrict_superchannel(_cap_instance(415))
     negated = SpanAction(2, 2, 2, 2, tuple(-y for y in action.images))
-    assert newton_phase(affine_set(negated)) == (None, NONE, 0)
+    assert newton_phase(affine_set(negated)) == (None, NONE, 0, None)
 
 
 def test_newton_phase_stops_at_once_when_the_start_does_not_factorise():
-    """The starting ``F = anchor - t I`` has smallest eigenvalue
+    """The starting ``S = anchor - t I`` has smallest eigenvalue
     ``Tr(anchor)/n``; under the rounding of a large anchor it is singular.
     Here the anchor is ``2^-60 I`` plus a Hermitian part with eigenvalues
-    +-1, so ``F`` rounds to a singular matrix."""
+    +-1, so ``S`` rounds to a singular matrix."""
     affine = _random_restriction(415)
     n = affine.anchor.shape[0]
     anchor = np.kron(np.eye(n // 2), [[0, 1], [1, 0]]) + 2.0 ** -60 * np.eye(n)
     assert np.trace(anchor) > 0
-    assert newton_phase(dataclasses.replace(affine, anchor=anchor.astype(complex))) == (None, NONE, 0)
+    assert newton_phase(dataclasses.replace(affine, anchor=anchor.astype(complex))) == (
+        None, NONE, 0, None)
 
 
 LADDER = [(2, 2, 2, 2), (2, 3, 2, 3), (3, 2, 3, 2), (3, 3, 3, 3)]
@@ -303,12 +388,15 @@ def test_closed_form_hessian_matches_the_dense_one(dims, tp):
        e=st.integers(1, 3), seed=st.integers(0, 2**32 - 1))
 def test_newton_phase_returns_a_proved_witness_or_none(dims, e, seed):
     """A strict witness is positive definite, a shadow passes the affine
-    rule, and either kind verifies."""
+    rule, and either kind verifies; the set is feasible, so no certificate
+    checks, and the last dual point bounds t."""
     sc = random_superchannel(*dims, e=e, seed=seed)
     affine = affine_set(restrict_superchannel(sc))
-    witness, kind, steps = newton_phase(affine)
+    witness, kind, steps, dual = newton_phase(affine)
     assert steps >= 1
+    assert kind in (STRICT, SHADOW, NONE)
     assert (witness is None) == (kind == NONE)
+    _assert_weak_duality(affine, dual)
     if kind == STRICT:
         assert np.linalg.eigvalsh(witness)[0] > 0
     if witness is not None:

@@ -156,10 +156,11 @@ def test_feasibility_encoding():
     assert obj["certificate"] is None
     assert obj["newton_steps"] == 0
     assert obj["newton_exit"] == ""
-    assert obj["newton_after"] == report.newton_after == 16  # 3 directions
-    phase = dataclasses.replace(report, newton_steps=7, newton_exit="shadow")
-    assert encode_feasibility(phase)["newton_steps"] == 7
-    assert encode_feasibility(phase)["newton_exit"] == "shadow"
+    assert obj["newton_after"] == report.newton_after == 4  # 3 directions
+    for exit_ in ("strict", "shadow", "certificate", "none"):
+        phase = dataclasses.replace(report, newton_steps=7, newton_exit=exit_)
+        assert encode_feasibility(phase)["newton_steps"] == 7
+        assert encode_feasibility(phase)["newton_exit"] == exit_
 
 
 def test_feasibility_encoding_keys_are_the_report_fields_and_the_readme_list():
