@@ -17,15 +17,14 @@ from .config import DEFAULTS, resolve
 from .linalg import (
     as_rng,
     frob,
-    herm_eig,
     hs_inner,
-    is_hermitian,
     is_isometry,
+    is_psd,
     kron,
     matrix_unit,
     permute_factors,
+    psd_support,
     random_isometry,
-    rel_scale,
     vec,
 )
 
@@ -116,12 +115,8 @@ def block_traces(phi: ChannelChoi) -> np.ndarray:
 
 
 def is_cp(phi: ChannelChoi, tol: float | None = None) -> bool:
-    """Complete positivity: the Choi matrix is PSD."""
-    tol = resolve(tol, DEFAULTS.rel_tol)
-    if not is_hermitian(phi.choi):
-        return False
-    w, _ = herm_eig(phi.choi)
-    return bool(w[-1] >= -tol * rel_scale(phi.choi))
+    """Complete positivity: the Choi matrix is PSD (``linalg.is_psd``)."""
+    return is_psd(phi.choi, tol)
 
 
 def is_tp(phi: ChannelChoi, tol: float | None = None) -> bool:
@@ -138,24 +133,15 @@ def is_unital(phi: ChannelChoi, tol: float | None = None) -> bool:
 
 
 def kraus_from_choi(phi: ChannelChoi, tol: float | None = None) -> KrausSet:
-    """Minimal Kraus operators from the eigendecomposition of the Choi matrix.
-
-    Eigenvalues at or below ``tol * max(1, ||C||_F)`` are discarded, so the
-    number of operators is the numerical Choi rank.
+    """Minimal Kraus operators from the square root of the Choi matrix on its
+    support, ``linalg.psd_support`` at ``tol``: eigenvalues at or below
+    ``tol * max(1, ||C||_F)`` are discarded, so the number of operators is the
+    numerical Choi rank.
     """
-    tol = resolve(tol, DEFAULTS.rel_tol)
-    w, v = herm_eig(phi.choi)
-    cutoff = tol * rel_scale(phi.choi)
-    if w[-1] < -cutoff:
-        raise ValueError("Choi matrix is not PSD, no Kraus decomposition")
-    ops = []
-    for a in range(len(w)):
-        if w[a] <= cutoff:
-            continue
-        col = np.sqrt(w[a]) * v[:, a]
-        ops.append(col.reshape(phi.d, phi.r).T)
-    if not ops:
+    w, v = psd_support(phi.choi, tol)
+    if not len(w):
         raise ValueError("Choi matrix is numerically zero")
+    ops = (v * np.sqrt(w)).T.reshape(-1, phi.d, phi.r).transpose(0, 2, 1)
     return KrausSet(phi.d, phi.r, tuple(ops), minimal=True)
 
 

@@ -19,7 +19,7 @@ from . import demo, extremal, feasibility
 from .channels import is_cp, is_tp, kraus_from_choi
 from .config import DEFAULTS, resolve
 from .extend import extend_action
-from .linalg import frob, herm_eig, kron, rel_scale
+from .linalg import frob, is_psd, kron, lambda_min
 from .opsys import span_basis, span_membership
 from .report import FAIL, PASS, UNDETERMINED, RunReport
 from .serialize import (
@@ -69,11 +69,10 @@ def cmd_check_super(args) -> RunReport:
     tol = resolve(args.tol, DEFAULTS.rel_tol)
     preserving = is_superchannel(sc, tol)
     # a superchannel is PSD: only a rejected input needs its eigenvalues again
-    lam_min = None if preserving else float(herm_eig(sc.choi)[0][-1])
-    psd = preserving or bool(lam_min >= -tol * rel_scale(sc.choi))
+    psd = preserving or is_psd(sc.choi, tol)
     rep.add("psd", psd, tol=tol, ok=psd)
     if not psd:
-        rep.add("min eigenvalue", lam_min)
+        rep.add("min eigenvalue", lambda_min(sc.choi))
     rep.add("span preserving", preserving, tol=tol, ok=preserving)
     rep.add("order unit fixed", check_order_unit(sc, tol))
     if preserving:
@@ -212,52 +211,54 @@ def build_parser() -> argparse.ArgumentParser:
                                      description="Choi calculus for channels and superchannels")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, path=True):
+    def common(p, tol, out, path=True):  # declare only what the handler reads
         if path:
             p.add_argument("path", help="input JSON file")
-        p.add_argument("--tol", type=float, default=None, help="override the judged tolerance")
+        if tol:
+            p.add_argument("--tol", type=float, default=None, help="override the judged tolerance")
         p.add_argument("--json", action="store_true", help="emit machine-readable reports")
-        p.add_argument("--out", default=None, help="write the result object to this file")
+        if out:
+            p.add_argument("--out", default=None, help="write the result object to this file")
 
     p = sub.add_parser("check-channel", help="CP/TP/span checks for a channel file")
-    common(p)
+    common(p, tol=True, out=False)
     p.set_defaults(fn=cmd_check_channel)
 
     p = sub.add_parser("check-super", help="superchannel checks for a supermap file")
-    common(p)
+    common(p, tol=True, out=False)
     p.set_defaults(fn=cmd_check_super)
 
     for name, fn in (("extend", cmd_extend), ("tp-extend", cmd_tp_extend)):
         p = sub.add_parser(name, help=f"{name} a span action to a CP supermap")
-        common(p)
+        common(p, tol=False, out=True)
         p.add_argument("--seeds", default=None, metavar="FILE",
                        help="superchannel file used as the starting point")
         p.add_argument("--max-iter", type=int, default=None)
         p.set_defaults(fn=fn)
 
     p = sub.add_parser("characterize", help="pre/post factorisation of a superchannel")
-    common(p)
+    common(p, tol=False, out=True)
     p.set_defaults(fn=cmd_characterize)
 
     p = sub.add_parser("extreme", help="extremality report for a channel file")
-    common(p)
+    common(p, tol=True, out=False)
     p.add_argument("--spaces", default=None,
                    help="JSON file with s_basis/t_basis spanning sets")
     p.set_defaults(fn=cmd_extreme)
 
     p = sub.add_parser("factor-unitary", help="split a unitary across a tensor cut")
-    common(p)
+    common(p, tol=True, out=True)
     p.add_argument("--dims", type=int, nargs=2, required=True, metavar=("D", "R"))
     p.set_defaults(fn=cmd_factor_unitary)
 
     p = sub.add_parser("basis", help="write the canonical channel-span basis")
     p.add_argument("d", type=int)
     p.add_argument("r", type=int)
-    common(p, path=False)
+    common(p, tol=False, out=True, path=False)
     p.set_defaults(fn=cmd_basis)
 
     p = sub.add_parser("demo-paper", help="run the built-in worked-example suite")
-    common(p, path=False)
+    common(p, tol=True, out=False, path=False)
     p.add_argument("--seed", type=int, default=None,
                    help="reseed the randomised checks (fixed constants by default)")
     p.set_defaults(fn=cmd_demo_paper)

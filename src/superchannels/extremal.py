@@ -26,7 +26,7 @@ from .channels import (
     kraus_gram,
 )
 from .config import DEFAULTS, resolve
-from .linalg import frob, herm_eig, hermitian_basis, is_hermitian, rel_scale, svd_rank, vec
+from .linalg import frob, hermitian_basis, is_hermitian, rank_eps, rel_scale, svd_rank, vec
 from .opsys import hermitian_span, span_basis
 
 
@@ -55,10 +55,7 @@ class ConstraintSpaces:
 def minimal_kraus(phi: ChannelChoi, tol: float | None = None) -> KrausSet:
     """Minimal Kraus set with the linear independence re-verified."""
     ks = kraus_from_choi(phi, tol)
-    gram = kraus_gram(ks)
-    w, _ = herm_eig(gram)
-    cutoff = resolve(tol, DEFAULTS.rel_tol) * rel_scale(gram)
-    if int(np.count_nonzero(w > cutoff)) != len(ks.ops):
+    if rank_eps(kraus_gram(ks), tol) != len(ks.ops):
         raise ArithmeticError("extracted Kraus operators are not independent")
     return ks
 
@@ -168,8 +165,7 @@ def perturbation_search(phi: ChannelChoi, spaces: ConstraintSpaces,
         if norm < DEFAULTS.zero_tol:
             continue
         lam = np.tensordot(direction / norm, herm, 1)
-        w, _ = herm_eig(lam)
-        lam = lam * (eps / float(np.max(np.abs(w))))
+        lam = lam * (eps / np.linalg.norm(lam, 2))
         shift = w_mat.T @ lam @ w_mat.conj()
         if frob(shift) <= DEFAULTS.gs_drop_tol * rel_scale(phi.choi):
             continue

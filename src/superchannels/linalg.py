@@ -75,6 +75,29 @@ def herm_eig(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return w[::-1].copy(), v[:, ::-1].copy()
 
 
+def lambda_min(m: np.ndarray) -> float:
+    """Smallest eigenvalue of a Hermitian matrix, computed without eigenvectors."""
+    m = require_hermitian(m)
+    return float(np.linalg.eigvalsh((m + m.conj().T) / 2)[0])
+
+
+def is_psd(m: np.ndarray, tol: float | None = None) -> bool:
+    """The one PSD rule: Hermitian with ``lambda_min(m) >= -tol * max(1, ||m||_F)``."""
+    tol = resolve(tol, DEFAULTS.rel_tol)
+    return is_hermitian(m) and lambda_min(m) >= -tol * rel_scale(m)
+
+
+def psd_support(m: np.ndarray, tol: float | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenpairs ``(w, v)`` with ``w`` above ``tol * max(1, ||m||_F)``, descending,
+    so that ``v * sqrt(w)`` is a square root of ``m`` on its support.  Raises
+    ``ValueError`` where ``is_psd`` fails: an eigenvalue below minus that cutoff."""
+    w, v = herm_eig(m)
+    cutoff = resolve(tol, DEFAULTS.rel_tol) * rel_scale(m)
+    if w[-1] < -cutoff:
+        raise ValueError(f"matrix is not PSD: eigenvalue {w[-1]:.3e} below {-cutoff:.3e}")
+    return w[w > cutoff], v[:, w > cutoff]
+
+
 def psd_project(m: np.ndarray) -> np.ndarray:
     """Frobenius-nearest positive semidefinite matrix to Hermitian ``m``."""
     w, v = herm_eig(m)
@@ -85,9 +108,9 @@ def psd_project(m: np.ndarray) -> np.ndarray:
 
 def rank_eps(m: np.ndarray, eps: float | None = None) -> int:
     """Numerical rank of a Hermitian matrix via its eigenvalue magnitudes."""
-    eps = resolve(eps, DEFAULTS.rel_tol)
-    w, _ = herm_eig(m)
-    return int(np.count_nonzero(np.abs(w) > eps * rel_scale(m)))
+    m = require_hermitian(m)
+    w = np.linalg.eigvalsh((m + m.conj().T) / 2)
+    return int(np.count_nonzero(np.abs(w) > resolve(eps, DEFAULTS.rel_tol) * rel_scale(m)))
 
 
 def svd_rank(m: np.ndarray, tol: float | None = None) -> int:

@@ -15,7 +15,7 @@ import numpy as np
 
 from .channels import ChannelChoi, block_traces
 from .config import DEFAULTS, resolve
-from .linalg import frob, herm_eig, is_hermitian, matrix_unit, rel_scale, vec
+from .linalg import frob, is_hermitian, is_psd, matrix_unit, rel_scale, vec
 
 
 @dataclass(frozen=True)
@@ -114,11 +114,9 @@ def decompose_into_channels(c: np.ndarray, d: int, r: int,
         raise ValueError("matrix is not in the channel span")
     if frob(c) <= tol:
         return []
-    if is_hermitian(c):
-        w, _ = herm_eig(c)
-        if w[-1] >= -tol * rel_scale(c) and mem.scale.real > tol:
-            lam = mem.scale.real
-            return [(complex(lam), ChannelChoi(d, r, c / lam))]
+    if is_psd(c, tol) and mem.scale.real > tol:
+        lam = mem.scale.real
+        return [(complex(lam), ChannelChoi(d, r, c / lam))]
     eye = np.eye(d * r, dtype=complex)
     h1 = (c + c.conj().T) / 2
     h2 = (c - c.conj().T) / (2j)
@@ -126,8 +124,7 @@ def decompose_into_channels(c: np.ndarray, d: int, r: int,
     for h, unit in ((h1, 1.0 + 0j), (h2, 1j)):
         if frob(h) <= tol * rel_scale(c):
             continue
-        w, _ = herm_eig(h)
-        opnorm = float(np.max(np.abs(w)))
+        opnorm = float(np.linalg.norm(h, 2))
         for part, sign in (((opnorm * eye + h) / 2, 1.0), ((opnorm * eye - h) / 2, -1.0)):
             tr = float(np.trace(part).real)
             if tr <= tol * rel_scale(c):

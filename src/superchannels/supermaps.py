@@ -26,11 +26,11 @@ from .config import DEFAULTS, resolve
 from .linalg import (
     as_rng,
     frob,
-    herm_eig,
     is_isometry,
     kron,
     partial_trace,
     permute_factors,
+    psd_support,
     random_isometry,
     rank_eps,
     rel_scale,
@@ -118,10 +118,9 @@ def identity_superchannel(d: int, r: int) -> Superchannel:
 
 
 def is_superchannel(sc: Superchannel, tol: float | None = None) -> bool:
-    """PSD Choi matrix plus scale-preserving action on the channel span."""
-    tol = resolve(tol, DEFAULTS.rel_tol)
-    w, _ = herm_eig(sc.choi)
-    return bool(w[-1] >= -tol * rel_scale(sc.choi)) and preserves_span(sc.choi, sc.dims, tol)
+    """Scale-preserving action on the channel span plus a PSD Choi matrix,
+    checked in that order, so a supermap off the span costs no eigenvalues."""
+    return preserves_span(sc.choi, sc.dims, tol) and is_cp(as_channel(sc), tol)
 
 
 def span_images(choi: np.ndarray, dims: tuple[int, int, int, int]) -> np.ndarray:
@@ -245,26 +244,21 @@ def pre_post_form(sc: Superchannel, tol: float | None = None) -> PrePostForm:
     pre-isometry is ``v[(i,a),j] = W[(i,j),a]``, and the post Choi matrix is
     the supermap Choi matrix, regrouped to ((d1,d2),(r1,r2)), sandwiched by
     the pseudo-inverse of ``W`` tensored with the identity on (r1,r2) and
-    regrouped to (r1,e,r2).  The auxiliary dimension e equals ``aux_dim``.
+    regrouped to (r1,e,r2).  The support is ``linalg.psd_support`` at ``tol``,
+    so the auxiliary dimension e equals ``aux_dim(sc, tol)``.
     Raises ``ValueError`` when the marginal map is lift-dependent, the
     marginal is not PSD or the post map fails ``recompose``'s channel check,
     and ``ArithmeticError`` when the recomposition misses the input.
     """
-    tol = resolve(tol, DEFAULTS.rel_tol)
     d1, r1, d2, r2 = sc.dims
     induced_marginal_map(sc, tol)  # raises ValueError on lift-dependent input
-    m = marginal(sc)
-    w, u = herm_eig(m)
-    cutoff = DEFAULTS.rel_tol * rel_scale(m)
-    if w[-1] < -cutoff:
-        raise ValueError("double marginal is not PSD: input is not a superchannel")
-    keep = w > cutoff
-    lam = w[keep] / r1
+    w, u = psd_support(marginal(sc), tol)
+    lam = w / r1
     e = len(lam)
-    root = u[:, keep] * np.sqrt(lam)
+    root = u * np.sqrt(lam)
     v = root.reshape(d1, d2, e).transpose(0, 2, 1).reshape(d1 * e, d2)
 
-    inv = (u[:, keep] / np.sqrt(lam)).conj().T.reshape(e, d1, d2)
+    inv = (u / np.sqrt(lam)).conj().T.reshape(e, d1, d2)
     c = sc.choi.reshape(d1, r1, d2, r2, d1, r1, d2, r2)
     n_post = r1 * e * r2
     c_post = np.einsum("aij,ikjsIlJt,bIJ->kaslbt", inv, c, inv.conj(), optimize=True)

@@ -5,7 +5,8 @@ constraints on a Choi matrix as an explicit complex system on vec(C), turn it
 into a real system on Hermitian coordinates and project with a
 pseudo-inverse; the loops evaluate a supermap or a pre/post realisation on
 every matrix unit, or test span preservation and restriction equality one
-span basis element at a time.  ``reference_solve`` is the Douglas-Rachford
+span basis element at a time, or build Kraus operators one eigenvalue at a
+time.  ``reference_solve`` is the Douglas-Rachford
 loop written out with validated, symmetrised eigendecompositions and
 out-of-place updates.
 """
@@ -149,6 +150,16 @@ def recompose_by_matrix_units(v: np.ndarray, post: ChannelChoi, e: int) -> Super
             images.append(choi_from_unit_images(blocks).choi)
     choi = choi_from_unit_images(images).choi
     return Superchannel(d1, r1, d2, r2, (choi + choi.conj().T) / 2)
+
+
+def kraus_by_eigenvalue_loop(phi: ChannelChoi, tol: float) -> list[np.ndarray]:
+    """Kraus operators one eigenvalue at a time: each eigenvector with
+    eigenvalue above ``tol * max(1, ||C||_F)``, scaled by its root, as a
+    ``(d, r)`` matrix transposed."""
+    w, v = herm_eig(phi.choi)
+    cutoff = tol * rel_scale(phi.choi)
+    return [(np.sqrt(w[a]) * v[:, a]).reshape(phi.d, phi.r).T
+            for a in range(len(w)) if w[a] > cutoff]
 
 
 def marginal_residual_by_matrix_units(sc: Superchannel, n_map: ChannelChoi) -> float:

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from _dense_reference import kraus_by_eigenvalue_loop
 from superchannels.channels import (
     ChannelChoi,
     KrausSet,
@@ -21,6 +22,7 @@ from superchannels.channels import (
     transpose_channel,
     unitary_channel,
 )
+from superchannels.config import DEFAULTS
 from superchannels.linalg import (
     frob,
     herm_eig,
@@ -133,8 +135,13 @@ def test_choi_kraus_round_trip(seed):
     d, r = rng.integers(1, 4), rng.integers(1, 4)
     rank = rng.integers(1, d * r + 1)
     phi = random_cp(d, r, rank, seed + 100)
-    back = choi_from_kraus(kraus_from_choi(phi))
+    ks = kraus_from_choi(phi)
+    back = choi_from_kraus(ks)
     np.testing.assert_allclose(back.choi, phi.choi, atol=1e-9 * max(1, frob(phi.choi)))
+    # the same arithmetic as the per-eigenvalue loop, so the same bits
+    want = kraus_by_eigenvalue_loop(phi, DEFAULTS.rel_tol)
+    assert len(ks.ops) == len(want)
+    assert all(np.array_equal(a, b) for a, b in zip(ks.ops, want))
 
 
 def test_kraus_count_equals_choi_rank():

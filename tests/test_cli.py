@@ -257,22 +257,30 @@ def test_tp_extend_phase_certificate_checks_against_the_dense_system(capsys, tmp
       ("span preserving", False, 1e-9, False), ("order unit fixed", False, None, None)]),
 ])
 def test_check_super_findings(capsys, fixtures, monkeypatch, name, expected):
-    """The findings follow from ``is_superchannel``, and a superchannel's
-    Choi matrix is decomposed once."""
-    from superchannels import cli, linalg, supermaps
+    """The findings follow from ``is_superchannel``.  A superchannel's Choi
+    matrix gets one eigenvalue-only computation, a rejected one at most two,
+    and no input gets eigenvectors."""
+    from superchannels import cli, linalg
 
     path = fixtures / name
     choi_shape = decode_superchannel(load_json(path)).choi.shape
-    calls = []
+    eigvals, eigvecs = [], []
+    lambda_min, herm_eig = linalg.lambda_min, linalg.herm_eig
 
-    def counted(m, *args, **kwargs):
-        calls.append(np.shape(m) == choi_shape)
-        return linalg.herm_eig(m, *args, **kwargs)
+    def counted(m):
+        eigvals.append(np.shape(m) == choi_shape)
+        return lambda_min(m)
 
-    monkeypatch.setattr(cli, "herm_eig", counted)
-    monkeypatch.setattr(supermaps, "herm_eig", counted)
+    def vectors(m):
+        eigvecs.append(np.shape(m))
+        return herm_eig(m)
+
+    monkeypatch.setattr(linalg, "lambda_min", counted)
+    monkeypatch.setattr(cli, "lambda_min", counted)
+    monkeypatch.setattr(linalg, "herm_eig", vectors)
     code, reports = run_json(capsys, "check-super", str(path))
-    assert sum(calls) == (1 if expected[0][1] else 2)
+    assert sum(eigvals) == (1 if expected[0][1] else 2)
+    assert eigvecs == []
     assert code == (0 if expected[0][1] else 1)
     got = [(f["key"], f["value"], f["tol"], f["ok"]) for f in reports[0]["results"]]
     assert [g[0] for g in got] == [e[0] for e in expected]
@@ -342,6 +350,28 @@ def test_basis_command(capsys, tmp_path):
     assert code == 0
     obj = load_json(out)
     assert obj["dim"] == 13
+
+
+@pytest.mark.parametrize("command, operand, option", [
+    ("extend", "readout_action.json", "--tol"),
+    ("tp-extend", "readout_action.json", "--tol"),
+    ("characterize", "identity_superchannel_2_2.json", "--tol"),
+    ("basis", None, "--tol"),
+    ("check-channel", "identity_channel_2.json", "--out"),
+    ("check-super", "identity_superchannel_2_2.json", "--out"),
+    ("extreme", "identity_channel_2.json", "--out"),
+    ("demo-paper", None, "--out"),
+])
+def test_options_a_handler_does_not_read_are_rejected(capsys, fixtures, tmp_path,
+                                                       command, operand, option):
+    """Each subcommand declares only the options its handler reads, so an
+    ignored ``--tol`` or ``--out`` is an input error, and nothing is written."""
+    operands = [str(fixtures / operand)] if operand else ["2", "2"] if command == "basis" else []
+    out = tmp_path / "out.json"
+    value = str(out) if option == "--out" else "1e-3"
+    assert main([command, *operands, option, value]) == 3
+    assert f"unrecognized arguments: {option}" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_extend_undetermined_exit_code(capsys, fixtures):

@@ -4,11 +4,14 @@ import pytest
 from superchannels.linalg import (
     herm_eig,
     is_isometry,
+    is_psd,
     kron,
+    lambda_min,
     matrix_unit,
     partial_trace,
     permute_factors,
     psd_project,
+    psd_support,
     random_hermitian,
     random_isometry,
     random_unitary,
@@ -150,6 +153,34 @@ def test_psd_project_idempotent_and_optimal():
         g = rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5))
         p = g @ g.conj().T
         assert base <= np.linalg.norm(m - p) + 1e-12
+
+
+def test_lambda_min_matches_the_spectrum():
+    m = random_hermitian(6, 31)
+    assert lambda_min(m) == pytest.approx(herm_eig(m)[0][-1], abs=1e-12)
+    with pytest.raises(ValueError):
+        lambda_min(np.array([[0, 1], [0, 0]], dtype=complex))
+
+
+def test_is_psd_reads_its_tol_and_rejects_non_hermitian_input():
+    m = np.diag([1.0, -1e-3]).astype(complex)
+    assert is_psd(m, 1e-2) and not is_psd(m)
+    assert not is_psd(np.array([[1, 1], [0, 1]], dtype=complex))
+
+
+def test_psd_support_is_a_square_root_on_the_support():
+    rng = np.random.default_rng(33)
+    g = rng.standard_normal((5, 3)) + 1j * rng.standard_normal((5, 3))
+    m = g @ g.conj().T
+    w, v = psd_support(m)
+    assert len(w) == 3 == rank_eps(m) and np.all(np.diff(w) <= 0)
+    root = v * np.sqrt(w)
+    np.testing.assert_allclose(root @ root.conj().T, m, atol=1e-12)
+    # the cutoff is tol * max(1, ||d||_F), with ||d||_F = 5 here
+    d = np.diag([5.0, 1e-6, 0.0]).astype(complex)
+    assert [len(psd_support(d, tol)[0]) for tol in (None, 1e-7, 1e-6)] == [2, 2, 1]
+    with pytest.raises(ValueError):
+        psd_support(np.diag([1.0, -1e-3]).astype(complex))
 
 
 def test_rank_eps():

@@ -1,0 +1,49 @@
+"""Every PSD judgement of the package applies one rule, ``linalg.is_psd``:
+``lambda_min >= -tol * max(1, ||M||_F)``.  Its five users accept or reject a
+matrix together, on either side of the cutoff."""
+
+import numpy as np
+import pytest
+
+from superchannels.channels import ChannelChoi, identity_channel, is_cp, kraus_from_choi
+from superchannels.linalg import lambda_min, rel_scale
+from superchannels.opsys import decompose_into_channels
+from superchannels.supermaps import Superchannel, is_superchannel, pre_post_form
+
+
+def boundary_choi(k: float, tol: float) -> np.ndarray:
+    """``Omega + eps (|Phi-><Phi-| - |Psi+><Psi+|)`` for the identity channel's
+    Choi matrix ``Omega = 2 |Phi+><Phi+|``: both Bell-state projectors have
+    partial traces I/2, so the map stays unital and trace preserving, and its
+    eigenvalues are 2, eps, 0 and -eps, with ``eps = k * tol * max(1, ||Omega||_F)``,
+    which is ``k * tol * max(1, ||C||_F)`` to relative order eps^2.
+
+    With r1 = r2 = 1 the supermap on M_2 with this Choi matrix is its own
+    double marginal, so every user below judges the same matrix.
+    """
+    phi_minus = np.array([1, 0, 0, -1]) / np.sqrt(2)
+    psi_plus = np.array([0, 1, 1, 0]) / np.sqrt(2)
+    x = np.outer(phi_minus, phi_minus) - np.outer(psi_plus, psi_plus)
+    omega = identity_channel(2).choi
+    eps = k * tol * rel_scale(omega)
+    return omega + eps * x
+
+
+@pytest.mark.parametrize("tol", [1e-9, 1e-10])
+@pytest.mark.parametrize("k, accepted", [(0.5, True), (2.0, False)])
+def test_users_of_the_rule_agree_at_the_cutoff(k, accepted, tol):
+    c = boundary_choi(k, tol)
+    assert lambda_min(c) / (tol * rel_scale(c)) == pytest.approx(-k, rel=1e-6)
+    phi, sc = ChannelChoi(2, 2, c), Superchannel(2, 1, 2, 1, c)
+    assert is_cp(phi, tol) is accepted
+    assert is_superchannel(sc, tol) is accepted
+    # a PSD span element is a single scaled channel; otherwise the general split
+    assert (len(decompose_into_channels(c, 2, 2, tol)) == 1) is accepted
+    if accepted:
+        assert len(kraus_from_choi(phi, tol)) == 1
+        assert pre_post_form(sc, tol).e == 1
+    else:
+        with pytest.raises(ValueError, match="not PSD"):
+            kraus_from_choi(phi, tol)
+        with pytest.raises(ValueError, match="not PSD"):
+            pre_post_form(sc, tol)

@@ -270,6 +270,15 @@ def test_pre_post_form_round_trips_on_the_ladder(dims, e):
     assert frob(rebuilt.choi - sc.choi) <= 1e-8
 
 
+@pytest.mark.parametrize("tol", [None, 1e-12])
+def test_pre_post_form_support_cutoff_is_its_tol(tol):
+    """A weight of 1e-10 lies below the default rank cutoff and above 1e-12:
+    the pre/post form keeps exactly the support ``aux_dim`` counts at ``tol``."""
+    sc = readout_mixture(1e-10)
+    form = pre_post_form(sc, tol)
+    assert form.e == aux_dim(sc, tol) == (1 if tol is None else 2)
+
+
 def test_pre_post_form_rejects_non_superchannels():
     swapped = conjugation_supermap(SWAP @ kron(random_unitary(2, 1), np.eye(2)), 2, 2)
     for bad in (perturbed_readout(), swapped):
