@@ -15,10 +15,8 @@ from dataclasses import dataclass
 
 @dataclass(frozen=True)
 class Defaults:
-    rel_tol: float = 1e-9        # rank / PSD / equality decisions, relative
+    rel_tol: float = 1e-9        # rank / PSD / zero-norm / equality decisions, relative
     herm_tol: float = 1e-10      # Hermiticity validation threshold
-    gs_drop_tol: float = 1e-10   # norm below which a built vector or perturbation is zero
-    zero_tol: float = 1e-12      # norm below which an input part or direction is zero
     equal_tol: float = 1e-8      # equality judgements on recomputed results, relative
     affine_tol: float = 1e-8     # affine residual accepted for feasibility witnesses
     max_iter: int = 200_000      # extension-search iteration cap

@@ -26,8 +26,13 @@ from .channels import (
     kraus_gram,
 )
 from .config import DEFAULTS, resolve
-from .linalg import frob, hermitian_basis, is_hermitian, rank_eps, rel_scale, svd_rank, vec
+from .linalg import frob, hermitian_basis, is_hermitian, null_space, rank_eps, rel_scale, vec
 from .opsys import hermitian_span, span_basis
+
+# perturbation_search's null directions tried, their operator norm, and their seed
+TRIALS = 8
+STEP = 0.5
+SEED = 0
 
 
 @dataclass(frozen=True)
@@ -114,24 +119,21 @@ def is_extreme_constrained(phi: ChannelChoi, spaces: ConstraintSpaces,
     # adjoint convention: with phi(X) = sum A X A^dagger, set V_i = A_i^dagger
     v_ops = [a.conj().T for a in minimal_kraus(phi, tol).ops]
     rows = _pair_rows(v_ops, spaces.s_basis, spaces.t_basis)
-    return svd_rank(rows, tol) == rows.shape[0]
+    return rank_eps(rows, tol) == rows.shape[0]
 
 
 def perturbation_search(phi: ChannelChoi, spaces: ConstraintSpaces,
-                        trials: int = 8, eps: float = 0.5,
-                        tol: float | None = None, seed=0) -> bool:
+                        tol: float | None = None) -> bool:
     """Brute-force extremality check; True means no perturbation was found.
 
     Solves for Hermitian coefficient matrices annihilating the constraint
     family.  A trivial null space certifies extremality.  Otherwise the map
     is exhibited as the midpoint of two CP maps in the class, built from a
-    null direction scaled to operator norm ``eps`` so both perturbed Choi
+    null direction scaled to operator norm ``STEP`` so both perturbed Choi
     matrices stay PSD by construction; the certificate is verified directly
     on the constraint subspaces before declaring non-extremality.
     """
     tol = resolve(tol, DEFAULTS.rel_tol)
-    if not (0 < eps <= 1):
-        raise ValueError("step must lie in (0, 1]")
     ks = minimal_kraus(phi, tol)
     k = len(ks.ops)
     if k * k > 1000:
@@ -146,28 +148,26 @@ def perturbation_search(phi: ChannelChoi, spaces: ConstraintSpaces,
         contrib = np.tensordot(herm[g], rows.reshape(k, k, width), axes=([0, 1], [0, 1]))
         cols[:width, g] = contrib.real
         cols[width:, g] = contrib.imag
-    if width == 0:
-        null = np.eye(k * k)
-    else:
-        _, s, vh = np.linalg.svd(cols)
-        smax = s[0] if len(s) else 0.0
-        null = vh[np.concatenate([s, np.zeros(k * k - len(s))]) <= tol * max(1.0, smax)]
+    null = null_space(cols, tol)
     if null.shape[0] == 0:
         return True
 
     w_mat = np.stack([a.T.reshape(-1) for a in ks.ops])  # row a is the vec of Kraus a
-    rng = np.random.default_rng(seed)
-    candidates = [null[i] for i in range(min(trials, null.shape[0]))]
-    while len(candidates) < trials:
+    # ||W^T lam W^*||_F >= w_min ||lam||_F, and minimal_kraus's Gram check gives
+    # w_min > tol * ||W||_2^2, so no real shift falls under this floor
+    shift_floor = tol * np.linalg.norm(w_mat, 2) ** 2
+    rng = np.random.default_rng(SEED)
+    candidates = [null[i] for i in range(min(TRIALS, null.shape[0]))]
+    while len(candidates) < TRIALS:
         candidates.append(null.T @ rng.standard_normal(null.shape[0]))
     for direction in candidates:
-        norm = np.linalg.norm(direction)
-        if norm < DEFAULTS.zero_tol:
+        norm = np.linalg.norm(direction)  # a null direction has unit norm
+        if norm <= tol:
             continue
         lam = np.tensordot(direction / norm, herm, 1)
-        lam = lam * (eps / np.linalg.norm(lam, 2))
+        lam = lam * (STEP / np.linalg.norm(lam, 2))
         shift = w_mat.T @ lam @ w_mat.conj()
-        if frob(shift) <= DEFAULTS.gs_drop_tol * rel_scale(phi.choi):
+        if frob(shift) <= shift_floor * frob(lam):
             continue
         ok = True
         for sign in (1.0, -1.0):

@@ -106,20 +106,23 @@ def psd_project(m: np.ndarray) -> np.ndarray:
     return (out + out.conj().T) / 2
 
 
+def _count_above(s: np.ndarray, m: np.ndarray, tol: float | None) -> int:
+    return int(np.count_nonzero(s > resolve(tol, DEFAULTS.rel_tol) * rel_scale(m)))
+
+
 def rank_eps(m: np.ndarray, eps: float | None = None) -> int:
-    """Numerical rank of a Hermitian matrix via its eigenvalue magnitudes."""
-    m = require_hermitian(m)
-    w = np.linalg.eigvalsh((m + m.conj().T) / 2)
-    return int(np.count_nonzero(np.abs(w) > resolve(eps, DEFAULTS.rel_tol) * rel_scale(m)))
+    """The one rank rule: the number of singular values of any matrix above
+    ``eps * max(1, ||m||_F)``.  An empty matrix has rank 0."""
+    return _count_above(np.linalg.svd(m, compute_uv=False), m, eps)
 
 
-def svd_rank(m: np.ndarray, tol: float | None = None) -> int:
-    """Numerical rank of any matrix: the number of singular values above
-    ``tol * max(1, s_max)``.  An empty matrix has rank 0."""
-    if m.size == 0:
-        return 0
-    s = np.linalg.svd(m, compute_uv=False)
-    return int(np.count_nonzero(s > resolve(tol, DEFAULTS.rel_tol) * max(1.0, s[0])))
+def null_space(m: np.ndarray, tol: float | None = None) -> np.ndarray:
+    """Orthonormal rows ``v`` with ``m @ v.T ~ 0``: the right singular vectors
+    whose singular value is at or below the ``rank_eps`` cut, together with
+    those a wide or empty ``m`` has no singular value for.  There are
+    ``m.shape[1] - rank_eps(m, tol)`` of them."""
+    _, s, vh = np.linalg.svd(m)
+    return vh[_count_above(s, m, tol):].conj()
 
 
 @lru_cache(maxsize=None)

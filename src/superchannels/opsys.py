@@ -84,7 +84,7 @@ def span_basis(d: int, r: int) -> tuple:
             for b in kept:  # second pass stabilises near-dependent vectors
                 v = v - np.vdot(b, v) * b
             norm = np.linalg.norm(v)
-            if norm > DEFAULTS.gs_drop_tol:
+            if norm > DEFAULTS.rel_tol:
                 kept.append(v / norm)
     if len(kept) != span_dim(d, r):
         raise RuntimeError(
@@ -147,6 +147,6 @@ def hermitian_span(mats) -> tuple:
     for m in mats:
         m = np.asarray(m, dtype=complex)
         for h in ((m + m.conj().T) / 2, (m - m.conj().T) / (2j)):
-            if frob(h) > DEFAULTS.zero_tol * rel_scale(m):
+            if frob(h) > DEFAULTS.rel_tol * rel_scale(m):
                 out.append(h)
     return tuple(out)

@@ -27,7 +27,6 @@ class RunReport:
     command: str
     inputs: tuple = ()
     results: list = field(default_factory=list)
-    residuals: list = field(default_factory=list)
     status: str = PASS
 
     def add(self, key, value, tol=None, ok=None) -> Finding:
@@ -40,7 +39,6 @@ class RunReport:
     def judge(self, key, value, tol) -> Finding:
         """Record a residual-style value judged against a tolerance."""
         ok = bool(value <= tol)
-        self.residuals.append(float(value))
         return self.add(key, float(value), tol=tol, ok=ok)
 
     def expect(self, key, value, expected) -> Finding:
@@ -50,7 +48,6 @@ class RunReport:
         return {"command": self.command,
                 "inputs": list(self.inputs),
                 "results": [f.as_dict() for f in self.results],
-                "residuals": self.residuals,
                 "status": self.status}
 
     def lines(self) -> list[str]:

@@ -306,11 +306,10 @@ def factor_unitary(u: np.ndarray, d: int, r: int,
         raise ValueError(f"unitary shape {u.shape}, expected ({n}, {n})")
     if not is_isometry(u):
         raise ValueError("input is not unitary within tolerance")
-    eps = resolve(eps, DEFAULTS.rel_tol)
     t = u.reshape(d, r, d, r).transpose(0, 2, 1, 3).reshape(d * d, r * r)
-    left, s, right = np.linalg.svd(t)
-    if len(s) > 1 and s[1] > eps * max(1.0, s[0]):
+    if rank_eps(t, eps) > 1:
         return None
+    left, _, right = np.linalg.svd(t)
     u1 = np.sqrt(d) * left[:, 0].reshape(d, d)
     u2 = np.sqrt(r) * right[0, :].reshape(r, r)
     flat = u1.reshape(-1)

@@ -6,9 +6,9 @@ into a real system on Hermitian coordinates and project with a
 pseudo-inverse; the loops evaluate a supermap or a pre/post realisation on
 every matrix unit, or test span preservation and restriction equality one
 span basis element at a time, or build Kraus operators one eigenvalue at a
-time.  ``reference_solve`` is the Douglas-Rachford
-loop written out with validated, symmetrised eigendecompositions and
-out-of-place updates.
+time, or count a Hermitian rank from eigenvalues.  ``reference_solve`` is
+the Douglas-Rachford loop written out with validated, symmetrised
+eigendecompositions and out-of-place updates.
 """
 
 import numpy as np
@@ -160,6 +160,13 @@ def kraus_by_eigenvalue_loop(phi: ChannelChoi, tol: float) -> list[np.ndarray]:
     cutoff = tol * rel_scale(phi.choi)
     return [(np.sqrt(w[a]) * v[:, a]).reshape(phi.d, phi.r).T
             for a in range(len(w)) if w[a] > cutoff]
+
+
+def rank_by_eigenvalues(m: np.ndarray, eps: float | None = None) -> int:
+    """Numerical rank of a Hermitian matrix: its eigenvalues of magnitude above
+    ``eps * max(1, ||m||_F)``."""
+    w = np.linalg.eigvalsh((m + m.conj().T) / 2)
+    return int(np.count_nonzero(np.abs(w) > resolve(eps, DEFAULTS.rel_tol) * rel_scale(m)))
 
 
 def marginal_residual_by_matrix_units(sc: Superchannel, n_map: ChannelChoi) -> float:

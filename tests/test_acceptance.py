@@ -9,7 +9,9 @@ or by passing that bound as the check's ``tol``.  Each test finishes by
 printing one pass line (run pytest with -s to see them).
 """
 
+import itertools
 import time
+from types import SimpleNamespace
 
 from superchannels import demo
 from superchannels.report import PASS
@@ -36,6 +38,14 @@ def test_criterion_01_dimension_formula():
             assert values[f"dim S({d},{r})"] == d * d * r * r - d * d + 1
     assert values["runtime_s"] < 1.0
     _passed("criterion 1: basis sizes match d^2 r^2 - d^2 + 1 on {1,2,3}^2, < 1 s")
+
+
+def test_criterion_01_judges_the_runtime_it_reports(monkeypatch):
+    # a clock that moves 0.6 s per reading: a second reading would judge 1.2 s
+    ticks = itertools.count(0.0, 0.6)
+    monkeypatch.setattr(demo, "time", SimpleNamespace(perf_counter=lambda: next(ticks)))
+    runtime = _findings(demo.check_dimension_formula())["runtime_s"]
+    assert runtime.value == 0.6 and runtime.ok == (runtime.value < runtime.tol)
 
 
 def test_criterion_02_tensor_inclusion_gap():

@@ -164,7 +164,6 @@ def test_psd_residual_decides_no_exit_code(capsys, fixtures, tmp_path):
         if status == "infeasible":
             assert "psd residual" not in findings
             assert "affine residual" not in findings
-            assert reports[0]["residuals"] == []
             continue
         psd = findings["psd residual"]
         assert psd["tol"] is None and psd["ok"] is None

@@ -1,6 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from _dense_reference import rank_by_eigenvalues
 from superchannels.linalg import (
     herm_eig,
     is_isometry,
@@ -8,6 +11,7 @@ from superchannels.linalg import (
     kron,
     lambda_min,
     matrix_unit,
+    null_space,
     partial_trace,
     permute_factors,
     psd_project,
@@ -187,6 +191,52 @@ def test_rank_eps():
     assert rank_eps(np.diag([2.0, 0.0]).astype(complex)) == 1
     assert rank_eps(np.diag([1.0, 1.0]).astype(complex)) == 2
     assert rank_eps(np.zeros((3, 3), dtype=complex)) == 0
+    # four unit singular values give ||m||_F = 2, so the cut is 2 tol, not tol * s_max
+    m = np.diag([1.0, 1.0, 1.0, 1.0, 1.5e-9])
+    assert rank_eps(m) == 4 and rank_eps(m, 0.7e-9) == 5
+    assert null_space(m).shape == (1, 5) and null_space(m, 0.7e-9).shape == (0, 5)
+    assert rank_eps(np.zeros((0, 3))) == 0 and rank_eps(np.zeros((3, 0))) == 0
+    np.testing.assert_array_equal(null_space(np.zeros((0, 3))), np.eye(3))
+
+
+def _orthonormal_columns(rng, rows: int, cols: int, complex_: bool) -> np.ndarray:
+    g = rng.standard_normal((rows, cols))
+    if complex_:
+        g = g + 1j * rng.standard_normal((rows, cols))
+    return np.linalg.qr(g)[0]
+
+
+@settings(max_examples=150, deadline=None)
+@given(rows=st.integers(0, 6), cols=st.integers(0, 6), complex_=st.booleans(),
+       tol=st.sampled_from([1e-9, 1e-6, 1e-3]), data=st.data())
+def test_rank_and_null_space_follow_known_singular_values(rows, cols, complex_, tol, data):
+    """``m = U diag(s) V^dagger`` with ``above`` singular values in [1, 10] and the
+    rest at or below ``tol / 2``: every cut ``tol * max(1, ||m||_F)`` lies between."""
+    k = min(rows, cols)
+    above = data.draw(st.integers(0, k))
+    big = data.draw(st.lists(st.floats(1.0, 10.0), min_size=above, max_size=above))
+    small = data.draw(st.lists(st.floats(0.0, tol / 2), min_size=k - above, max_size=k - above))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**16)))
+    u = _orthonormal_columns(rng, rows, k, complex_)
+    v = _orthonormal_columns(rng, cols, k, complex_)
+    m = (u * np.array(big + small)) @ v.conj().T
+    assert rank_eps(m, tol) == above
+    null = null_space(m, tol)
+    assert null.shape == (cols - above, cols)
+    np.testing.assert_allclose(null @ null.conj().T, np.eye(cols - above), atol=1e-12)
+    assert np.linalg.norm(m @ null.T) <= tol * max(1.0, np.linalg.norm(m))
+
+
+@pytest.mark.parametrize("n", [1, 2, 4, 6])
+def test_rank_eps_agrees_with_the_eigenvalue_count_on_hermitian_matrices(n):
+    rng = np.random.default_rng(40 + n)
+    for rank in range(n + 1):
+        for _ in range(5):
+            w = np.zeros(n)
+            w[:rank] = rng.choice([-1.0, 1.0], rank) * rng.uniform(0.1, 10.0, rank)
+            q = random_unitary(n, rng)
+            m = (q * w) @ q.conj().T
+            assert rank_eps(m) == rank_by_eigenvalues(m) == rank
 
 
 def test_permute_factors_swaps_kron():
