@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import sys
 
@@ -206,7 +207,10 @@ def _c(z: complex):
     return [float(z.real), float(z.imag)]
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The one parser of the process, built on first use: parsing keeps no
+    state in it, so every ``main`` call shares it."""
     parser = argparse.ArgumentParser(prog="superchannels",
                                      description="Choi calculus for channels and superchannels")
     sub = parser.add_subparsers(dest="command", required=True)

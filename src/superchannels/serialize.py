@@ -175,4 +175,6 @@ def load_json(path) -> object:
 
 
 def save_json(path, obj) -> None:
-    Path(path).write_text(json.dumps(obj, indent=1) + "\n")
+    """Write ``obj`` as one line of compact JSON: without ``indent``, json
+    encodes with its C encoder, several times faster on large matrices."""
+    Path(path).write_text(json.dumps(obj) + "\n")

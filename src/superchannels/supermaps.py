@@ -215,23 +215,23 @@ def recompose(v_pre: np.ndarray, post: ChannelChoi, e: int) -> Superchannel:
     v = np.asarray(v_pre, dtype=complex)
     if v.ndim != 2 or v.shape[0] % e:
         raise ValueError(f"pre-isometry shape {v.shape} incompatible with e={e}")
-    d1 = v.shape[0] // e
-    d2 = v.shape[1]
     if post.d % e:
         raise ValueError(f"post-channel input {post.d} incompatible with e={e}")
-    r1 = post.d // e
-    r2 = post.r
     if not is_isometry(v):
         raise ValueError("pre-processing matrix is not an isometry within tolerance")
     if not (is_cp(post) and is_tp(post)):
         raise ValueError("post-processing map is not a channel")
+    return Superchannel(v.shape[0] // e, post.d // e, v.shape[1], post.r, _assemble(v, post, e))
 
+
+def _assemble(v: np.ndarray, post: ChannelChoi, e: int) -> np.ndarray:
+    """``recompose``'s Choi matrix, without its checks."""
+    d1, d2, r1, r2 = v.shape[0] // e, v.shape[1], post.d // e, post.r
     vt = v.reshape(d1, e, d2)
     p = post.choi.reshape(r1, e, r2, r1, e, r2)
-    choi = np.einsum("iaj,IbJ,kaslbt->ikjsIlJt", vt, vt.conj(), p, optimize=True)
     n = d1 * r1 * d2 * r2
-    choi = choi.reshape(n, n)
-    return Superchannel(d1, r1, d2, r2, (choi + choi.conj().T) / 2)
+    choi = np.einsum("iaj,IbJ,kaslbt->ikjsIlJt", vt, vt.conj(), p, optimize=True).reshape(n, n)
+    return (choi + choi.conj().T) / 2
 
 
 def pre_post_form(sc: Superchannel, tol: float | None = None) -> PrePostForm:
@@ -246,13 +246,34 @@ def pre_post_form(sc: Superchannel, tol: float | None = None) -> PrePostForm:
     the pseudo-inverse of ``W`` tensored with the identity on (r1,r2) and
     regrouped to (r1,e,r2).  The support is ``linalg.psd_support`` at ``tol``,
     so the auxiliary dimension e equals ``aux_dim(sc, tol)``.
+
+    Every judgement reads ``tol`` (default ``DEFAULTS.rel_tol``), with an
+    allowance for what the k = d1 d2 - e dropped eigenvalues, each within the
+    PSD rule's cut ``tol * max(1, ||marginal||_F)``, can contribute:
+
+    * ``v^dagger v - I`` is the marginal map's unitality residual plus the
+      dropped part traced over d1 and divided by r1, judged against
+      ``tol + sqrt(d1 k) * cut / r1``; it passes whenever the unitality
+      residual is within ``tol``, as ``is_superchannel`` requires.
+    * The post map must pass ``is_cp`` and ``is_tp`` at ``tol`` on its own
+      scale.  No allowance on the input's scale can promise this: the
+      sandwich divides by the root of the smallest kept eigenvalue, which may
+      lie just above the cut.
+    * The recomposition residual is judged against ``(DEFAULTS.equal_tol +
+      sqrt(k r1 r2) * tol) * max(1, ||C||_F)``: rounding, plus the dropped
+      (k r1 r2)-dimensional part of C with every eigenvalue at the cut.
+      Where C couples positive dropped eigenvalues to the kept ones, the
+      residual grows like the root of the cut, and such input can fail.
+
     Raises ``ValueError`` when the marginal map is lift-dependent, the
-    marginal is not PSD or the post map fails ``recompose``'s channel check,
-    and ``ArithmeticError`` when the recomposition misses the input.
+    marginal is not PSD, ``v`` is not an isometry or the post map is not a
+    channel, and ``ArithmeticError`` when the recomposition misses the input.
     """
     d1, r1, d2, r2 = sc.dims
+    tol = resolve(tol, DEFAULTS.rel_tol)
     induced_marginal_map(sc, tol)  # raises ValueError on lift-dependent input
-    w, u = psd_support(marginal(sc), tol)
+    m = marginal(sc)
+    w, u = psd_support(m, tol)
     lam = w / r1
     e = len(lam)
     root = u * np.sqrt(lam)
@@ -264,9 +285,14 @@ def pre_post_form(sc: Superchannel, tol: float | None = None) -> PrePostForm:
     c_post = np.einsum("aij,ikjsIlJt,bIJ->kaslbt", inv, c, inv.conj(), optimize=True)
     c_post = c_post.reshape(n_post, n_post)
     post = ChannelChoi(r1 * e, r2, (c_post + c_post.conj().T) / 2)
-    rebuilt = recompose(v, post, e)
-    residual = frob(rebuilt.choi - sc.choi)
-    if residual > DEFAULTS.equal_tol * rel_scale(sc.choi):
+
+    k, cut = d1 * d2 - e, tol * rel_scale(m)
+    if frob(v.conj().T @ v - np.eye(d2)) > tol + np.sqrt(d1 * k) * cut / r1:
+        raise ValueError("pre-processing matrix is not an isometry within tolerance")
+    if not (is_cp(post, tol) and is_tp(post, tol)):
+        raise ValueError("post-processing map is not a channel")
+    residual = frob(_assemble(v, post, e) - sc.choi)
+    if residual > (DEFAULTS.equal_tol + np.sqrt(k * r1 * r2) * tol) * rel_scale(sc.choi):
         raise ArithmeticError(f"recomposition residual {residual:.3e} above tolerance")
     return PrePostForm(e, v, post)
 

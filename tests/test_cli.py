@@ -435,6 +435,26 @@ def test_help_exits_zero(capsys):
     assert "--seeds" in capsys.readouterr().out
 
 
+def test_the_cached_parser_keeps_no_state_between_calls(capsys, fixtures):
+    """``main`` reuses one parser per process.  A bad option, a help request
+    and two reports in a row give the same exit codes and output as the same
+    calls, each on a freshly built parser."""
+    from superchannels import cli
+
+    calls = [["check-super", "a.json", "--bogus"],
+             ["extend", "--help"],
+             ["check-channel", str(fixtures / "identity_channel_2.json"), "--json"],
+             ["check-super", str(fixtures / "identity_superchannel_2_2.json"), "--json"]]
+    assert cli.build_parser() is cli.build_parser()
+    shared = [(main(argv), capsys.readouterr()) for argv in calls]
+    fresh = []
+    for argv in calls:
+        cli.build_parser.cache_clear()
+        fresh.append((main(argv), capsys.readouterr()))
+    assert [code for code, _ in shared] == [3, 0, 0, 0]
+    assert shared == fresh
+
+
 def test_extend_takes_one_seed_file(capsys, fixtures):
     seed = str(fixtures / "readout_first_block.json")
     code = main(["extend", str(fixtures / "readout_action.json"), "--seeds", seed, seed])

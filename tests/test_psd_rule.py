@@ -6,9 +6,9 @@ import numpy as np
 import pytest
 
 from superchannels.channels import ChannelChoi, identity_channel, is_cp, kraus_from_choi
-from superchannels.linalg import lambda_min, rel_scale
+from superchannels.linalg import frob, lambda_min, rel_scale
 from superchannels.opsys import decompose_into_channels
-from superchannels.supermaps import Superchannel, is_superchannel, pre_post_form
+from superchannels.supermaps import Superchannel, aux_dim, is_superchannel, pre_post_form
 
 
 def boundary_choi(k: float, tol: float) -> np.ndarray:
@@ -45,5 +45,35 @@ def test_users_of_the_rule_agree_at_the_cutoff(k, accepted, tol):
     else:
         with pytest.raises(ValueError, match="not PSD"):
             kraus_from_choi(phi, tol)
+        with pytest.raises(ValueError, match="not PSD"):
+            pre_post_form(sc, tol)
+
+
+def depolarized_identity(d: int, p: float) -> Superchannel:
+    """``(1 - p) Omega + p I/d`` on M_d with r1 = r2 = 1: its own double
+    marginal, with the d^2 - 1 eigenvalues ``p/d`` that the support drops."""
+    omega = identity_channel(d).choi
+    return Superchannel(d, 1, d, 1, (1 - p) * omega + p * np.eye(d * d) / d)
+
+
+@pytest.mark.parametrize("d", [2, 3])
+@pytest.mark.parametrize("k", [0.25, 0.5, 0.99, 1.01])
+def test_pre_post_form_and_the_rule_agree_on_a_depolarized_identity(d, k):
+    """Across the whole range the rule accepts, up to its cut ``p/d = -tol *
+    max(1, ||C||_F)``, the factorisation exists with e = 1; past the cut both
+    reject.  At d = 2, k = 0.5 (p = -2e-9, three eigenvalues -1e-9 against a
+    cut of 2e-9) the pre-isometry misses by ``1.5e-9 * sqrt(2)``, above a
+    fixed ``rel_tol * sqrt(2)`` but within what the dropped eigenvalues can
+    leave."""
+    tol = 1e-9
+    p = -k * d * tol * rel_scale(identity_channel(d).choi)
+    sc = depolarized_identity(d, p)
+    assert is_superchannel(sc, tol) is (k < 1)
+    if k < 1:
+        form = pre_post_form(sc, tol)
+        assert form.e == aux_dim(sc, tol) == 1
+        iso = frob(form.v_pre.conj().T @ form.v_pre - np.eye(d))
+        assert iso == pytest.approx(-p * (1 - 1 / d**2) * np.sqrt(d), rel=1e-3)
+    else:
         with pytest.raises(ValueError, match="not PSD"):
             pre_post_form(sc, tol)

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from superchannels.channels import KrausSet, depolarizing_channel, random_channel
+from superchannels.cli import main
 from superchannels.extend import FeasibilityReport, extend_action, restrict_superchannel
 from superchannels.gallery import FIXTURES, block_trace_readout, no_tp_action, readout_action
 from superchannels.serialize import (
@@ -196,6 +197,57 @@ def test_save_and_load(tmp_path):
     np.testing.assert_allclose(back.choi, np.eye(4) / 2)
 
 
+FIXTURE_DIR = Path(__file__).resolve().parent.parent / "fixtures"
+
+
+def _same_text(a, b) -> bool:
+    """Whether two JSON values encode to the same text: the same structure
+    and every float bit for bit, since ``repr`` round-trips (-0.0 included)."""
+    return json.dumps(a) == json.dumps(b)
+
+
+@pytest.mark.parametrize("name", sorted(FIXTURES))
+def test_written_files_are_one_line_and_round_trip_bit_for_bit(tmp_path, name):
+    obj = FIXTURES[name]()
+    path = tmp_path / name
+    save_json(path, obj)
+    text = path.read_text()
+    assert text.endswith("\n") and text.count("\n") == 1
+    assert _same_text(load_json(path), obj)
+
+
+def _decoded_arrays(obj) -> list:
+    """Every encoded matrix in a JSON value, decoded, in document order."""
+    if isinstance(obj, dict) and set(obj) == {"rows", "cols", "data"}:
+        return [decode_matrix(obj)]
+    values = obj.values() if isinstance(obj, dict) else obj if isinstance(obj, list) else ()
+    return [m for v in values for m in _decoded_arrays(v)]
+
+
+def test_cli_out_files_decode_to_the_indented_writers_arrays(tmp_path, capsys):
+    """The ``--out`` files of ``characterize``, ``basis`` and ``extend`` decode
+    to the same arrays, bit for bit, as the objects written with
+    ``indent=1``, the layout the committed fixtures keep."""
+    superchannel = FIXTURE_DIR / "identity_superchannel_2_2.json"
+    action = FIXTURE_DIR / "readout_action.json"
+    cases = [
+        (["characterize", str(superchannel)],
+         lambda: encode_pre_post(pre_post_form(decode_superchannel(load_json(superchannel))))),
+        (["basis", "2", "3"], lambda: encode_basis(2, 3, span_basis(2, 3))),
+        (["extend", str(action)],
+         lambda: encode_superchannel(extend_action(decode_action(load_json(action))).witness)),
+    ]
+    for argv, build in cases:
+        out = tmp_path / f"{argv[0]}.json"
+        assert main([*argv, "--out", str(out)]) == 0
+        capsys.readouterr()
+        indented = json.loads(json.dumps(build(), indent=1))
+        written, wanted = _decoded_arrays(load_json(out)), _decoded_arrays(indented)
+        assert len(written) == len(wanted) > 0, argv[0]
+        for got, want in zip(written, wanted):
+            assert got.shape == want.shape and got.tobytes() == want.tobytes(), argv[0]
+
+
 def _max_number_gap(a, b, where: str) -> float:
     """Largest absolute difference between the numbers of two JSON values of
     the same shape; any other difference fails."""
@@ -213,8 +265,10 @@ def _max_number_gap(a, b, where: str) -> float:
 
 def test_committed_fixtures_match_their_builders():
     """Every committed fixture equals its ``gallery.FIXTURES`` builder to 1e-12;
-    the action fixtures are restriction images, so this guards the restriction."""
-    root = Path(__file__).resolve().parent.parent / "fixtures"
-    assert sorted(p.name for p in root.glob("*.json")) == sorted(FIXTURES)
+    the action fixtures are restriction images, so this guards the restriction.
+    The committed files keep an earlier writer's indented layout, which is
+    read like the compact one."""
+    assert sorted(p.name for p in FIXTURE_DIR.glob("*.json")) == sorted(FIXTURES)
     for name, build in FIXTURES.items():
-        assert _max_number_gap(load_json(root / name), build(), name) <= 1e-12, name
+        assert (FIXTURE_DIR / name).read_text().count("\n") > 1, name
+        assert _max_number_gap(load_json(FIXTURE_DIR / name), build(), name) <= 1e-12, name
