@@ -17,7 +17,6 @@ from .config import DEFAULTS, resolve
 from .linalg import (
     as_rng,
     frob,
-    hs_inner,
     is_isometry,
     is_psd,
     kron,
@@ -224,9 +223,5 @@ def random_channel(d: int, r: int, kraus_rank: int, seed=None) -> ChannelChoi:
 
 def kraus_gram(k: KrausSet) -> np.ndarray:
     """Hilbert-Schmidt Gram matrix of the Kraus operators."""
-    n = len(k.ops)
-    g = np.zeros((n, n), dtype=complex)
-    for i in range(n):
-        for j in range(n):
-            g[i, j] = hs_inner(k.ops[i], k.ops[j])
-    return g
+    w = np.array(k.ops).reshape(len(k.ops), -1)
+    return w.conj() @ w.T

@@ -26,7 +26,7 @@ from .channels import (
     kraus_gram,
 )
 from .config import DEFAULTS, resolve
-from .linalg import frob, hermitian_basis, is_hermitian, null_space, rank_eps, rel_scale, vec
+from .linalg import frob, hermitian_basis, is_hermitian, null_space, rank_eps, rel_scale
 from .opsys import hermitian_span, span_basis
 
 # perturbation_search's null directions tried, their operator norm, and their seed
@@ -67,14 +67,15 @@ def minimal_kraus(phi: ChannelChoi, tol: float | None = None) -> KrausSet:
 
 def _pair_rows(v_ops, s_mats, t_mats) -> np.ndarray:
     """Row (i, j) concatenates vec(V_i^* A_k V_j) over k with vec(V_j B_l V_i^*) over l."""
-    rows = []
-    for vi in v_ops:
-        for vj in v_ops:
-            parts = [vec(vi.conj().T @ a @ vj) for a in s_mats]
-            parts += [vec(vj @ b @ vi.conj().T) for b in t_mats]
-            rows.append(np.concatenate(parts) if parts
-                        else np.zeros(0, dtype=complex))
-    return np.array(rows)
+    v = np.array(v_ops)
+    n, d, r = v.shape
+    vh = v.conj().transpose(0, 2, 1)
+    # broadcast products over (i, j, k): einsum's dispatch costs more than the
+    # whole product on the few-operator maps the CLI sees
+    left = (vh[:, None, None] @ np.reshape(s_mats, (-1, d, d))) @ v[None, :, None]
+    right = (v[None, :, None] @ np.reshape(t_mats, (-1, r, r))) @ vh[:, None, None]
+    return np.concatenate([left.reshape(n, n, -1), right.reshape(n, n, -1)],
+                          axis=2).reshape(n * n, -1)
 
 
 def is_extreme_choi(phi: ChannelChoi, tol: float | None = None) -> bool:
@@ -111,11 +112,10 @@ def is_extreme_constrained(phi: ChannelChoi, spaces: ConstraintSpaces,
     one per pair (i, j), are linearly independent.  This is the one rank
     test; the two specialisations above call it.  The decision is basis
     independent: any Hermitian spanning sets of the same subspaces give the
-    same rank verdict.
+    same rank verdict.  A map that fails the PSD rule at ``tol`` raises
+    ``minimal_kraus``'s ``ValueError``.
     """
     tol = resolve(tol, DEFAULTS.rel_tol)
-    if not is_cp(phi, tol):
-        raise ValueError("extremality test requires a CP map")
     # adjoint convention: with phi(X) = sum A X A^dagger, set V_i = A_i^dagger
     v_ops = [a.conj().T for a in minimal_kraus(phi, tol).ops]
     rows = _pair_rows(v_ops, spaces.s_basis, spaces.t_basis)
@@ -142,13 +142,9 @@ def perturbation_search(phi: ChannelChoi, spaces: ConstraintSpaces,
     rows = _pair_rows(v_ops, spaces.s_basis, spaces.t_basis)
 
     herm = hermitian_basis(k)
-    width = rows.shape[1]
-    cols = np.zeros((2 * width, k * k))
-    for g in range(k * k):
-        contrib = np.tensordot(herm[g], rows.reshape(k, k, width), axes=([0, 1], [0, 1]))
-        cols[:width, g] = contrib.real
-        cols[width:, g] = contrib.imag
-    null = null_space(cols, tol)
+    # column g is sum_ij herm[g]_ij rows[(i, j)], real and imaginary parts stacked
+    contrib = herm.reshape(k * k, k * k) @ rows
+    null = null_space(np.concatenate([contrib.real, contrib.imag], axis=1).T, tol)
     if null.shape[0] == 0:
         return True
 

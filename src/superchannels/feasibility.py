@@ -370,6 +370,7 @@ def newton_phase(affine: AffineSet) -> tuple[np.ndarray | Certificate | None, st
         t += step_s * float(dy[m])
         x = x + step_x * (r @ dx @ r.conj().T)
         x = (x + x.conj().T) / 2
+        x = x / np.trace(x).real  # the step keeps Tr X = 1 only up to rounding
         low = cholesky(w - t * eye)
         if low is None:
             return None, NONE, step, (t, x)

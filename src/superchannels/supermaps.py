@@ -74,12 +74,15 @@ class PrePostForm:
     with an auxiliary space of dimension ``e``; ``post`` is a channel from
     M_{r1 e} to M_{r2}.  Acting with the supermap equals pre-processing by
     conjugation with ``v_pre``, applying the input map on the d1/r1 factor,
-    and post-processing with ``post``.
+    and post-processing with ``post``.  ``judged`` holds the ``(key, value,
+    bound)`` residuals ``pre_post_form`` held the form to; a decoded form has
+    none.
     """
 
     e: int
     v_pre: np.ndarray
     post: ChannelChoi
+    judged: tuple = ()
 
     def __post_init__(self):
         v = np.array(self.v_pre, dtype=complex)
@@ -287,14 +290,17 @@ def pre_post_form(sc: Superchannel, tol: float | None = None) -> PrePostForm:
     post = ChannelChoi(r1 * e, r2, (c_post + c_post.conj().T) / 2)
 
     k, cut = d1 * d2 - e, tol * rel_scale(m)
-    if frob(v.conj().T @ v - np.eye(d2)) > tol + np.sqrt(d1 * k) * cut / r1:
+    iso = ("isometry residual", frob(v.conj().T @ v - np.eye(d2)),
+           float(tol + np.sqrt(d1 * k) * cut / r1))
+    if iso[1] > iso[2]:
         raise ValueError("pre-processing matrix is not an isometry within tolerance")
     if not (is_cp(post, tol) and is_tp(post, tol)):
         raise ValueError("post-processing map is not a channel")
-    residual = frob(_assemble(v, post, e) - sc.choi)
-    if residual > (DEFAULTS.equal_tol + np.sqrt(k * r1 * r2) * tol) * rel_scale(sc.choi):
-        raise ArithmeticError(f"recomposition residual {residual:.3e} above tolerance")
-    return PrePostForm(e, v, post)
+    rec = ("recomposition residual", frob(_assemble(v, post, e) - sc.choi),
+           float(DEFAULTS.equal_tol + np.sqrt(k * r1 * r2) * tol) * rel_scale(sc.choi))
+    if rec[1] > rec[2]:
+        raise ArithmeticError(f"recomposition residual {rec[1]:.3e} above tolerance")
+    return PrePostForm(e, v, post, (iso, rec))
 
 
 def tensor_superchannels(a: Superchannel, b: Superchannel) -> Superchannel:

@@ -3,8 +3,10 @@ import json
 
 import numpy as np
 import pytest
+from scipy.linalg import expm
 
 from _dense_reference import linear_system
+from superchannels.channels import identity_channel
 from superchannels.cli import main
 from superchannels.extend import restrict_superchannel
 from superchannels.feasibility import FeasibilityReport
@@ -16,11 +18,18 @@ from superchannels.serialize import (
     decode_superchannel,
     encode_action,
     encode_matrix,
+    encode_superchannel,
     load_json,
     save_json,
 )
-from superchannels.linalg import kron, random_unitary, vec
-from superchannels.supermaps import is_superchannel, random_superchannel, restrictions_equal
+from superchannels.linalg import kron, random_hermitian, random_unitary, vec
+from superchannels.supermaps import (
+    Superchannel,
+    is_superchannel,
+    pre_post_form,
+    random_superchannel,
+    restrictions_equal,
+)
 
 
 @pytest.fixture(scope="module")
@@ -300,6 +309,22 @@ def test_characterize_identity(capsys, fixtures, tmp_path):
     assert form.e == 1
 
 
+def test_characterize_reports_the_bounds_pre_post_form_applied(capsys, tmp_path):
+    """A superchannel a hair off the PSD cone, (1 - p) Omega + p I/2 with p =
+    -2e-9: check-super passes it and pre_post_form factors it with e = 1, so
+    characterize passes too, each residual held to pre_post_form's bound."""
+    p = -2e-9
+    sc = Superchannel(2, 1, 2, 1, (1 - p) * identity_channel(2).choi + p * np.eye(4) / 2)
+    path = tmp_path / "sc.json"
+    save_json(path, encode_superchannel(sc))
+    assert run_json(capsys, "check-super", str(path))[0] == 0
+    code, reports = run_json(capsys, "characterize", str(path))
+    assert code == 0
+    findings = [(f["key"], f["value"], f["tol"], f["ok"]) for f in reports[0]["results"]]
+    assert findings == [("aux dim", 1, None, None)] + [
+        (key, value, bound, True) for key, value, bound in pre_post_form(sc).judged]
+
+
 def test_characterize_rejects_lift_dependent_input(capsys, fixtures):
     code = main(["characterize", str(fixtures / "perturbed_readout.json")])
     assert code == 3
@@ -341,6 +366,24 @@ def test_factor_unitary_command(capsys, tmp_path):
     save_json(path, {"unitary": encode_matrix(swap)})
     code, reports = run_json(capsys, "factor-unitary", str(path), "--dims", "2", "2")
     assert code == 1
+
+
+def test_factor_unitary_reports_the_residual_factor_unitary_accepted(capsys, tmp_path):
+    """A product unitary moved 6e-9 off the product set: factor_unitary splits
+    it with residual 1.26e-8, within its bound 1e-8 * ||u||_F = 4e-8, so the
+    command passes and reports that residual without a bound of its own."""
+    h = random_hermitian(16, np.random.default_rng(0))
+    u = kron(random_unitary(4, 1), random_unitary(4, 2)) @ expm(6e-9j * h / np.linalg.norm(h, 2))
+    path = tmp_path / "u.json"
+    save_json(path, {"unitary": encode_matrix(u)})
+    code, reports = run_json(capsys, "factor-unitary", str(path), "--dims", "4", "4",
+                             "--tol", "1e-6")
+    assert code == 0
+    findings = {f["key"]: f for f in reports[0]["results"]}
+    assert findings["factorable"]["value"] is True
+    residual = findings["reconstruction residual"]
+    assert 1e-8 < residual["value"] <= 4e-8
+    assert residual["tol"] is None and residual["ok"] is None
 
 
 def test_basis_command(capsys, tmp_path):

@@ -16,7 +16,7 @@ import dataclasses
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from _dense_reference import reference_solve
@@ -386,6 +386,7 @@ def test_closed_form_hessian_matches_the_dense_one(dims, tp):
 @settings(max_examples=12, deadline=None)
 @given(dims=st.sampled_from([(2, 2, 2, 2), (2, 3, 2, 3)]),
        e=st.integers(1, 3), seed=st.integers(0, 2**32 - 1))
+@example(dims=(2, 2, 2, 2), e=2, seed=3117)  # 12 steps, Tr X drifts 6.8e-12 unnormalised
 def test_newton_phase_returns_a_proved_witness_or_none(dims, e, seed):
     """A strict witness is positive definite, a shadow passes the affine
     rule, and either kind verifies; the set is feasible, so no certificate

@@ -1,6 +1,8 @@
 """Tolerances come from ``config.DEFAULTS``: no module of the package outside
 ``config.py`` and ``demo.py`` (whose paper criteria pin their own bounds)
-writes a small float literal, the usual form of a hard-coded tolerance."""
+writes a small float literal, the usual form of a hard-coded tolerance.  The
+CLI reads ``DEFAULTS`` only for its ``--tol`` default: the bound of every
+other finding is the one the library applied."""
 
 import ast
 from pathlib import Path
@@ -26,3 +28,28 @@ def test_no_tolerance_literal_outside_config():
              if path.name not in EXEMPT
              and (hits := small_float_literals(path.read_text()))}
     assert found == {}
+
+
+CLI = PACKAGE / "cli.py"
+TOL_DEFAULT = "resolve(args.tol, DEFAULTS.rel_tol)"
+
+
+def defaults_reads(source: str) -> list[int]:
+    """Lines that read ``DEFAULTS`` other than as ``TOL_DEFAULT``, the one
+    default the CLI owns: every other bound in a finding is the library's."""
+    tree = ast.parse(source)
+    allowed = {id(node) for call in ast.walk(tree)
+               if isinstance(call, ast.Call) and ast.unparse(call) == TOL_DEFAULT
+               for node in ast.walk(call)}
+    return sorted(node.lineno for node in ast.walk(tree)
+                  if isinstance(node, ast.Name) and node.id == "DEFAULTS"
+                  and id(node) not in allowed)
+
+
+def test_defaults_reads_are_found():
+    assert defaults_reads(f"a = {TOL_DEFAULT}\nb = rep.judge(k, v, DEFAULTS.equal_tol)\n"
+                          "c = resolve(args.tol, DEFAULTS.equal_tol)") == [2, 3]
+
+
+def test_cli_reads_defaults_only_for_the_tol_option():
+    assert defaults_reads(CLI.read_text()) == []
