@@ -49,15 +49,16 @@ from .supermaps import (
 def cmd_check_channel(args) -> RunReport:
     phi = decode_channel(load_json(args.path))
     rep = RunReport("check-channel", inputs=(args.path,))
-    cp = is_cp(phi, args.tol)
-    tp = is_tp(phi, args.tol)
-    rep.add("cp", cp, tol=args.tol, ok=cp)
-    rep.add("tp", tp, tol=args.tol, ok=tp)
-    mem = span_membership(phi.choi, phi.d, phi.r, args.tol)
+    tol = resolve(args.tol, DEFAULTS.rel_tol)
+    cp = is_cp(phi, tol)
+    tp = is_tp(phi, tol)
+    rep.add("cp", cp, tol=tol, ok=cp)
+    rep.add("tp", tp, tol=tol, ok=tp)
+    mem = span_membership(phi.choi, phi.d, phi.r, tol)
     rep.add("in channel span", mem.member)
     rep.add("trace scale", None if not mem.member else _c(mem.scale))
     if cp:
-        rep.add("kraus rank", len(kraus_from_choi(phi, args.tol).ops))
+        rep.add("kraus rank", len(kraus_from_choi(phi, tol).ops))
     return rep
 
 

@@ -48,25 +48,25 @@ from .supermaps import Superchannel, aux_dim, preserves_span, span_images
 class SpanAction:
     """A linear map recorded by its images on the canonical span basis.
 
-    ``images[k]`` is the (d2 r2) x (d2 r2) image of the k-th canonical basis
-    element of the channel span inside M_{d1}(M_{r1}).
+    ``images`` is a read-only array of shape (span_dim(d1, r1), d2 r2, d2 r2);
+    ``images[k]`` is the image of the k-th canonical basis element of the
+    channel span inside M_{d1}(M_{r1}).
     """
 
     d1: int
     r1: int
     d2: int
     r2: int
-    images: tuple
+    images: np.ndarray
 
     def __post_init__(self):
-        expected = span_dim(self.d1, self.r1)
-        images = tuple(np.asarray(m, dtype=complex) for m in self.images)
-        if len(images) != expected:
-            raise ValueError(f"{len(images)} images given, the canonical basis has {expected}")
+        images = np.array(self.images, dtype=complex)
         n2 = self.d2 * self.r2
-        for m in images:
-            if m.shape != (n2, n2):
-                raise ValueError(f"image shape {m.shape}, expected ({n2}, {n2})")
+        expected = (span_dim(self.d1, self.r1), n2, n2)
+        if images.shape != expected:
+            raise ValueError(f"images of shape {images.shape}, the canonical basis "
+                             f"needs {expected}")
+        images.setflags(write=False)
         object.__setattr__(self, "images", images)
 
 
@@ -86,15 +86,15 @@ class SpreadReport:
 
 def restrict_superchannel(sc: Superchannel) -> SpanAction:
     """Record the action of a supermap on the canonical span basis."""
-    return SpanAction(sc.d1, sc.r1, sc.d2, sc.r2, tuple(span_images(sc.choi, sc.dims)))
+    return SpanAction(sc.d1, sc.r1, sc.d2, sc.r2, span_images(sc.choi, sc.dims))
 
 
 def min_norm_extension(action: SpanAction) -> np.ndarray:
     """The minimum-norm supermap Choi matrix ``x0`` reproducing the action; it is
     Hermitian only when the action commutes with the adjoint."""
     n1, n2 = action.d1 * action.r1, action.d2 * action.r2
-    xs = np.array(span_basis(action.d1, action.r1)).reshape(-1, n1 * n1)
-    ys = np.array(action.images).reshape(-1, n2 * n2)
+    xs = span_basis(action.d1, action.r1).reshape(-1, n1 * n1)
+    ys = action.images.reshape(-1, n2 * n2)
     x0 = (xs.conj().T @ ys).reshape(n1, n1, n2, n2).transpose(0, 2, 1, 3)
     return x0.reshape(n1 * n2, n1 * n2)
 
@@ -122,7 +122,7 @@ def affine_set(action: SpanAction, trace_preserving: bool = False) -> AffineSet:
     d1, r1 = action.d1, action.r1
     n1, n2 = d1 * r1, action.d2 * action.r2
     n = n1 * n2
-    ys = np.array(action.images)
+    ys = action.images
     x0 = min_norm_extension(action)
     anchor = (x0 + x0.conj().T) / 2
     eye_d1 = np.eye(d1)[:, None, :, None] / d1

@@ -22,11 +22,6 @@ def vec(m: np.ndarray) -> np.ndarray:
     return np.asarray(m, dtype=complex).reshape(-1)
 
 
-def hs_inner(a: np.ndarray, b: np.ndarray) -> complex:
-    """Hilbert-Schmidt inner product Tr(a^dagger b)."""
-    return complex(np.vdot(a, b))
-
-
 def frob(m: np.ndarray) -> float:
     return float(np.linalg.norm(m))
 

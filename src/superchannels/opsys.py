@@ -2,8 +2,10 @@
 
 Inside M_d(M_r) this is the set of block matrices whose diagonal blocks all
 share one trace and whose off-diagonal blocks are traceless.  It carries the
-Hilbert-Schmidt inner product; the canonical basis below is the reference
-ordering used by every file format that lists images of basis elements.
+Hilbert-Schmidt inner product.  The canonical basis ``span_basis``, one
+read-only (span_dim, dr, dr) array built in closed form (projected matrix
+units, one QR), is the reference ordering used by every file format that
+lists images of basis elements.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ import numpy as np
 
 from .channels import ChannelChoi, block_traces
 from .config import DEFAULTS, resolve
-from .linalg import frob, is_hermitian, is_psd, matrix_unit, rel_scale, vec
+from .linalg import frob, is_hermitian, is_psd, matrix_unit, rel_scale
 
 
 @dataclass(frozen=True)
@@ -67,34 +69,26 @@ def project_to_span(c: np.ndarray, d: int, r: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
-def span_basis(d: int, r: int) -> tuple:
-    """Canonical orthonormal basis of the channel span.
+def span_basis(d: int, r: int) -> np.ndarray:
+    """Canonical orthonormal basis of the channel span, a read-only array of
+    shape (span_dim, dr, dr).
 
-    Deterministic construction: project every matrix unit of M_{dr} in
-    row-major order onto the span, then run modified Gram-Schmidt under the
-    Hilbert-Schmidt inner product, dropping numerically null vectors.
+    Closed form: project every matrix unit E_{(i,s),(j,t)} of M_{dr} in
+    row-major order onto the span, drop the d^2 - 1 units with s = t = r - 1
+    outside block (0, 0) (each is a combination of the units before it), and
+    orthonormalise the rest with one QR factorisation whose R has a positive
+    diagonal.  That QR is unique, so the basis is the Gram-Schmidt basis of
+    the projected units in row-major order.
     """
     n = d * r
-    kept: list[np.ndarray] = []
-    for p in range(n):
-        for q in range(n):
-            v = vec(project_to_span(matrix_unit(n, p, q), d, r))
-            for b in kept:
-                v = v - np.vdot(b, v) * b
-            for b in kept:  # second pass stabilises near-dependent vectors
-                v = v - np.vdot(b, v) * b
-            norm = np.linalg.norm(v)
-            if norm > DEFAULTS.rel_tol:
-                kept.append(v / norm)
-    if len(kept) != span_dim(d, r):
-        raise RuntimeError(
-            f"basis construction produced {len(kept)} elements, expected {span_dim(d, r)}")
-    mats = []
-    for v in kept:
-        m = v.reshape(n, n)
-        m.setflags(write=False)
-        mats.append(m)
-    return tuple(mats)
+    units = np.array([project_to_span(matrix_unit(n, p, q), d, r)
+                      for p in range(n) for q in range(n)])
+    i, s, j, t = np.indices((d, r, d, r)).reshape(4, -1)
+    dependent = (s == r - 1) & (t == r - 1) & ((i > 0) | (j > 0))
+    q, upper = np.linalg.qr(units[~dependent].reshape(-1, n * n).T)
+    basis = (q * np.sign(np.diagonal(upper).real)).T.reshape(-1, n, n)
+    basis.setflags(write=False)
+    return basis
 
 
 def decompose_into_channels(c: np.ndarray, d: int, r: int,

@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .channels import ChannelChoi, KrausSet
+from .channels import ChannelChoi
 from .extend import SpanAction
 from .extremal import ConstraintSpaces
 from .feasibility import FeasibilityReport
@@ -80,17 +80,6 @@ def decode_channel(obj, where: str = "channel") -> ChannelChoi:
         return ChannelChoi(d, r, decode_matrix(obj["choi"], where=f"{where}.choi"))
 
 
-def encode_kraus(k: KrausSet) -> dict:
-    return {"d": k.d, "r": k.r, "ops": [encode_matrix(a) for a in k.ops]}
-
-
-def decode_kraus(obj, where: str = "kraus") -> KrausSet:
-    with _input_errors(where):
-        d, r = int(obj["d"]), int(obj["r"])
-        ops = [decode_matrix(a, where=f"{where}.ops[{i}]") for i, a in enumerate(obj["ops"])]
-        return KrausSet(d, r, tuple(ops))
-
-
 def encode_superchannel(sc: Superchannel) -> dict:
     return {"d1": sc.d1, "r1": sc.r1, "d2": sc.d2, "r2": sc.r2,
             "choi": encode_matrix(sc.choi)}
@@ -115,7 +104,7 @@ def decode_action(obj, where: str = "action") -> SpanAction:
         if not isinstance(images, list) or len(images) != count:
             raise SerializationError(f"{where}: expected {count} images for the canonical basis")
         mats = [decode_matrix(m, where=f"{where}.images[{i}]") for i, m in enumerate(images)]
-        return SpanAction(*dims, tuple(mats))
+        return SpanAction(*dims, mats)
 
 
 def encode_pre_post(form: PrePostForm) -> dict:

@@ -131,7 +131,7 @@ def span_images(choi: np.ndarray, dims: tuple[int, int, int, int]) -> np.ndarray
     into an array of shape (span_dim, d2 r2, d2 r2)."""
     d1, r1, d2, r2 = dims
     c4 = np.asarray(choi).reshape(d1 * r1, d2 * r2, d1 * r1, d2 * r2)
-    return np.einsum("kij,isjt->kst", np.array(span_basis(d1, r1)), c4)
+    return np.einsum("kij,isjt->kst", span_basis(d1, r1), c4)
 
 
 def restrictions_equal(a: Superchannel, b: Superchannel, tol: float | None = None) -> bool:

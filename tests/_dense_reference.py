@@ -6,7 +6,9 @@ into a real system on Hermitian coordinates and project with a
 pseudo-inverse; the loops evaluate a supermap or a pre/post realisation on
 every matrix unit, or test span preservation and restriction equality one
 span basis element at a time, or build Kraus operators one eigenvalue at a
-time, or count a Hermitian rank from eigenvalues.  ``reference_solve`` is
+time, or count a Hermitian rank from eigenvalues.  ``span_basis_by_gram_schmidt``
+builds the canonical span basis by modified Gram-Schmidt over every projected
+matrix unit, dropping the remainders at ``DEFAULTS.rel_tol``.  ``reference_solve`` is
 the Douglas-Rachford loop written out with validated, symmetrised
 eigendecompositions and out-of-place updates.
 """
@@ -40,8 +42,29 @@ from superchannels.linalg import (
     rel_scale,
     vec,
 )
-from superchannels.opsys import span_basis, span_membership
+from superchannels.opsys import project_to_span, span_basis, span_dim, span_membership
 from superchannels.supermaps import Superchannel, apply_superchannel
+
+
+def span_basis_by_gram_schmidt(d: int, r: int) -> np.ndarray:
+    """The canonical span basis by modified Gram-Schmidt, in row-major order
+    of the projected matrix units, as a (span_dim, dr, dr) array."""
+    n = d * r
+    kept: list[np.ndarray] = []
+    for p in range(n):
+        for q in range(n):
+            v = vec(project_to_span(matrix_unit(n, p, q), d, r))
+            for b in kept:
+                v = v - np.vdot(b, v) * b
+            for b in kept:  # second pass stabilises near-dependent vectors
+                v = v - np.vdot(b, v) * b
+            norm = np.linalg.norm(v)
+            if norm > DEFAULTS.rel_tol:
+                kept.append(v / norm)
+    if len(kept) != span_dim(d, r):
+        raise RuntimeError(
+            f"basis construction produced {len(kept)} elements, expected {span_dim(d, r)}")
+    return np.array(kept).reshape(-1, n, n)
 
 
 def choi_action_rows(m: np.ndarray, dim_in: int, dim_out: int) -> np.ndarray:

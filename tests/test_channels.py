@@ -26,7 +26,6 @@ from superchannels.config import DEFAULTS
 from superchannels.linalg import (
     frob,
     herm_eig,
-    hs_inner,
     kron,
     matrix_unit,
     random_hermitian,
@@ -181,8 +180,8 @@ def test_dual_pairing():
     for _ in range(10):
         x = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
         b = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
-        lhs = hs_inner(apply_choi(phi, x), b)
-        rhs = hs_inner(x, apply_choi(dual, b))
+        lhs = np.vdot(apply_choi(phi, x), b)
+        rhs = np.vdot(x, apply_choi(dual, b))
         assert abs(lhs - rhs) < 1e-10 * max(1, abs(lhs))
 
 

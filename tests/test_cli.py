@@ -78,6 +78,25 @@ def test_check_channel_transpose_fails(capsys, fixtures):
     assert results["cp"] is False
 
 
+@pytest.mark.parametrize("name, code", [("depolarizing_channel_2_2.json", 0),
+                                        ("identity_channel_2.json", 0),
+                                        ("transpose_channel_2.json", 1)])
+def test_check_channel_reports_the_bound_it_applied(capsys, fixtures, name, code):
+    """The cp and tp findings carry the tolerance they were judged at: the
+    default 1e-9 without --tol, the given one with it; values and exit codes
+    do not depend on which of the two is given on these channels."""
+    path = str(fixtures / name)
+    runs = {tol: run_json(capsys, "check-channel", path, *argv)
+            for tol, argv in ((1e-9, ()), (1e-6, ("--tol", "1e-6")))}
+    values = set()
+    for tol, (got, reports) in runs.items():
+        assert got == code
+        found = {f["key"]: f for f in reports[0]["results"]}
+        assert found["cp"]["tol"] == found["tp"]["tol"] == tol
+        values.add(json.dumps([f["value"] for f in reports[0]["results"]]))
+    assert len(values) == 1
+
+
 def test_check_super_readout(capsys, fixtures):
     code, reports = run_json(capsys, "check-super",
                              str(fixtures / "readout_first_block.json"))

@@ -48,6 +48,20 @@ def test_restriction_of_identity_returns_basis():
 def test_action_validates_image_count():
     with pytest.raises(ValueError):
         SpanAction(2, 2, 1, 1, (np.eye(1),) * 5)
+    with pytest.raises(ValueError):
+        SpanAction(2, 2, 1, 1, (np.eye(2),) * 13)
+    with pytest.raises(ValueError):
+        SpanAction(2, 2, 1, 1, [np.eye(1)] * 12 + [np.eye(2)])
+
+
+def test_action_images_are_one_read_only_array():
+    source = np.array(span_basis(2, 2))
+    action = SpanAction(2, 2, 2, 2, source)
+    assert isinstance(action.images, np.ndarray) and action.images.shape == (13, 4, 4)
+    with pytest.raises(ValueError):
+        action.images[0, 0, 0] = 1.0
+    source[0, 0, 0] = 5.0  # the action holds its own copy
+    np.testing.assert_array_equal(action.images, span_basis(2, 2))
 
 
 def test_seeded_run_is_a_fixed_point():

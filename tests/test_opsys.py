@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
+from _dense_reference import span_basis_by_gram_schmidt
 
 from superchannels.channels import is_cp, is_tp, random_channel
-from superchannels.linalg import frob, hs_inner, kron, matrix_unit, vec
+from superchannels.linalg import frob, kron, matrix_unit, vec
 from superchannels.opsys import (
     decompose_into_channels,
     hermitian_span,
@@ -70,8 +71,8 @@ def test_project_idempotent_self_adjoint():
         b = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
         pa = project_to_span(a, 2, 2)
         np.testing.assert_allclose(project_to_span(pa, 2, 2), pa, atol=1e-10)
-        lhs = hs_inner(pa, b)
-        rhs = hs_inner(a, project_to_span(b, 2, 2))
+        lhs = np.vdot(pa, b)
+        rhs = np.vdot(a, project_to_span(b, 2, 2))
         assert abs(lhs - rhs) < 1e-10 * max(1, abs(lhs))
 
 
@@ -91,13 +92,29 @@ def test_basis_count(d, r):
     assert len(basis) == span_dim(d, r) == d * d * r * r - d * d + 1
 
 
+@pytest.mark.parametrize("d, r", [(d, r) for d in (1, 2, 3) for r in (1, 2, 3)]
+                         + [(4, 1), (4, 4)])
+def test_basis_is_the_gram_schmidt_basis_in_order(d, r):
+    """The closed form (structural drop, one QR) equals Gram-Schmidt over the
+    projected matrix units entry by entry, in the canonical order."""
+    np.testing.assert_allclose(span_basis(d, r), span_basis_by_gram_schmidt(d, r),
+                               rtol=0, atol=1e-13)
+
+
+def test_basis_is_one_read_only_array():
+    basis = span_basis(2, 3)
+    assert isinstance(basis, np.ndarray) and basis.shape == (span_dim(2, 3), 6, 6)
+    with pytest.raises(ValueError):
+        basis[0, 0, 0] = 1.0
+
+
 def test_basis_of_trivial_input_side_is_full():
     assert len(span_basis(1, 3)) == 9
 
 
 def test_basis_orthonormal_members():
     basis = span_basis(2, 2)
-    gram = np.array([[hs_inner(a, b) for b in basis] for a in basis])
+    gram = np.array([[np.vdot(a, b) for b in basis] for a in basis])
     np.testing.assert_allclose(gram, np.eye(len(basis)), atol=1e-10)
     for b in basis:
         assert span_membership(b, 2, 2).member

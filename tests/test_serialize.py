@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from superchannels.channels import KrausSet, depolarizing_channel, random_channel
+from superchannels.channels import depolarizing_channel, random_channel
 from superchannels.cli import main
 from superchannels.extend import FeasibilityReport, extend_action, restrict_superchannel
 from superchannels.gallery import FIXTURES, block_trace_readout, no_tp_action, readout_action
@@ -14,7 +14,6 @@ from superchannels.serialize import (
     SerializationError,
     decode_action,
     decode_channel,
-    decode_kraus,
     decode_matrix,
     decode_pre_post,
     decode_superchannel,
@@ -22,7 +21,6 @@ from superchannels.serialize import (
     encode_basis,
     encode_channel,
     encode_feasibility,
-    encode_kraus,
     encode_matrix,
     encode_pre_post,
     encode_superchannel,
@@ -78,13 +76,6 @@ def test_channel_rejects_dimension_mismatch():
         decode_channel(obj)
 
 
-def test_kraus_round_trip():
-    ks = KrausSet(2, 2, (np.eye(2, dtype=complex), 1j * np.eye(2, dtype=complex)))
-    back = decode_kraus(encode_kraus(ks))
-    assert len(back.ops) == 2
-    np.testing.assert_allclose(back.ops[1], ks.ops[1])
-
-
 def test_superchannel_round_trip():
     sc = block_trace_readout(0)
     back = decode_superchannel(encode_superchannel(sc))
@@ -100,6 +91,10 @@ def test_action_round_trip_and_count_check():
     obj["images"] = obj["images"][:-1]
     with pytest.raises(SerializationError):
         decode_action(obj)
+    obj = encode_action(action)
+    obj["images"][3] = encode_matrix(np.eye(2))
+    with pytest.raises(SerializationError, match="^action: "):
+        decode_action(obj)
 
 
 # decoder, its default ``where``, a valid encoding, a dimension key, and the
@@ -107,8 +102,6 @@ def test_action_round_trip_and_count_check():
 DECODERS = [
     (decode_channel, "channel", lambda: encode_channel(depolarizing_channel(2, 2)),
      "d", "choi", "channel.choi"),
-    (decode_kraus, "kraus", lambda: encode_kraus(KrausSet(2, 2, (np.eye(2, dtype=complex),))),
-     "d", "ops", "kraus.ops[0]"),
     (decode_superchannel, "superchannel", lambda: encode_superchannel(block_trace_readout(0)),
      "d1", "choi", "superchannel.choi"),
     (decode_action, "action", lambda: encode_action(readout_action()),

@@ -5,9 +5,8 @@
 
 Ranks follow one rule, ``linalg.rank_eps`` and ``linalg.null_space``: outside
 ``linalg.py`` only ``supermaps.factor_unitary`` (which reads the singular
-vectors) and demo's pinned resampling rule in ``check_unitary_superchannels``
-call ``svd`` or ``matrix_rank``, and no module floors a cut at the largest
-singular value, as in ``tol * max(1.0, s[0])``."""
+vectors) calls ``svd`` or ``matrix_rank``, and no module floors a cut at the
+largest singular value, as in ``tol * max(1.0, s[0])``."""
 
 import ast
 import re
@@ -18,7 +17,7 @@ EXEMPT = {"linalg.py", "feasibility.py"}
 SPECTRAL = {"herm_eig", "eigh", "eigvalsh"}
 PSD_RULE = re.compile(r">=\s*-\s*\w+\s*\*\s*rel_scale\(")
 RANK = {"svd", "matrix_rank"}
-RANK_EXEMPT = {("supermaps.py", "factor_unitary"), ("demo.py", "check_unitary_superchannels")}
+RANK_EXEMPT = {("supermaps.py", "factor_unitary")}
 SPECTRAL_FLOOR = re.compile(r"max\(\s*1(?:\.0*)?\s*,\s*(?:\w+\[0\]|\w*s_?max\w*)\s*\)")
 
 
