@@ -1,8 +1,9 @@
 """Small zoo of worked superchannel examples used by the demo suite and tests.
 
 Run ``python -m superchannels.gallery OUTDIR`` to write every example to a
-fixtures directory; the files are generated from code rather than typed in,
-so the JSON always matches these constructors.
+fixtures directory, with matrices in ``serialize``'s base64 form; the files
+are generated from code rather than typed in, so the JSON always matches
+these constructors.
 """
 
 from __future__ import annotations

@@ -473,12 +473,52 @@ def test_non_integer_dimension_is_an_input_error(capsys, tmp_path):
 
 
 def test_null_matrix_entry_is_an_input_error(capsys, tmp_path):
+    """A null in the text pairs and a NaN in the base64 bytes are both
+    input errors."""
     path = tmp_path / "u.json"
-    obj = {"unitary": encode_matrix(np.eye(4))}
-    obj["unitary"]["data"][5] = [None, 0.0]
+    text = {"rows": 4, "cols": 4,
+            "data": [[float(z.real), float(z.imag)] for z in np.eye(4, dtype=complex).flat]}
+    text["data"][5] = [None, 0.0]
+    with_nan = np.eye(4, dtype=complex)
+    with_nan[1, 1] = complex(1.0, np.nan)
+    for matrix in (text, encode_matrix(with_nan)):
+        save_json(path, {"unitary": matrix})
+        assert main(["factor-unitary", str(path), "--dims", "2", "2"]) == 3
+        assert capsys.readouterr().err.startswith("input error: matrix: ")
+
+
+@pytest.mark.parametrize("command, obj, where", [
+    (["factor-unitary", "--dims", "2", "2"],
+     {"unitary": {**encode_matrix(np.ones((1, 4))), "rows": True}}, "matrix"),
+    (["check-channel"], {"d": 2.9, "r": 2, "choi": encode_matrix(np.eye(4))}, "channel"),
+    (["check-channel"], {"d": 2, "r": "2", "choi": encode_matrix(np.eye(4))}, "channel"),
+], ids=["bool-rows", "float-d", "string-r"])
+def test_dimensions_that_are_not_json_integers_are_input_errors(capsys, tmp_path,
+                                                               command, obj, where):
+    path = tmp_path / "in.json"
     save_json(path, obj)
-    assert main(["factor-unitary", str(path), "--dims", "2", "2"]) == 3
-    assert "input error" in capsys.readouterr().err
+    assert main([command[0], str(path), *command[1:]]) == 3
+    assert capsys.readouterr().err.startswith(f"input error: {where}: ")
+
+
+def test_a_file_that_is_not_unicode_is_an_input_error_naming_it(capsys, tmp_path):
+    path = tmp_path / "latin1.json"
+    path.write_bytes(b'{"d": 2, "r": 2, "note": "\xff"}')
+    assert main(["check-channel", str(path)]) == 3
+    assert capsys.readouterr().err.startswith(f"input error: {path}: ")
+
+
+def test_utf16_files_are_read(capsys, fixtures, tmp_path):
+    """json detects the encoding of the bytes (RFC 8259), so a UTF-16 copy of
+    a fixture gives the same report."""
+    source = fixtures / "identity_channel_2.json"
+    copy = tmp_path / "utf16.json"
+    copy.write_bytes(source.read_text().encode("utf-16"))
+    assert main(["check-channel", str(source), "--json"]) == 0
+    want = json.loads(capsys.readouterr().out)
+    assert main(["check-channel", str(copy), "--json"]) == 0
+    got = json.loads(capsys.readouterr().out)
+    assert got["results"] == want["results"]
 
 
 @pytest.mark.parametrize("argv", [

@@ -1,6 +1,8 @@
+import base64
 import dataclasses
 import json
 import re
+import struct
 from pathlib import Path
 
 import numpy as np
@@ -37,14 +39,95 @@ def test_matrix_round_trip():
     np.testing.assert_allclose(decode_matrix(encode_matrix(m)), m)
 
 
-def test_matrix_json_text_matches_per_entry_encoding():
-    """The array encoding writes the same JSON text as converting entry by entry."""
+def _text_pairs(m) -> dict:
+    """The hand-written form of a matrix: ``[re, im]`` pairs, entry by entry."""
+    m = np.asarray(m, dtype=complex)
+    return {"rows": m.shape[0], "cols": m.shape[1],
+            "data": [[float(z.real), float(z.imag)] for z in m.reshape(-1)]}
+
+
+def test_matrix_base64_and_text_pairs_decode_to_the_same_bits():
+    """The written base64 form and the per-entry text form decode to the same
+    bits, signed zeros, subnormals and extremes included."""
     rng = np.random.default_rng(1)
-    m = rng.standard_normal((9, 9)) + 1j * rng.standard_normal((9, 9))
-    m[0, :4] = [-0.0, complex(0.0, -0.0), 5e-324, complex(1e300, -1e300)]
-    per_entry = {"rows": 9, "cols": 9,
-                 "data": [[float(z.real), float(z.imag)] for z in m.reshape(-1)]}
-    assert json.dumps(encode_matrix(m)) == json.dumps(per_entry)
+    m = rng.standard_normal((9, 7)) + 1j * rng.standard_normal((9, 7))
+    m[0, :5] = [-0.0, complex(0.0, -0.0), 5e-324, complex(1e300, -1e300),
+                complex(-1e300, 1e300)]
+    written = json.loads(json.dumps(encode_matrix(m)))
+    assert set(written) == {"rows", "cols", "base64"}
+    base64_form, text_form = decode_matrix(written), decode_matrix(_text_pairs(m))
+    assert base64_form.shape == text_form.shape == (9, 7)
+    assert base64_form.tobytes() == text_form.tobytes() == m.tobytes()
+
+
+def test_matrix_base64_layout_is_row_major_little_endian_complex128():
+    m = np.array([[1 + 2j, 3], [-0.0, 4j]])
+    raw = base64.b64decode(encode_matrix(m)["base64"], validate=True)
+    assert raw == struct.pack("<8d", 1, 2, 3, 0, -0.0, 0, 0, 4)
+    assert encode_matrix(m.T)["base64"] == encode_matrix(np.ascontiguousarray(m.T))["base64"]
+
+
+def test_decoded_matrices_are_owned_and_writable():
+    """Both forms decode to a writable native complex array whose memory
+    numpy owns, not a view of the decoded bytes."""
+    for obj in (encode_matrix(np.eye(2)), _text_pairs(np.eye(2))):
+        m = decode_matrix(obj)
+        root = m
+        while isinstance(root.base, np.ndarray):
+            root = root.base
+        assert root.flags.owndata and m.flags.writeable
+        assert m.dtype == np.dtype(complex) and m.dtype.isnative
+        m[0, 1] = 5
+        assert m[0, 1] == 5
+
+
+def _base64_of(values) -> str:
+    return base64.b64encode(np.asarray(values, dtype="<c16").tobytes()).decode()
+
+
+@pytest.mark.parametrize("obj, message", [
+    ({"rows": 2, "cols": 2, "base64": _base64_of([1, 0, 0])}, "48 bytes, expected 64"),
+    ({"rows": 1, "cols": 1, "base64": _base64_of([1])[:-1]}, "invalid base64"),
+    ({"rows": 1, "cols": 1, "base64": _base64_of([1]).replace("A", "-")}, "invalid base64"),
+    ({"rows": 1, "cols": 1, "base64": "é" + _base64_of([1])[1:]}, "invalid base64"),
+    ({"rows": 1, "cols": 1, "base64": [1.0, 0.0]}, "must be a string, got list"),
+    ({"rows": 1, "cols": 1, "base64": None}, "must be a string, got NoneType"),
+    ({"rows": 1, "cols": 2, "base64": _base64_of([1, complex(0, np.inf)])}, "finite"),
+    ({"rows": 1, "cols": 1, "base64": _base64_of([np.nan])}, "finite"),
+    ({"rows": 1, "cols": 1, "base64": _base64_of([1]), "data": [[1.0, 0.0]]},
+     "exactly one of data and base64, got data and base64"),
+    ({"rows": 1, "cols": 1}, "exactly one of data and base64, got neither"),
+], ids=["length", "padding", "alphabet", "non-ascii", "list", "null", "inf", "nan",
+        "both", "neither"])
+def test_matrix_rejects_malformed_base64(obj, message):
+    with pytest.raises(SerializationError, match=f"^cell: .*{re.escape(message)}"):
+        decode_matrix(obj, where="cell")
+
+
+@pytest.mark.parametrize("value", [True, False, 2.0, 2.9, "2", None, [2], 0, -1],
+                         ids=["true", "false", "2.0", "2.9", "string", "null", "list",
+                              "zero", "negative"])
+def test_dimensions_must_be_positive_json_integers(value):
+    """``rows``/``cols`` and every container dimension must be a JSON integer
+    of at least 1; a bool, a float or a string is an input error."""
+    matrix = encode_matrix(np.eye(2))
+    for key in ("rows", "cols"):
+        with pytest.raises(SerializationError, match=f"^matrix: {key} must be a positive"):
+            decode_matrix({**matrix, key: value})
+    for decode, where, build, keys in [
+            (decode_channel, "channel", lambda: encode_channel(depolarizing_channel(2, 2)),
+             ("d", "r")),
+            (decode_superchannel, "superchannel",
+             lambda: encode_superchannel(block_trace_readout(0)), ("d1", "r1", "d2", "r2")),
+            (decode_action, "action", lambda: encode_action(readout_action()),
+             ("d1", "r1", "d2", "r2")),
+            (decode_pre_post, "characterisation",
+             lambda: encode_pre_post(pre_post_form(identity_superchannel(2, 2))), ("e",))]:
+        for key in keys:
+            obj = build()
+            obj[key] = value
+            with pytest.raises(SerializationError, match=f"^{where}: {key} must be a positive"):
+                decode(obj)
 
 
 def test_matrix_rejects_length_mismatch():
@@ -209,9 +292,14 @@ def test_written_files_are_one_line_and_round_trip_bit_for_bit(tmp_path, name):
     assert _same_text(load_json(path), obj)
 
 
+def _is_matrix(obj) -> bool:
+    return isinstance(obj, dict) and set(obj) in ({"rows", "cols", "data"},
+                                                  {"rows", "cols", "base64"})
+
+
 def _decoded_arrays(obj) -> list:
     """Every encoded matrix in a JSON value, decoded, in document order."""
-    if isinstance(obj, dict) and set(obj) == {"rows", "cols", "data"}:
+    if _is_matrix(obj):
         return [decode_matrix(obj)]
     values = obj.values() if isinstance(obj, dict) else obj if isinstance(obj, list) else ()
     return [m for v in values for m in _decoded_arrays(v)]
@@ -241,27 +329,34 @@ def test_cli_out_files_decode_to_the_indented_writers_arrays(tmp_path, capsys):
             assert got.shape == want.shape and got.tobytes() == want.tobytes(), argv[0]
 
 
-def _max_number_gap(a, b, where: str) -> float:
-    """Largest absolute difference between the numbers of two JSON values of
-    the same shape; any other difference fails."""
+def _max_matrix_gap(a, b, where: str) -> float:
+    """Largest absolute difference between the matching matrices of two JSON
+    values of the same shape, in whichever form each matrix is written; any
+    other difference, a float outside a matrix included, fails."""
+    if _is_matrix(a):
+        assert _is_matrix(b), where
+        x, y = decode_matrix(a, where), decode_matrix(b, where)
+        assert x.shape == y.shape, where
+        return float(np.abs(x - y).max())
     if isinstance(a, dict):
         assert isinstance(b, dict) and a.keys() == b.keys(), where
-        return max((_max_number_gap(a[k], b[k], f"{where}.{k}") for k in a), default=0.0)
+        return max((_max_matrix_gap(a[k], b[k], f"{where}.{k}") for k in a), default=0.0)
     if isinstance(a, list):
         assert isinstance(b, list) and len(a) == len(b), where
-        return max((_max_number_gap(x, y, where) for x, y in zip(a, b)), default=0.0)
-    if isinstance(a, float):
-        return abs(a - b)
-    assert a == b, where
+        return max((_max_matrix_gap(x, y, where) for x, y in zip(a, b)), default=0.0)
+    assert type(a) is type(b) and a == b, where
     return 0.0
 
 
 def test_committed_fixtures_match_their_builders():
-    """Every committed fixture equals its ``gallery.FIXTURES`` builder to 1e-12;
-    the action fixtures are restriction images, so this guards the restriction.
-    The committed files keep an earlier writer's indented layout, which is
-    read like the compact one."""
+    """Every committed fixture equals its ``gallery.FIXTURES`` builder: each
+    matrix to 1e-12 and every other field exactly.  The action fixtures are
+    restriction images, so this guards the restriction.  The committed files
+    keep an earlier writer's indented layout and text pairs, which are read
+    like the compact base64 one."""
     assert sorted(p.name for p in FIXTURE_DIR.glob("*.json")) == sorted(FIXTURES)
     for name, build in FIXTURES.items():
+        committed = load_json(FIXTURE_DIR / name)
         assert (FIXTURE_DIR / name).read_text().count("\n") > 1, name
-        assert _max_number_gap(load_json(FIXTURE_DIR / name), build(), name) <= 1e-12, name
+        assert "base64" not in json.dumps(committed), name
+        assert _max_matrix_gap(committed, build(), name) <= 1e-12, name
