@@ -38,12 +38,13 @@ from .extend import (
 )
 from .extremal import (
     ConstraintSpaces,
+    Extremality,
     extension_constraint_spaces,
+    extremality,
     is_extreme_choi,
     is_extreme_constrained,
     is_extreme_unital_tp,
     minimal_kraus,
-    perturbation_search,
 )
 from .linalg import (
     herm_eig,

@@ -1,11 +1,14 @@
 """Extreme-point tests for constrained completely positive maps.
 
 The classes considered fix a CP map on a subspace of the input algebra and
-fix its dual on a subspace of the output algebra.  Extremality reduces to
-linear independence of operator families built from a minimal Kraus set; the
-brute-force perturbation search below certifies the same decision
-independently by exhibiting (or failing to find) a symmetric CP
-perturbation that stays inside the class.
+fix its dual on a subspace of the output algebra.  With a minimal Kraus set
+A_a, a coefficient matrix lam moves the map to X -> phi(X) + sum lam_ab A_a X
+A_b^dagger, and that move stays inside the class exactly when lam is in the
+null space of the pair rows below.  The map is extreme exactly when that null
+space is trivial (Choi, Linear Algebra Appl. 10, 1975, Thm. 5; Landau &
+Streater, Linear Algebra Appl. 193, 1993).  ``extremality`` decides this with
+one null-space computation and, when the map is not extreme, returns the two
+CP maps of the class it is the midpoint of, checked directly.
 """
 
 from __future__ import annotations
@@ -26,13 +29,8 @@ from .channels import (
     kraus_gram,
 )
 from .config import DEFAULTS, resolve
-from .linalg import frob, hermitian_basis, is_hermitian, null_space, rank_eps, rel_scale
+from .linalg import frob, is_hermitian, null_space, rank_eps, rel_scale
 from .opsys import hermitian_span, span_basis
-
-# perturbation_search's null directions tried, their operator norm, and their seed
-TRIALS = 8
-STEP = 0.5
-SEED = 0
 
 
 @dataclass(frozen=True)
@@ -78,15 +76,76 @@ def _pair_rows(v_ops, s_mats, t_mats) -> np.ndarray:
                           axis=2).reshape(n * n, -1)
 
 
+@dataclass(frozen=True)
+class Extremality:
+    """Verdict of ``extremality``.  A map that is not extreme carries ``pair``,
+    two CP maps of its class, each different from it, whose midpoint it is."""
+
+    extreme: bool
+    pair: tuple[ChannelChoi, ChannelChoi] | None = None
+
+
+def extremality(phi: ChannelChoi, spaces: ConstraintSpaces,
+                tol: float | None = None) -> Extremality:
+    """Extremality among CP maps pinned on the given constraint subspaces.
+
+    With a minimal Kraus family V_i and spanning sets A_k, B_l, the map is
+    extreme exactly when the families (V_i^* A_k V_j)_k + (V_j B_l V_i^*)_l,
+    one per pair (i, j), are linearly independent, i.e. when no coefficient
+    matrix lam annihilates them (``linalg.null_space`` at ``tol``).  The
+    decision is basis independent: any Hermitian spanning sets of the same
+    subspaces give the same verdict.  Otherwise a null vector, made
+    Hermitian and scaled to operator norm 1/2, gives the pair phi +- W^T lam
+    W^*, PSD by construction, which is checked CP and pinned at
+    ``DEFAULTS.equal_tol`` before it is returned; a failed check raises
+    ``ArithmeticError``.  A spanning matrix of the wrong size raises
+    ``ValueError``, as does a map that fails the PSD rule at ``tol``.
+    """
+    for side, mats, n in (("s_basis", spaces.s_basis, phi.d),
+                          ("t_basis", spaces.t_basis, phi.r)):
+        for idx, m in enumerate(mats):
+            if m.shape != (n, n):
+                raise ValueError(f"{side}[{idx}] has shape {m.shape}, "
+                                 f"expected {(n, n)} for a {phi.d} -> {phi.r} map")
+    tol = resolve(tol, DEFAULTS.rel_tol)
+    ks = minimal_kraus(phi, tol)
+    k = len(ks.ops)
+    # adjoint convention: with phi(X) = sum A X A^dagger, set V_i = A_i^dagger
+    rows = _pair_rows([a.conj().T for a in ks.ops], spaces.s_basis, spaces.t_basis)
+    # rows has rank at most its m columns, so with k^2 > m + 1 its first m + 1
+    # rows are already dependent and the verdict is "not extreme" either way:
+    # the slice keeps every verdict and bounds the SVD by the size of rows, not k^4
+    null = null_space(rows[:rows.shape[1] + 1].T, tol)
+    if null.shape[0] == 0:
+        return Extremality(True)
+    lam = np.pad(null[0], (0, k * k - null.shape[1])).reshape(k, k)
+    # the null space is closed under lam -> lam^dagger because the spanning
+    # sets are Hermitian, so both Hermitian parts are null and one is nonzero
+    lam = max(lam + lam.conj().T, 1j * (lam - lam.conj().T), key=frob)
+    lam = lam / (2 * np.linalg.norm(lam, 2))
+    w_mat = np.stack([a.T.reshape(-1) for a in ks.ops])  # row a is the vec of Kraus a
+    # minimal_kraus's Gram check makes the rows of w_mat independent, so the shift is nonzero
+    shift = ChannelChoi(phi.d, phi.r, w_mat.T @ lam @ w_mat.conj())
+    pair = tuple(ChannelChoi(phi.d, phi.r, phi.choi + sign * shift.choi) for sign in (1, -1))
+    dual = dual_channel(shift)
+    pinned = (all(frob(apply_choi(shift, a)) <= DEFAULTS.equal_tol * rel_scale(a)
+                  for a in spaces.s_basis)
+              and all(frob(apply_choi(dual, b)) <= DEFAULTS.equal_tol * rel_scale(b)
+                      for b in spaces.t_basis))
+    if not (pinned and all(is_cp(c, DEFAULTS.equal_tol) for c in pair)):
+        raise ArithmeticError("null direction found but no certified perturbation; "
+                              "inconsistent constraint data")
+    return Extremality(False, pair)
+
+
 def is_extreme_choi(phi: ChannelChoi, tol: float | None = None) -> bool:
     """Extremality among CP maps sharing the image of the identity.
 
     The map is extreme exactly when the products V_i^* V_j of a minimal
-    Kraus family are linearly independent: the constrained test with the
+    Kraus family are linearly independent: ``extremality`` with the
     identity as the only input-side constraint.
     """
-    return is_extreme_constrained(
-        phi, ConstraintSpaces((np.eye(phi.d, dtype=complex),), ()), tol)
+    return extremality(phi, ConstraintSpaces((np.eye(phi.d, dtype=complex),), ()), tol).extreme
 
 
 def is_extreme_unital_tp(phi: ChannelChoi, tol: float | None = None) -> bool:
@@ -94,100 +153,18 @@ def is_extreme_unital_tp(phi: ChannelChoi, tol: float | None = None) -> bool:
 
     Tests linear independence of the direct sums V_i^* V_j + V_j V_i^*
     (stacked side by side), the unital-TP refinement of the CP criterion:
-    the constrained test with the identity pinned on both sides.
+    ``extremality`` with the identity pinned on both sides.
     """
     if not (is_tp(phi, DEFAULTS.equal_tol) and is_unital(phi, DEFAULTS.equal_tol)):
         raise ValueError("extremality test requires a unital trace-preserving map")
-    return is_extreme_constrained(
-        phi, ConstraintSpaces((np.eye(phi.d, dtype=complex),),
-                              (np.eye(phi.r, dtype=complex),)), tol)
+    return extremality(phi, ConstraintSpaces((np.eye(phi.d, dtype=complex),),
+                                             (np.eye(phi.r, dtype=complex),)), tol).extreme
 
 
 def is_extreme_constrained(phi: ChannelChoi, spaces: ConstraintSpaces,
                            tol: float | None = None) -> bool:
-    """Extremality among CP maps pinned on the given constraint subspaces.
-
-    With a minimal Kraus family V_i and spanning sets A_k, B_l, the map is
-    extreme exactly when the families (V_i^* A_k V_j)_k + (V_j B_l V_i^*)_l,
-    one per pair (i, j), are linearly independent.  This is the one rank
-    test; the two specialisations above call it.  The decision is basis
-    independent: any Hermitian spanning sets of the same subspaces give the
-    same rank verdict.  A map that fails the PSD rule at ``tol`` raises
-    ``minimal_kraus``'s ``ValueError``.
-    """
-    tol = resolve(tol, DEFAULTS.rel_tol)
-    # adjoint convention: with phi(X) = sum A X A^dagger, set V_i = A_i^dagger
-    v_ops = [a.conj().T for a in minimal_kraus(phi, tol).ops]
-    rows = _pair_rows(v_ops, spaces.s_basis, spaces.t_basis)
-    return rank_eps(rows, tol) == rows.shape[0]
-
-
-def perturbation_search(phi: ChannelChoi, spaces: ConstraintSpaces,
-                        tol: float | None = None) -> bool:
-    """Brute-force extremality check; True means no perturbation was found.
-
-    Solves for Hermitian coefficient matrices annihilating the constraint
-    family.  A trivial null space certifies extremality.  Otherwise the map
-    is exhibited as the midpoint of two CP maps in the class, built from a
-    null direction scaled to operator norm ``STEP`` so both perturbed Choi
-    matrices stay PSD by construction; the certificate is verified directly
-    on the constraint subspaces before declaring non-extremality.
-    """
-    tol = resolve(tol, DEFAULTS.rel_tol)
-    ks = minimal_kraus(phi, tol)
-    k = len(ks.ops)
-    if k * k > 1000:
-        raise ValueError("constraint system too large for the brute-force search")
-    v_ops = [a.conj().T for a in ks.ops]
-    rows = _pair_rows(v_ops, spaces.s_basis, spaces.t_basis)
-
-    herm = hermitian_basis(k)
-    # column g is sum_ij herm[g]_ij rows[(i, j)], real and imaginary parts stacked
-    contrib = herm.reshape(k * k, k * k) @ rows
-    null = null_space(np.concatenate([contrib.real, contrib.imag], axis=1).T, tol)
-    if null.shape[0] == 0:
-        return True
-
-    w_mat = np.stack([a.T.reshape(-1) for a in ks.ops])  # row a is the vec of Kraus a
-    # ||W^T lam W^*||_F >= w_min ||lam||_F, and minimal_kraus's Gram check gives
-    # w_min > tol * ||W||_2^2, so no real shift falls under this floor
-    shift_floor = tol * np.linalg.norm(w_mat, 2) ** 2
-    rng = np.random.default_rng(SEED)
-    candidates = [null[i] for i in range(min(TRIALS, null.shape[0]))]
-    while len(candidates) < TRIALS:
-        candidates.append(null.T @ rng.standard_normal(null.shape[0]))
-    for direction in candidates:
-        norm = np.linalg.norm(direction)  # a null direction has unit norm
-        if norm <= tol:
-            continue
-        lam = np.tensordot(direction / norm, herm, 1)
-        lam = lam * (STEP / np.linalg.norm(lam, 2))
-        shift = w_mat.T @ lam @ w_mat.conj()
-        if frob(shift) <= shift_floor * frob(lam):
-            continue
-        ok = True
-        for sign in (1.0, -1.0):
-            cand = ChannelChoi(phi.d, phi.r, phi.choi + sign * shift)
-            if not is_cp(cand, DEFAULTS.equal_tol):
-                ok = False
-                break
-            for a in spaces.s_basis:
-                if frob(apply_choi(cand, a) - apply_choi(phi, a)) > DEFAULTS.equal_tol * rel_scale(a):
-                    ok = False
-                    break
-            if not ok:
-                break
-            dual_c, dual_p = dual_channel(cand), dual_channel(phi)
-            for b in spaces.t_basis:
-                if frob(apply_choi(dual_c, b) - apply_choi(dual_p, b)) > DEFAULTS.equal_tol * rel_scale(b):
-                    ok = False
-                    break
-            if not ok:
-                break
-        if ok:
-            return False
-    raise ArithmeticError("null direction found but no certified perturbation; "
-                          "inconsistent constraint data")
+    """``extremality``'s verdict alone."""
+    return extremality(phi, spaces, tol).extreme
 
 
 def extension_constraint_spaces(d1: int, r1: int) -> ConstraintSpaces:

@@ -10,7 +10,10 @@ time, or count a Hermitian rank from eigenvalues.  ``span_basis_by_gram_schmidt`
 builds the canonical span basis by modified Gram-Schmidt over every projected
 matrix unit, dropping the remainders at ``DEFAULTS.rel_tol``.  ``reference_solve`` is
 the Douglas-Rachford loop written out with validated, symmetrised
-eigendecompositions and out-of-place updates.
+eigendecompositions and out-of-place updates.  ``perturbation_search`` decides
+extremality by brute force: it solves for real coordinates of Hermitian
+coefficient matrices in ``hermitian_basis(k)`` and tries seeded random null
+directions until one gives a checked pair of CP maps in the class.
 """
 
 import numpy as np
@@ -19,10 +22,13 @@ from superchannels.channels import (
     ChannelChoi,
     apply_choi,
     choi_from_unit_images,
+    dual_channel,
     identity_channel,
+    is_cp,
     tensor,
 )
 from superchannels.config import DEFAULTS, resolve
+from superchannels.extremal import ConstraintSpaces, _pair_rows, minimal_kraus
 from superchannels.feasibility import (
     FEASIBLE,
     INFEASIBLE,
@@ -38,12 +44,18 @@ from superchannels.linalg import (
     hermitian_basis,
     kron,
     matrix_unit,
+    null_space,
     partial_trace,
     rel_scale,
     vec,
 )
 from superchannels.opsys import project_to_span, span_basis, span_dim, span_membership
 from superchannels.supermaps import Superchannel, apply_superchannel
+
+# perturbation_search's null directions tried, their operator norm, and their seed
+TRIALS = 8
+STEP = 0.5
+SEED = 0
 
 
 def span_basis_by_gram_schmidt(d: int, r: int) -> np.ndarray:
@@ -285,3 +297,71 @@ def reference_solve(affine: AffineSet, seed_point=None,
     return FeasibilityReport(status=UNDETERMINED, iterations=max_iter,
                              gap=history[-1] if history else np.inf, affine_residual=0.0, psd_residual=float(max(0.0, -w[-1])),
                              certificate=cert, **phase), history
+
+
+def perturbation_search(phi: ChannelChoi, spaces: ConstraintSpaces,
+                        tol: float | None = None) -> bool:
+    """Brute-force extremality check; True means no perturbation was found.
+
+    Solves for Hermitian coefficient matrices annihilating the constraint
+    family.  A trivial null space certifies extremality.  Otherwise the map
+    is exhibited as the midpoint of two CP maps in the class, built from a
+    null direction scaled to operator norm ``STEP`` so both perturbed Choi
+    matrices stay PSD by construction; the certificate is verified directly
+    on the constraint subspaces before declaring non-extremality.
+    """
+    tol = resolve(tol, DEFAULTS.rel_tol)
+    ks = minimal_kraus(phi, tol)
+    k = len(ks.ops)
+    if k * k > 1000:
+        raise ValueError("constraint system too large for the brute-force search")
+    v_ops = [a.conj().T for a in ks.ops]
+    rows = _pair_rows(v_ops, spaces.s_basis, spaces.t_basis)
+
+    herm = hermitian_basis(k)
+    # column g is sum_ij herm[g]_ij rows[(i, j)], real and imaginary parts stacked
+    contrib = herm.reshape(k * k, k * k) @ rows
+    null = null_space(np.concatenate([contrib.real, contrib.imag], axis=1).T, tol)
+    if null.shape[0] == 0:
+        return True
+
+    w_mat = np.stack([a.T.reshape(-1) for a in ks.ops])  # row a is the vec of Kraus a
+    # ||W^T lam W^*||_F >= w_min ||lam||_F, and minimal_kraus's Gram check gives
+    # w_min > tol * ||W||_2^2, so no real shift falls under this floor
+    shift_floor = tol * np.linalg.norm(w_mat, 2) ** 2
+    rng = np.random.default_rng(SEED)
+    candidates = [null[i] for i in range(min(TRIALS, null.shape[0]))]
+    while len(candidates) < TRIALS:
+        candidates.append(null.T @ rng.standard_normal(null.shape[0]))
+    for direction in candidates:
+        norm = np.linalg.norm(direction)  # a null direction has unit norm
+        if norm <= tol:
+            continue
+        lam = np.tensordot(direction / norm, herm, 1)
+        lam = lam * (STEP / np.linalg.norm(lam, 2))
+        shift = w_mat.T @ lam @ w_mat.conj()
+        if frob(shift) <= shift_floor * frob(lam):
+            continue
+        ok = True
+        for sign in (1.0, -1.0):
+            cand = ChannelChoi(phi.d, phi.r, phi.choi + sign * shift)
+            if not is_cp(cand, DEFAULTS.equal_tol):
+                ok = False
+                break
+            for a in spaces.s_basis:
+                if frob(apply_choi(cand, a) - apply_choi(phi, a)) > DEFAULTS.equal_tol * rel_scale(a):
+                    ok = False
+                    break
+            if not ok:
+                break
+            dual_c, dual_p = dual_channel(cand), dual_channel(phi)
+            for b in spaces.t_basis:
+                if frob(apply_choi(dual_c, b) - apply_choi(dual_p, b)) > DEFAULTS.equal_tol * rel_scale(b):
+                    ok = False
+                    break
+            if not ok:
+                break
+        if ok:
+            return False
+    raise ArithmeticError("null direction found but no certified perturbation; "
+                          "inconsistent constraint data")

@@ -351,17 +351,30 @@ def test_characterize_rejects_lift_dependent_input(capsys, fixtures):
 
 
 def test_extreme_reports(capsys, fixtures, tmp_path):
+    """Every CP fixture channel (the transpose channel is not CP) under the
+    fixed-unit spaces: the keys and values of ``extreme --json``."""
     spaces_path = tmp_path / "spaces.json"
     save_json(spaces_path, {"s_basis": [encode_matrix(np.eye(2))], "t_basis": []})
-    code, reports = run_json(capsys, "extreme",
-                             str(fixtures / "depolarizing_channel_2_2.json"),
-                             "--spaces", str(spaces_path))
-    assert code == 0
-    results = {f["key"]: f["value"] for f in reports[0]["results"]}
-    assert results["kraus_count"] == 4
-    assert results["extreme_choi"] is False
-    assert results["extreme_unital_tp"] is False
-    assert results["extreme_constrained"] is False
+    for name, kraus_count, extreme in (("depolarizing_channel_2_2.json", 4, False),
+                                       ("identity_channel_2.json", 1, True)):
+        code, reports = run_json(capsys, "extreme", str(fixtures / name),
+                                 "--spaces", str(spaces_path))
+        assert code == 0
+        results = {f["key"]: f["value"] for f in reports[0]["results"]}
+        assert results == {"kraus_count": kraus_count, "extreme_choi": extreme,
+                           "extreme_unital_tp": extreme, "extreme_constrained": extreme}
+
+
+@pytest.mark.parametrize("size", [4, 3])
+def test_extreme_mis_sized_spaces_are_an_input_error(capsys, fixtures, tmp_path, size):
+    """A 4x4 spanning matrix for a 2 -> 2 map is not cut into 2x2 blocks, and a
+    3x3 one does not reach numpy's reshape: both are named and rejected."""
+    spaces_path = tmp_path / "spaces.json"
+    save_json(spaces_path, {"s_basis": [encode_matrix(np.eye(size))], "t_basis": []})
+    code = main(["extreme", str(fixtures / "identity_channel_2.json"),
+                 "--spaces", str(spaces_path)])
+    assert code == 3
+    assert f"s_basis[0] has shape ({size}, {size}), expected (2, 2)" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("content", [[], "x"])

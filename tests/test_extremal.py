@@ -1,27 +1,34 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from _dense_reference import perturbation_search
 from superchannels.channels import (
     ChannelChoi,
     KrausSet,
+    apply_choi,
     choi_from_kraus,
     depolarizing_channel,
+    dual_channel,
+    is_cp,
     random_channel,
     unitary_channel,
 )
+from superchannels.config import DEFAULTS
 from superchannels.extremal import (
     ConstraintSpaces,
     extension_constraint_spaces,
+    extremality,
     is_extreme_choi,
     is_extreme_constrained,
     is_extreme_unital_tp,
     minimal_kraus,
-    perturbation_search,
 )
 from superchannels.gallery import block_trace_readout, readout_mixture
 from superchannels.linalg import matrix_unit, random_unitary
 from superchannels.opsys import hermitian_span
-from superchannels.supermaps import as_channel, unitary_superchannel
+from superchannels.supermaps import as_channel, random_superchannel, unitary_superchannel
 
 PAULI_Z = np.diag([1.0, -1.0]).astype(complex)
 
@@ -100,8 +107,6 @@ def test_midpoint_has_explicit_perturbation_direction():
     g1, g2 = block_trace_readout(0), block_trace_readout(1)
     mid = readout_mixture(0.5)
     shift = (g1.choi - g2.choi) / 2
-    from superchannels.channels import apply_choi, is_cp
-
     for sign in (1, -1):
         cand = ChannelChoi(4, 1, mid.choi + sign * shift)
         assert is_cp(cand)
@@ -170,3 +175,64 @@ def test_unitary_superchannels_are_extreme_extensions():
     for seed in range(3):
         sc = unitary_superchannel(random_unitary(2, seed), random_unitary(2, seed + 30))
         assert is_extreme_constrained(as_channel(sc), spaces)
+
+
+def _assert_verified_pair(phi, spaces, result):
+    """The pair is CP, pinned on both sides, different from phi, and averages to it."""
+    a, b = result.pair
+    np.testing.assert_allclose((a.choi + b.choi) / 2, phi.choi, atol=1e-12)
+    assert min(np.linalg.norm(a.choi - phi.choi), np.linalg.norm(b.choi - phi.choi)) > 1e-6
+    for member in (a, b):
+        assert is_cp(member, DEFAULTS.equal_tol)
+        for m in spaces.s_basis:
+            np.testing.assert_allclose(apply_choi(member, m), apply_choi(phi, m), atol=1e-8)
+        for m in spaces.t_basis:
+            np.testing.assert_allclose(apply_choi(dual_channel(member), m),
+                                       apply_choi(dual_channel(phi), m), atol=1e-8)
+
+
+def test_readout_midpoint_pair_is_verified():
+    spaces = extension_constraint_spaces(2, 2)
+    mid = as_channel(readout_mixture(0.5))
+    result = extremality(mid, spaces)
+    assert not result.extreme
+    _assert_verified_pair(mid, spaces, result)
+    assert extremality(as_channel(block_trace_readout(0)), spaces).pair is None
+
+
+@settings(max_examples=25, deadline=None)
+@given(dims=st.sampled_from([(2, 2), (2, 3), (3, 2), (3, 3)]), data=st.data(),
+       seed=st.integers(0, 2**16))
+def test_extremality_matches_reference_and_pairs_are_verified(dims, data, seed):
+    d, r = dims
+    # random_channel needs r * rank >= d
+    rank = data.draw(st.integers(-(-d // r), d * r), label="kraus rank")
+    phi = random_channel(d, r, rank, seed)
+    units = (np.eye(d, dtype=complex),), (np.eye(r, dtype=complex),)
+    for spaces in (ConstraintSpaces(units[0], ()), ConstraintSpaces(*units)):
+        result = extremality(phi, spaces)
+        if len(minimal_kraus(phi).ops) ** 2 <= 1000:
+            assert result.extreme == perturbation_search(phi, spaces)
+        if result.extreme:
+            assert result.pair is None
+        else:
+            _assert_verified_pair(phi, spaces, result)
+
+
+def test_extend_cap_generators_are_extreme_extensions():
+    spaces = extension_constraint_spaces(2, 2)
+    for s in range(400, 420):
+        sc = random_superchannel(2, 2, 2, 2, e=1 + (s - 400) % 2, seed=s)
+        assert extremality(as_channel(sc), spaces).extreme
+
+
+@pytest.mark.parametrize("side, shape", [("s_basis", 4), ("s_basis", 3), ("t_basis", 4),
+                                         ("t_basis", 3)])
+def test_mis_sized_spanning_matrix_is_rejected(side, shape):
+    """A 4x4 entry for a 2 -> 2 map used to be cut into four 2x2 blocks and
+    give a verdict; a 3x3 one died in a reshape."""
+    spaces = ConstraintSpaces(**{side: (np.eye(shape, dtype=complex),)})
+    with pytest.raises(ValueError, match=rf"{side}\[0\] has shape \({shape}, {shape}\)"):
+        extremality(depolarizing_channel(2, 2), spaces)
+    with pytest.raises(ValueError):
+        is_extreme_constrained(depolarizing_channel(2, 2), spaces)
