@@ -44,7 +44,6 @@ from .extremal import (
     is_extreme_choi,
     is_extreme_constrained,
     is_extreme_unital_tp,
-    minimal_kraus,
 )
 from .linalg import (
     herm_eig,

@@ -59,14 +59,13 @@ class ChannelChoi:
 class KrausSet:
     """Kraus operators of a CP map, each of shape (r, d).
 
-    ``minimal`` flags a linearly independent family, in which case the number
-    of operators equals the Choi rank.
+    ``kraus_from_choi`` returns a linearly independent family by construction,
+    so its number of operators is the Choi rank.
     """
 
     d: int
     r: int
     ops: tuple = field(default_factory=tuple)
-    minimal: bool = False
 
     def __post_init__(self):
         ops = tuple(np.asarray(a, dtype=complex) for a in self.ops)
@@ -141,7 +140,7 @@ def kraus_from_choi(phi: ChannelChoi, tol: float | None = None) -> KrausSet:
     if not len(w):
         raise ValueError("Choi matrix is numerically zero")
     ops = (v * np.sqrt(w)).T.reshape(-1, phi.d, phi.r).transpose(0, 2, 1)
-    return KrausSet(phi.d, phi.r, tuple(ops), minimal=True)
+    return KrausSet(phi.d, phi.r, tuple(ops))
 
 
 def choi_from_kraus(k: KrausSet) -> ChannelChoi:
@@ -219,9 +218,3 @@ def random_channel(d: int, r: int, kraus_rank: int, seed=None) -> ChannelChoi:
     v = random_isometry(r * kraus_rank, d, rng)
     ops = tuple(v[a * r:(a + 1) * r, :] for a in range(kraus_rank))
     return choi_from_kraus(KrausSet(d, r, ops))
-
-
-def kraus_gram(k: KrausSet) -> np.ndarray:
-    """Hilbert-Schmidt Gram matrix of the Kraus operators."""
-    w = np.array(k.ops).reshape(len(k.ops), -1)
-    return w.conj() @ w.T

@@ -147,8 +147,7 @@ def cmd_characterize(args) -> RunReport:
 def cmd_extreme(args) -> RunReport:
     phi = decode_channel(load_json(args.path))
     rep = RunReport("extreme", inputs=(args.path,))
-    ks = extremal.minimal_kraus(phi, args.tol)
-    rep.add("kraus_count", len(ks.ops))
+    rep.add("kraus_count", len(kraus_from_choi(phi, args.tol)))
     rep.add("extreme_choi", extremal.is_extreme_choi(phi, args.tol))
     try:
         rep.add("extreme_unital_tp", extremal.is_extreme_unital_tp(phi, args.tol))

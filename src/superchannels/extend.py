@@ -60,6 +60,8 @@ class SpanAction:
     images: np.ndarray
 
     def __post_init__(self):
+        if min(self.d1, self.r1, self.d2, self.r2) < 1:
+            raise ValueError("dimensions must be positive")
         images = np.array(self.images, dtype=complex)
         n2 = self.d2 * self.r2
         expected = (span_dim(self.d1, self.r1), n2, n2)

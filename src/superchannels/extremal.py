@@ -1,8 +1,10 @@
 """Extreme-point tests for constrained completely positive maps.
 
 The classes considered fix a CP map on a subspace of the input algebra and
-fix its dual on a subspace of the output algebra.  With a minimal Kraus set
-A_a, a coefficient matrix lam moves the map to X -> phi(X) + sum lam_ab A_a X
+fix its dual on a subspace of the output algebra.  The Kraus set A_a of
+``kraus_from_choi`` is linearly independent by construction (its Gram matrix
+is diag(w), every Choi eigenvalue w above the ``psd_support`` cut).  A
+coefficient matrix lam moves the map to X -> phi(X) + sum lam_ab A_a X
 A_b^dagger, and that move stays inside the class exactly when lam is in the
 null space of the pair rows below.  The map is extreme exactly when that null
 space is trivial (Choi, Linear Algebra Appl. 10, 1975, Thm. 5; Landau &
@@ -19,17 +21,15 @@ import numpy as np
 
 from .channels import (
     ChannelChoi,
-    KrausSet,
     apply_choi,
     dual_channel,
     is_cp,
     is_tp,
     is_unital,
     kraus_from_choi,
-    kraus_gram,
 )
 from .config import DEFAULTS, resolve
-from .linalg import frob, is_hermitian, null_space, rank_eps, rel_scale
+from .linalg import frob, is_hermitian, null_space, rel_scale
 from .opsys import hermitian_span, span_basis
 
 
@@ -53,14 +53,6 @@ class ConstraintSpaces:
                 raise ValueError("spanning sets must consist of Hermitian matrices")
         object.__setattr__(self, "s_basis", s)
         object.__setattr__(self, "t_basis", t)
-
-
-def minimal_kraus(phi: ChannelChoi, tol: float | None = None) -> KrausSet:
-    """Minimal Kraus set with the linear independence re-verified."""
-    ks = kraus_from_choi(phi, tol)
-    if rank_eps(kraus_gram(ks), tol) != len(ks.ops):
-        raise ArithmeticError("extracted Kraus operators are not independent")
-    return ks
 
 
 def _pair_rows(v_ops, s_mats, t_mats) -> np.ndarray:
@@ -108,7 +100,7 @@ def extremality(phi: ChannelChoi, spaces: ConstraintSpaces,
                 raise ValueError(f"{side}[{idx}] has shape {m.shape}, "
                                  f"expected {(n, n)} for a {phi.d} -> {phi.r} map")
     tol = resolve(tol, DEFAULTS.rel_tol)
-    ks = minimal_kraus(phi, tol)
+    ks = kraus_from_choi(phi, tol)
     k = len(ks.ops)
     # adjoint convention: with phi(X) = sum A X A^dagger, set V_i = A_i^dagger
     rows = _pair_rows([a.conj().T for a in ks.ops], spaces.s_basis, spaces.t_basis)
@@ -124,7 +116,7 @@ def extremality(phi: ChannelChoi, spaces: ConstraintSpaces,
     lam = max(lam + lam.conj().T, 1j * (lam - lam.conj().T), key=frob)
     lam = lam / (2 * np.linalg.norm(lam, 2))
     w_mat = np.stack([a.T.reshape(-1) for a in ks.ops])  # row a is the vec of Kraus a
-    # minimal_kraus's Gram check makes the rows of w_mat independent, so the shift is nonzero
+    # the rows of w_mat have Gram matrix diag(w) with every w > 0, so the shift is nonzero
     shift = ChannelChoi(phi.d, phi.r, w_mat.T @ lam @ w_mat.conj())
     pair = tuple(ChannelChoi(phi.d, phi.r, phi.choi + sign * shift.choi) for sign in (1, -1))
     dual = dual_channel(shift)

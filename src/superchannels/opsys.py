@@ -35,6 +35,8 @@ class SpanMembership:
 
 def span_dim(d: int, r: int) -> int:
     """Dimension of the span of channel Choi matrices inside M_d(M_r)."""
+    if d < 1 or r < 1:
+        raise ValueError(f"span dimensions must be positive, got d={d}, r={r}")
     return d * d * r * r - d * d + 1
 
 
@@ -80,6 +82,7 @@ def span_basis(d: int, r: int) -> np.ndarray:
     diagonal.  That QR is unique, so the basis is the Gram-Schmidt basis of
     the projected units in row-major order.
     """
+    span_dim(d, r)  # rejects d or r below 1
     n = d * r
     units = np.array([project_to_span(matrix_unit(n, p, q), d, r)
                       for p in range(n) for q in range(n)])

@@ -25,10 +25,11 @@ from superchannels.channels import (
     dual_channel,
     identity_channel,
     is_cp,
+    kraus_from_choi,
     tensor,
 )
 from superchannels.config import DEFAULTS, resolve
-from superchannels.extremal import ConstraintSpaces, _pair_rows, minimal_kraus
+from superchannels.extremal import ConstraintSpaces, _pair_rows
 from superchannels.feasibility import (
     FEASIBLE,
     INFEASIBLE,
@@ -311,7 +312,7 @@ def perturbation_search(phi: ChannelChoi, spaces: ConstraintSpaces,
     on the constraint subspaces before declaring non-extremality.
     """
     tol = resolve(tol, DEFAULTS.rel_tol)
-    ks = minimal_kraus(phi, tol)
+    ks = kraus_from_choi(phi, tol)
     k = len(ks.ops)
     if k * k > 1000:
         raise ValueError("constraint system too large for the brute-force search")
@@ -326,8 +327,9 @@ def perturbation_search(phi: ChannelChoi, spaces: ConstraintSpaces,
         return True
 
     w_mat = np.stack([a.T.reshape(-1) for a in ks.ops])  # row a is the vec of Kraus a
-    # ||W^T lam W^*||_F >= w_min ||lam||_F, and minimal_kraus's Gram check gives
-    # w_min > tol * ||W||_2^2, so no real shift falls under this floor
+    # ||W^T lam W^*||_F >= w_min ||lam||_F, and kraus_from_choi's Gram matrix is
+    # diag(w) with every w above the psd_support cut, so w_min > tol * ||W||_2^2
+    # and no real shift falls under this floor
     shift_floor = tol * np.linalg.norm(w_mat, 2) ** 2
     rng = np.random.default_rng(SEED)
     candidates = [null[i] for i in range(min(TRIALS, null.shape[0]))]

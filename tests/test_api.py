@@ -18,7 +18,7 @@ PUBLIC_NAMES = [
     "factor_unitary", "feasibility", "herm_eig", "identity_channel",
     "identity_superchannel", "induced_marginal_map", "is_cp", "is_extreme_choi",
     "is_extreme_constrained", "is_extreme_unital_tp", "is_superchannel", "is_tp",
-    "is_unital", "kraus_from_choi", "kron", "linalg", "marginal", "minimal_kraus",
+    "is_unital", "kraus_from_choi", "kron", "linalg", "marginal",
     "opsys", "partial_trace", "permute_factors", "pre_post_form", "project_to_span",
     "psd_project", "random_channel", "random_superchannel", "rank_eps", "recompose",
     "restrict_superchannel", "restrictions_equal", "span_basis", "span_dim",
@@ -32,7 +32,7 @@ SUBCOMMANDS = {"basis", "characterize", "check-channel", "check-super", "demo-pa
 
 
 def test_public_names_are_pinned():
-    assert len(PUBLIC_NAMES) == 73
+    assert len(PUBLIC_NAMES) == 72
     assert sorted(superchannels.__all__) == PUBLIC_NAMES
 
 

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from _dense_reference import kraus_by_eigenvalue_loop
 from superchannels.channels import (
@@ -28,6 +30,7 @@ from superchannels.linalg import (
     herm_eig,
     kron,
     matrix_unit,
+    psd_support,
     random_hermitian,
     random_unitary,
     rank_eps,
@@ -115,7 +118,7 @@ def test_tp_equivalent_to_trace_identity():
 
 def test_kraus_identity_channel():
     ks = kraus_from_choi(identity_channel(2))
-    assert len(ks.ops) == 1 and ks.minimal
+    assert len(ks.ops) == 1
     a = ks.ops[0]
     phase = a[0, 0] / abs(a[0, 0])
     np.testing.assert_allclose(a / phase, np.eye(2), atol=1e-12)
@@ -147,6 +150,27 @@ def test_kraus_count_equals_choi_rank():
     for seed in range(5):
         phi = random_channel(2, 2, 1 + seed % 4, seed)
         assert len(kraus_from_choi(phi).ops) == rank_eps(phi.choi)
+
+
+@settings(max_examples=40, deadline=None)
+@given(dims=st.sampled_from([(2, 2), (2, 3), (3, 2), (3, 3)]), data=st.data(),
+       seed=st.integers(0, 2**16))
+def test_kraus_from_choi_is_independent_by_construction(dims, data, seed):
+    """The operators are Choi eigenvectors scaled by sqrt(w), so their
+    Hilbert-Schmidt Gram matrix is diagonal: the family is independent with
+    no further check, and the extremality tests rely on that."""
+    d, r = dims
+    # random_channel needs r * rank >= d
+    rank = data.draw(st.integers(-(-d // r), d * r), label="kraus rank")
+    phi = random_channel(d, r, rank, seed)
+    ks = kraus_from_choi(phi)
+    w = np.array(ks.ops).reshape(len(ks.ops), -1)
+    gram = w.conj() @ w.T
+    norms = np.sum(np.abs(w) ** 2, axis=1)
+    np.testing.assert_allclose(gram, np.diag(norms), rtol=0, atol=1e-12 * norms.max())
+    assert len(ks.ops) == len(psd_support(phi.choi)[0])
+    np.testing.assert_allclose(choi_from_kraus(ks).choi, phi.choi,
+                               rtol=0, atol=1e-10 * frob(phi.choi))
 
 
 def test_choi_from_kraus_embedding():

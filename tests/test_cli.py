@@ -426,6 +426,14 @@ def test_basis_command(capsys, tmp_path):
     assert obj["dim"] == 13
 
 
+@pytest.mark.parametrize("d, r", [("0", "2"), ("2", "0"), ("-1", "2")])
+def test_basis_of_non_positive_dimensions_is_an_input_error(capsys, d, r):
+    """``basis 0 2`` used to exit 3 with numpy's reshape message."""
+    assert main(["basis", d, r]) == 3
+    assert capsys.readouterr().err == (
+        f"error: span dimensions must be positive, got d={d}, r={r}\n")
+
+
 @pytest.mark.parametrize("command, operand, option", [
     ("extend", "readout_action.json", "--tol"),
     ("tp-extend", "readout_action.json", "--tol"),

@@ -54,6 +54,15 @@ def test_action_validates_image_count():
         SpanAction(2, 2, 1, 1, [np.eye(1)] * 12 + [np.eye(2)])
 
 
+@pytest.mark.parametrize("dims", [(0, 2, 2, 2), (2, 0, 2, 2), (-1, 2, 2, 2),
+                                  (2, 2, 0, 2), (2, 2, 2, 0), (2, 2, -1, 2)])
+def test_action_rejects_non_positive_dimensions(dims):
+    """SpanAction(0, 2, 2, 2, np.zeros((1, 4, 4))) used to be accepted, and
+    extend_action on it died in a numpy reshape."""
+    with pytest.raises(ValueError, match="must be positive"):
+        SpanAction(*dims, np.zeros((1, 4, 4)))
+
+
 def test_action_images_are_one_read_only_array():
     source = np.array(span_basis(2, 2))
     action = SpanAction(2, 2, 2, 2, source)

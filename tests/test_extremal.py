@@ -12,6 +12,7 @@ from superchannels.channels import (
     depolarizing_channel,
     dual_channel,
     is_cp,
+    kraus_from_choi,
     random_channel,
     unitary_channel,
 )
@@ -23,7 +24,6 @@ from superchannels.extremal import (
     is_extreme_choi,
     is_extreme_constrained,
     is_extreme_unital_tp,
-    minimal_kraus,
 )
 from superchannels.gallery import block_trace_readout, readout_mixture
 from superchannels.linalg import matrix_unit, random_unitary
@@ -37,11 +37,11 @@ FIXED_UNIT_4 = ConstraintSpaces((np.eye(4, dtype=complex),), ())
 
 
 def test_minimal_kraus_counts():
-    assert len(minimal_kraus(unitary_channel(random_unitary(2, 0))).ops) == 1
-    assert len(minimal_kraus(depolarizing_channel(2, 2)).ops) == 4
+    assert len(kraus_from_choi(unitary_channel(random_unitary(2, 0))).ops) == 1
+    assert len(kraus_from_choi(depolarizing_channel(2, 2)).ops) == 4
     for rank in (1, 2, 3):
         phi = random_channel(2, 2, rank, seed=rank)
-        assert len(minimal_kraus(phi).ops) == rank
+        assert len(kraus_from_choi(phi).ops) == rank
 
 
 def test_extreme_choi_unitary():
@@ -118,7 +118,7 @@ def test_midpoint_has_explicit_perturbation_direction():
 def test_fixed_unit_specialisation_matches_extreme_choi():
     for seed in range(20):
         phi = random_channel(2, 2, 1 + seed % 4, seed)
-        assert is_extreme_choi(phi) == is_extreme_constrained(phi, FIXED_UNIT_2)
+        assert is_extreme_choi(phi) == perturbation_search(phi, FIXED_UNIT_2)
 
 
 def test_unital_tp_specialisation():
@@ -128,7 +128,7 @@ def test_unital_tp_specialisation():
                                         + unitary_channel(PAULI_Z).choi) / 2))
     both = ConstraintSpaces((np.eye(2, dtype=complex),), (np.eye(2, dtype=complex),))
     for phi in instances:
-        assert is_extreme_unital_tp(phi) == is_extreme_constrained(phi, both)
+        assert is_extreme_unital_tp(phi) == perturbation_search(phi, both)
 
 
 def test_basis_independence():
@@ -211,7 +211,7 @@ def test_extremality_matches_reference_and_pairs_are_verified(dims, data, seed):
     units = (np.eye(d, dtype=complex),), (np.eye(r, dtype=complex),)
     for spaces in (ConstraintSpaces(units[0], ()), ConstraintSpaces(*units)):
         result = extremality(phi, spaces)
-        if len(minimal_kraus(phi).ops) ** 2 <= 1000:
+        if len(kraus_from_choi(phi).ops) ** 2 <= 1000:
             assert result.extreme == perturbation_search(phi, spaces)
         if result.extreme:
             assert result.pair is None

@@ -108,6 +108,16 @@ def test_basis_is_one_read_only_array():
         basis[0, 0, 0] = 1.0
 
 
+@pytest.mark.parametrize("d, r", [(0, 2), (2, 0), (-1, 2)])
+def test_non_positive_dimensions_are_rejected(d, r):
+    """span_dim(2, 0) used to return -3 and span_basis(0, 2) died in numpy."""
+    message = rf"span dimensions must be positive, got d={d}, r={r}"
+    with pytest.raises(ValueError, match=message):
+        span_dim(d, r)
+    with pytest.raises(ValueError, match=message):
+        span_basis(d, r)
+
+
 def test_basis_of_trivial_input_side_is_full():
     assert len(span_basis(1, 3)) == 9
 
