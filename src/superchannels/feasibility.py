@@ -26,18 +26,22 @@ tangentially (Sturm, SIAM J. Optim. 2000).  So a run with a cap of at least
 check runs ``newton_phase`` once: a primal-dual interior-point method that
 maximises t subject to ``W - t I >= 0`` over the set's m-element directions
 basis, with a dual matrix X that bounds the best t (Vandenberghe & Boyd,
-SIAM Review 1996).  The switch follows a ski-rental argument: start the
-phase once DR has spent about what the phase costs.  A step costs
-0.07-0.18 m DR iterations and the phase takes 2-20 steps, about 0.8-2.9 m
-iterations in all; ``newton_after(m)`` is the first power of two at or
-above m, keeping the switch on the certificate schedule: 64 at (2,2,2,2)
-(m = 48), 128 at (2,3,2,3), 512 at (3,2,3,2) and 1,024 at (3,3,3,3)
-(m = 648).  A cap below twice the switch runs DR alone, so a capped run
-pays at most about its cap.  The phase ends with a strict witness, which
-a Cholesky factorisation proves positive definite; a shadow witness, W's
-PSD part, on a set too thin to hold one; a certificate, its dual matrix, on
-a set that misses the cone, so the run ends "infeasible" at the switch; or
-with nothing (see ``newton_phase``).  Without a verdict DR resumes from its
+SIAM Review 1996).  The switch is set from measured costs.  At (2,2,2,2)
+(m = 48) a step costs about 9 DR iterations.  The phase ends a set with a
+positive definite point in 2-9 steps, and in 2-3 on the sets DR ends
+soonest (12-53 iterations), about as fast; on a set without one it saves
+the whole DR run (2,261 iterations at seed 401).  So for m <= 64
+``newton_after(m)`` is 4, after the certificate checks at iterations 1, 2
+and 4 that settle the sets DR settles at once.  Above 64 directions a phase
+started that early was faster on at most half the measured sets (5 of 36
+at (3,2,3,2)), so the switch stays the first power of two at or above m,
+on the certificate schedule: 128 at (2,3,2,3), 512 at (3,2,3,2) and 1,024
+at (3,3,3,3) (m = 648).  A cap below twice the switch runs DR alone, so a
+capped run pays at most about its cap.  The phase ends with a strict
+witness, which a Cholesky factorisation proves positive definite; a shadow
+witness, W's PSD part, on a set too thin to hold one; a certificate, its
+dual matrix, on a set that misses the cone, so the run ends "infeasible" at
+the switch; or with nothing (see ``newton_phase``).  Without a verdict DR resumes from its
 unchanged iterate, so the run's status, iteration count and witness are
 those of DR alone; the report records the switch, the phase's step count
 and how it ended either way.
@@ -262,9 +266,12 @@ def _shadow(x: np.ndarray) -> np.ndarray:
 
 def newton_after(m: int) -> int:
     """The DR iteration after which a run without a verdict runs the Newton
-    phase: the first power of two at or above ``m`` for ``m`` directions
-    (a power of two, so that iteration's certificate check comes first)."""
-    return 1 << (m - 1).bit_length()
+    phase, for ``m`` directions: 4 up to 64 directions, where the phase
+    costs about what DR spends on the sets it ends soonest, and above, where
+    a phase started at 4 was faster on at most half the measured sets, the
+    first power of two at or above ``m``.  A power of two, so that
+    iteration's certificate check comes first."""
+    return 4 if m <= 64 else 1 << (m - 1).bit_length()
 
 
 def newton_phase(affine: AffineSet) -> tuple[np.ndarray | Certificate | None, str, int,

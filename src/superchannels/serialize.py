@@ -46,17 +46,17 @@ def _input_errors(where: str):
         yield
     except SerializationError:
         raise
-    except (KeyError, TypeError, ValueError) as exc:
+    except KeyError as exc:
+        raise SerializationError(f"{where}: missing key {exc}") from exc
+    except (TypeError, ValueError) as exc:
         raise SerializationError(f"{where}: {exc}") from exc
 
 
 def _dimension(obj: dict, key: str, where: str) -> int:
     """``obj[key]`` if it is a positive integer (not a bool, a float or a
-    string); anything else is a ``SerializationError`` naming ``where``."""
-    try:
-        value = obj[key]
-    except KeyError as exc:
-        raise SerializationError(f"{where}: missing key {exc}") from exc
+    string); any other value is a ``SerializationError`` naming ``where``.
+    Call it under ``_input_errors``, which reports a missing key."""
+    value = obj[key]
     if not isinstance(value, int) or isinstance(value, bool) or value < 1:
         raise SerializationError(f"{where}: {key} must be a positive integer, got {value!r}")
     return value
@@ -103,7 +103,8 @@ def decode_matrix(obj, where: str = "matrix") -> np.ndarray:
     object, as an owned, writable array."""
     if not isinstance(obj, dict):
         raise SerializationError(f"{where}: expected an object with rows/cols and data or base64")
-    rows, cols = _dimension(obj, "rows", where), _dimension(obj, "cols", where)
+    with _input_errors(where):
+        rows, cols = _dimension(obj, "rows", where), _dimension(obj, "cols", where)
     forms = [key for key in ("data", "base64") if key in obj]
     if len(forms) != 1:
         raise SerializationError(f"{where}: expected exactly one of data and base64, "
@@ -217,5 +218,11 @@ def load_json(path) -> object:
 
 def save_json(path, obj) -> None:
     """Write ``obj`` as one line of compact JSON: without ``indent``, json
-    encodes with its C encoder, several times faster on large matrices."""
-    Path(path).write_text(json.dumps(obj) + "\n")
+    encodes with its C encoder, several times faster on large matrices.  A
+    file that cannot be written is a ``SerializationError`` naming ``path``."""
+    path = Path(path)
+    text = json.dumps(obj) + "\n"
+    try:
+        path.write_text(text)
+    except OSError as exc:
+        raise SerializationError(f"{path}: {exc}") from exc

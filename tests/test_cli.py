@@ -142,19 +142,19 @@ def _cap_action(tmp_path, seed):
 
 def test_extend_reports_the_newton_steps(capsys, tmp_path):
     """Seed 415's thin extension set: Douglas-Rachford runs to iteration
-    64, the switch for its 48 directions, then the Newton phase returns a
+    4, the switch for its 48 directions, then the Newton phase returns a
     strict witness."""
     path = _cap_action(tmp_path, 415)
     code, reports = run_json(capsys, "extend", str(path), "--max-iter", "20000")
     assert code == 0
     results = {f["key"]: f["value"] for f in reports[0]["results"]}
     assert results["status"] == "feasible"
-    assert results["iterations"] == results["newton after"] == 64
+    assert results["iterations"] == results["newton after"] == 4
     assert results["newton exit"] == "strict"
     assert 0 < results["newton steps"] <= 12
     code, out = run(capsys, "extend", str(path), "--max-iter", "20000")
     assert code == 0
-    assert "newton exit: strict" in out and "newton after: 64" in out
+    assert "newton exit: strict" in out and "newton after: 4" in out
 
 
 def test_extend_reports_a_shadow_exit(capsys, tmp_path):
@@ -165,7 +165,7 @@ def test_extend_reports_a_shadow_exit(capsys, tmp_path):
                              "--out", str(out))
     assert code == 0
     results = {f["key"]: f["value"] for f in reports[0]["results"]}
-    assert results["iterations"] == results["newton after"] == 64
+    assert results["iterations"] == results["newton after"] == 4
     assert results["newton exit"] == "shadow"
     assert 0 < results["newton steps"] <= 12
     sc = random_superchannel(2, 2, 2, 2, e=2, seed=401)
@@ -182,7 +182,7 @@ def test_psd_residual_decides_no_exit_code(capsys, fixtures, tmp_path):
     infeasible report judges no residual either."""
     runs = [(0, "feasible", ["extend", str(fixtures / "readout_action.json")]),
             (1, "infeasible", ["tp-extend", str(fixtures / "no_tp_action.json")]),
-            (2, "undetermined", ["extend", str(_cap_action(tmp_path, 415)), "--max-iter", "100"])]
+            (2, "undetermined", ["extend", str(_cap_action(tmp_path, 415)), "--max-iter", "7"])]
     for code_want, status, argv in runs:
         code, reports = run_json(capsys, *argv)
         assert code == code_want
@@ -262,14 +262,15 @@ def test_tp_extend_certificate_checks_against_the_dense_system(capsys, fixtures,
 
 
 def test_tp_extend_phase_certificate_checks_against_the_dense_system(capsys, tmp_path):
-    """The Newton phase's dual matrix, at the switch: TP ``(2,2,2,2)`` seed 32,
-    e = 2, which Douglas-Rachford alone certifies only at iteration 512."""
+    """The Newton phase's dual matrix, at the switch, iteration 4: TP
+    ``(2,2,2,2)`` seed 32, e = 2, which Douglas-Rachford alone certifies only
+    at iteration 512."""
     path = tmp_path / "action.json"
     sc = random_superchannel(2, 2, 2, 2, e=2, seed=32)
     save_json(path, encode_action(restrict_superchannel(sc)))
     results = _tp_certificate_checks_against_the_dense_system(capsys, path,
                                                               tmp_path / "report.json")
-    assert results["iterations"] == results["newton after"] == 64
+    assert results["iterations"] == results["newton after"] == 4
     assert results["newton exit"] == "certificate"
 
 
@@ -520,6 +521,31 @@ def test_dimensions_that_are_not_json_integers_are_input_errors(capsys, tmp_path
     save_json(path, obj)
     assert main([command[0], str(path), *command[1:]]) == 3
     assert capsys.readouterr().err.startswith(f"input error: {where}: ")
+
+
+@pytest.mark.parametrize("command, operand", [("basis", None),
+                                              ("characterize", "identity_superchannel_2_2.json"),
+                                              ("extend", "readout_action.json")])
+def test_an_unwritable_out_is_an_input_error_naming_it(capsys, fixtures, tmp_path,
+                                                       command, operand):
+    """A failed write is an input error (exit 3), not a failed check, and no
+    report is printed."""
+    operands = [str(fixtures / operand)] if operand else ["2", "2"]
+    out = tmp_path / "missing" / "out.json"
+    assert main([command, *operands, "--out", str(out)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"input error: {out}: ")
+
+
+@pytest.mark.parametrize("command, name, where, key", [
+    ("check-super", "readout_action.json", "superchannel", "choi"),
+    ("extend", "identity_superchannel_2_2.json", "action", "images"),
+])
+def test_a_missing_key_is_an_input_error_naming_it(capsys, fixtures, command, name,
+                                                   where, key):
+    assert main([command, str(fixtures / name)]) == 3
+    assert capsys.readouterr().err == f"input error: {where}: missing key '{key}'\n"
 
 
 def test_a_file_that_is_not_unicode_is_an_input_error_naming_it(capsys, tmp_path):

@@ -52,8 +52,7 @@ def _random_restriction(seed):
         random_superchannel(2, 2, 2, 2, e=1 + seed % 2, seed=seed)))
 
 
-# each case with its cap; random-403 ends at iteration 112, after its switch
-# at 64, so its cap stays below twice the switch and no phase runs
+# each case with its cap
 CASES = {
     "random-400": (lambda: _random_restriction(400), 20_000),
     "random-403": (lambda: _random_restriction(403), 127),
@@ -66,15 +65,29 @@ CASES = {
     "random-3333": (lambda: affine_set(restrict_superchannel(
         random_superchannel(3, 3, 3, 3, e=1, seed=0))), 20_000),
 }
+# the (2,2,2,2) cases switch at iteration 4, before Douglas-Rachford ends
+# them (random-403 at iteration 112), so they run with the phase patched out
+PHASE_FIRST = ("random-400", "random-403", "random-408")
+
+
+def _no_phase(monkeypatch):
+    """Patch the Newton phase out of ``solve``: it returns no verdict after
+    no step, so Douglas-Rachford runs on exactly as if it had not run, and
+    the report's ``newton_exit`` reads ``NONE`` wherever the switch came."""
+    monkeypatch.setattr(feasibility, "newton_phase", lambda affine: (None, NONE, 0, None))
 
 
 @pytest.mark.parametrize("name", CASES)
-def test_solve_matches_reference_loop(name):
+def test_solve_matches_reference_loop(name, monkeypatch):
     make, cap = CASES[name]
     affine = make()
+    patched = name in PHASE_FIRST
+    if patched:
+        _no_phase(monkeypatch)
     got, (want, _) = solve(affine, max_iter=cap), reference_solve(affine, max_iter=cap)
     assert got.status == want.status == FEASIBLE
     assert got.newton_steps == 0
+    assert got.newton_exit == (NONE if patched else "")
     assert got.iterations == want.iterations
     np.testing.assert_allclose(got.witness, want.witness, rtol=0, atol=1e-10)
     assert np.array_equal(got.witness, got.witness.conj().T)
@@ -131,33 +144,40 @@ def _assert_verified(point, sc, affine):
     assert restrictions_equal(ext, sc, 1e-6)
 
 
-@pytest.mark.parametrize("m, switch", [(48, 64), (108, 128), (288, 512), (648, 1024),
-                                       (1, 1), (64, 64), (65, 128)])
+@pytest.mark.parametrize("m", [1, 48, 64])
+def test_switch_is_4_up_to_64_directions(m):
+    """(2,2,2,2)'s 48 directions and the two edges."""
+    assert newton_after(m) == 4
+
+
+@pytest.mark.parametrize("m, switch", [(108, 128), (288, 512), (648, 1024), (65, 128)])
 def test_switch_is_the_first_power_of_two_at_or_above_m(m, switch):
-    """The ladder's direction counts, (2,2,2,2) to (3,3,3,3), and two edges."""
+    """Above 64 directions: the ladder's direction counts, (2,3,2,3) to
+    (3,3,3,3), and the edge."""
     assert newton_after(m) == switch
 
 
 @pytest.mark.parametrize("seed", [s for s in range(400, 420) if s not in (415, 419)])
-def test_solve_matches_reference_loop_on_the_cap_instances(seed):
-    """Douglas-Rachford up to the switch (64 here) is the reference loop.
-    Seeds 400, 408, 409, 414, 416, 417 and 418 end by then, at a cap of
-    20,000, with the reference's iteration count and witness.  The others
-    are still open at the switch; under a cap below twice the switch no
-    phase runs, and they match the reference's run at that cap: feasible for
+def test_solve_matches_reference_loop_on_the_cap_instances(seed, monkeypatch):
+    """Douglas-Rachford is the reference loop, with the phase patched out
+    past the switch at iteration 4.  Seeds 400, 408, 409, 414, 416, 417 and
+    418 end by iteration 64, at a cap of 20,000, with the reference's
+    iteration count and witness.  The others are still open at 64, and at a
+    cap of 127 they match the reference's run at that cap: feasible for
     seeds 403, 410, 412 and 413, undetermined for the rest."""
+    _no_phase(monkeypatch)
     affine = affine_set(restrict_superchannel(_cap_instance(seed)))
     switch = newton_after(affine.directions.size)
-    assert switch == 64
+    assert switch == 4
     early = seed in (400, 408, 409, 414, 416, 417, 418)
-    cap = 20_000 if early else 2 * switch - 1
+    cap = 20_000 if early else 127
     want, _ = reference_solve(affine, max_iter=cap)
-    assert (want.iterations <= switch) == early
+    assert (want.iterations <= 64) == early
     assert (want.status == UNDETERMINED) == (seed in (401, 402, 404, 405, 406, 407, 411))
     got = solve(affine, max_iter=cap)
     assert got.status == want.status
-    assert got.iterations == want.iterations
-    assert (got.newton_after, got.newton_steps, got.newton_exit) == (switch, 0, "")
+    assert got.iterations == want.iterations > switch
+    assert (got.newton_after, got.newton_steps, got.newton_exit) == (switch, 0, NONE)
     if want.status == FEASIBLE:
         np.testing.assert_allclose(got.witness, want.witness, rtol=0, atol=1e-10)
     else:
@@ -169,7 +189,7 @@ def test_thin_sets_get_a_strict_witness_after_the_switch(seed):
     affine = affine_set(restrict_superchannel(_cap_instance(seed)))
     report = solve(affine, max_iter=20_000)
     assert report.status == FEASIBLE
-    assert report.iterations == report.newton_after == 64
+    assert report.iterations == report.newton_after == 4
     assert report.newton_exit == STRICT
     assert 0 < report.newton_steps <= 12
     assert np.linalg.eigvalsh(report.witness)[0] > 0
@@ -206,7 +226,7 @@ def test_a_unique_extension_ends_at_the_switch_with_a_shadow():
     affine = affine_set(restrict_superchannel(_cap_instance(401)))
     report = solve(affine, max_iter=20_000)
     assert report.status == FEASIBLE
-    assert report.iterations == report.newton_after == 64
+    assert report.iterations == report.newton_after == 4
     assert report.newton_exit == SHADOW
     assert 0 < report.newton_steps <= 12
     assert report.affine_residual == affine.residual(report.witness)
@@ -228,7 +248,7 @@ def test_a_phase_without_a_witness_resumes_douglas_rachford(monkeypatch):
     got, (want, _) = solve(affine, max_iter=5_000), reference_solve(affine, max_iter=5_000)
     assert got.status == want.status == FEASIBLE
     assert got.iterations == want.iterations == 2261
-    assert got.newton_after == 64 and got.newton_exit == NONE and got.newton_steps > 0
+    assert got.newton_after == 4 and got.newton_exit == NONE and 0 < got.newton_steps <= 12
     np.testing.assert_allclose(got.witness, want.witness, rtol=0, atol=1e-10)
 
 

@@ -130,6 +130,27 @@ def test_dimensions_must_be_positive_json_integers(value):
                 decode(obj)
 
 
+@pytest.mark.parametrize("decode, where, build, key", [
+    (decode_matrix, "matrix", lambda: encode_matrix(np.eye(2)), "rows"),
+    (decode_channel, "channel", lambda: encode_channel(depolarizing_channel(2, 2)), "choi"),
+    (decode_superchannel, "superchannel",
+     lambda: encode_superchannel(block_trace_readout(0)), "choi"),
+    (decode_superchannel, "superchannel", lambda: encode_action(readout_action()), "choi"),
+    (decode_action, "action", lambda: encode_action(readout_action()), "images"),
+    (decode_action, "action", lambda: encode_action(readout_action()), "d2"),
+    (decode_pre_post, "characterisation",
+     lambda: encode_pre_post(pre_post_form(identity_superchannel(2, 2))), "post"),
+], ids=["matrix-rows", "channel-choi", "superchannel-choi", "action-as-superchannel",
+        "action-images", "action-d2", "characterisation-post"])
+def test_a_missing_key_is_named(decode, where, build, key):
+    """A missing dimension or matrix key reads ``missing key '<key>'``; an
+    action file read as a superchannel has no ``choi``."""
+    obj = build()
+    obj.pop(key, None)
+    with pytest.raises(SerializationError, match=f"^{where}: missing key '{key}'$"):
+        decode(obj)
+
+
 def test_matrix_rejects_length_mismatch():
     bad = {"rows": 2, "cols": 2, "data": [[1.0, 0.0]] * 3}
     with pytest.raises(SerializationError):
@@ -264,6 +285,13 @@ def test_load_json_reports_line_and_column(tmp_path):
     with pytest.raises(SerializationError) as err:
         load_json(path)
     assert "line 2" in str(err.value)
+
+
+def test_save_json_reports_an_unwritable_path(tmp_path):
+    path = tmp_path / "missing" / "chan.json"
+    with pytest.raises(SerializationError, match=f"^{re.escape(str(path))}: "):
+        save_json(path, encode_channel(depolarizing_channel(2, 2)))
+    assert not path.parent.exists()
 
 
 def test_save_and_load(tmp_path):
