@@ -34,7 +34,6 @@ from .extend import (
     extend_action,
     extension_spread,
     restrict_superchannel,
-    tp_extension,
 )
 from .extremal import (
     ConstraintSpaces,
@@ -42,7 +41,6 @@ from .extremal import (
     extension_constraint_spaces,
     extremality,
     is_extreme_choi,
-    is_extreme_constrained,
     is_extreme_unital_tp,
 )
 from .linalg import (
@@ -68,7 +66,6 @@ from .supermaps import (
     apply_superchannel,
     aux_dim,
     as_channel,
-    check_order_unit,
     conjugation_supermap,
     factor_unitary,
     identity_superchannel,

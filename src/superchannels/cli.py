@@ -13,9 +13,10 @@ import dataclasses
 import functools
 import json
 import sys
+from pathlib import Path
 
 from . import demo, extremal, feasibility
-from .channels import is_cp, is_tp, kraus_from_choi
+from .channels import is_cp, is_tp, is_unital, kraus_from_choi
 from .config import DEFAULTS, resolve
 from .extend import extend_action
 from .linalg import frob, is_psd, kron, lambda_min
@@ -37,12 +38,13 @@ from .serialize import (
     save_json,
 )
 from .supermaps import (
+    as_channel,
     aux_dim,
-    check_order_unit,
     factor_unitary,
     is_superchannel,
     marginal_map_residual,
     pre_post_form,
+    preserves_span,
 )
 
 
@@ -56,7 +58,7 @@ def cmd_check_channel(args) -> RunReport:
     rep.add("tp", tp, tol=tol, ok=tp)
     mem = span_membership(phi.choi, phi.d, phi.r, tol)
     rep.add("in channel span", mem.member)
-    rep.add("trace scale", None if not mem.member else _c(mem.scale))
+    rep.add("trace scale", [float(mem.scale.real), float(mem.scale.imag)] if mem.member else None)
     if cp:
         rep.add("kraus rank", len(kraus_from_choi(phi, tol).ops))
     return rep
@@ -66,15 +68,16 @@ def cmd_check_super(args) -> RunReport:
     sc = decode_superchannel(load_json(args.path))
     rep = RunReport("check-super", inputs=(args.path,))
     tol = resolve(args.tol, DEFAULTS.rel_tol)
-    preserving = is_superchannel(sc, tol)
-    # a superchannel is PSD: only a rejected input needs its eigenvalues again
-    psd = preserving or is_psd(sc.choi, tol)
+    superchannel = is_superchannel(sc, tol)
+    preserving = superchannel or preserves_span(sc.choi, sc.dims, tol)
+    # an input on the span that is_superchannel rejects has failed its PSD rule
+    psd = superchannel or (not preserving and is_psd(sc.choi, tol))
     rep.add("psd", psd, tol=tol, ok=psd)
     if not psd:
         rep.add("min eigenvalue", lambda_min(sc.choi))
     rep.add("span preserving", preserving, tol=tol, ok=preserving)
-    rep.add("order unit fixed", check_order_unit(sc, tol))
-    if preserving:
+    rep.add("order unit fixed", is_unital(as_channel(sc), tol))
+    if superchannel:
         rep.add("aux dim", aux_dim(sc))
         _, lift, unital = marginal_map_residual(sc.choi, sc.dims)
         rep.judge("induced map unitality residual", unital, tol)
@@ -82,7 +85,9 @@ def cmd_check_super(args) -> RunReport:
     return rep
 
 
-def _run_extend(args, trace_preserving: bool) -> RunReport:
+def cmd_extend(args) -> RunReport:
+    """``extend`` and ``tp-extend``: the subcommand's name picks the set."""
+    trace_preserving = args.command == "tp-extend"
     action = decode_action(load_json(args.path))
     seed = None
     if args.seeds:
@@ -90,8 +95,7 @@ def _run_extend(args, trace_preserving: bool) -> RunReport:
     report = extend_action(action, seed_point=seed,
                            trace_preserving=trace_preserving,
                            max_iter=args.max_iter)
-    name = "tp-extend" if trace_preserving else "extend"
-    rep = RunReport(name, inputs=(args.path,))
+    rep = RunReport(args.command, inputs=(args.path,))
     # one finding per scalar field of the report, in declaration order; an
     # infeasible run has no witness, so no residuals
     skip = {"witness", "certificate"} | ({"affine_residual", "psd_residual"}
@@ -123,14 +127,6 @@ def _run_extend(args, trace_preserving: bool) -> RunReport:
     return rep
 
 
-def cmd_extend(args) -> RunReport:
-    return _run_extend(args, trace_preserving=False)
-
-
-def cmd_tp_extend(args) -> RunReport:
-    return _run_extend(args, trace_preserving=True)
-
-
 def cmd_characterize(args) -> RunReport:
     sc = decode_superchannel(load_json(args.path))
     rep = RunReport("characterize", inputs=(args.path,))
@@ -156,7 +152,7 @@ def cmd_extreme(args) -> RunReport:
     if args.spaces:
         spaces = decode_spaces(load_json(args.spaces))
         rep.add("extreme_constrained",
-                extremal.is_extreme_constrained(phi, spaces, args.tol))
+                extremal.extremality(phi, spaces, args.tol).extreme)
     else:
         rep.add("extreme_constrained", None)
     return rep
@@ -193,14 +189,6 @@ def cmd_basis(args) -> RunReport:
     return rep
 
 
-def cmd_demo_paper(args) -> list[RunReport]:
-    return demo.run_all(args.tol, seed=args.seed)
-
-
-def _c(z: complex):
-    return [float(z.real), float(z.imag)]
-
-
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The one parser of the process, built on first use: parsing keeps no
@@ -226,13 +214,13 @@ def build_parser() -> argparse.ArgumentParser:
     common(p, tol=True, out=False)
     p.set_defaults(fn=cmd_check_super)
 
-    for name, fn in (("extend", cmd_extend), ("tp-extend", cmd_tp_extend)):
+    for name in ("extend", "tp-extend"):
         p = sub.add_parser(name, help=f"{name} a span action to a CP supermap")
         common(p, tol=False, out=True)
         p.add_argument("--seeds", default=None, metavar="FILE",
                        help="superchannel file used as the starting point")
         p.add_argument("--max-iter", type=int, default=None)
-        p.set_defaults(fn=fn)
+        p.set_defaults(fn=cmd_extend)
 
     p = sub.add_parser("characterize", help="pre/post factorisation of a superchannel")
     common(p, tol=False, out=True)
@@ -259,7 +247,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(p, tol=True, out=False, path=False)
     p.add_argument("--seed", type=int, default=None,
                    help="reseed the randomised checks (fixed constants by default)")
-    p.set_defaults(fn=cmd_demo_paper)
+    p.set_defaults(fn=lambda args: demo.run_all(args.tol, seed=args.seed))
 
     return parser
 
@@ -283,6 +271,9 @@ def main(argv=None) -> int:
     except SystemExit as exc:  # argparse exits 2, the code for undetermined
         return 3 if exc.code else 0
     try:
+        out = getattr(args, "out", None)
+        if out and not Path(out).parent.is_dir():  # before the work, not after it
+            raise SerializationError(f"{Path(out)}: {Path(out).parent} is not a directory")
         result = args.fn(args)
     except SerializationError as exc:
         print(f"input error: {exc}", file=sys.stderr)

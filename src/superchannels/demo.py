@@ -19,12 +19,13 @@ from .channels import (
     ChannelChoi,
     apply_choi,
     choi_from_kraus,
+    is_unital,
     kraus_from_choi,
     random_channel,
     tensor,
 )
 from .config import resolve
-from .extend import extend_action, tp_extension
+from .extend import extend_action
 from .gallery import (
     block_trace_readout,
     entry_readout,
@@ -54,7 +55,6 @@ from .supermaps import (
     apply_superchannel,
     as_channel,
     aux_dim,
-    check_order_unit,
     conjugation_supermap,
     factor_unitary,
     identity_superchannel,
@@ -142,7 +142,7 @@ def check_no_tp_extension(tol: float | None = None, seed: int | None = None) -> 
     action = no_tp_action()
     printed = no_tp_superchannel()
 
-    tp_rep = tp_extension(action)
+    tp_rep = extend_action(action, trace_preserving=True)
     rep.add("tp status", tp_rep.status, ok=tp_rep.status == feasibility.INFEASIBLE)
     rep.add("tp gap", tp_rep.gap, tol=1e-6, ok=tp_rep.gap > 1e-6)
 
@@ -271,7 +271,7 @@ def check_unitary_superchannels(tol: float | None = None, seed: int | None = Non
         sc = unitary_superchannel(u1, u2)
         all_good &= is_superchannel(sc)
         all_good &= aux_dim(sc) == 1
-        all_good &= check_order_unit(sc)
+        all_good &= is_unital(as_channel(sc))
         factors = factor_unitary(kron(u1, u2), 2, 2)
         if factors is None:
             all_good = False

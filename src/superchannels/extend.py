@@ -191,11 +191,6 @@ def extend_action(action: SpanAction,
         action.d1, action.r1, action.d2, action.r2, report.witness))
 
 
-def tp_extension(action: SpanAction, **kwargs) -> FeasibilityReport:
-    """Search for a trace-preserving CP extension."""
-    return extend_action(action, trace_preserving=True, **kwargs)
-
-
 def extension_spread(action: SpanAction, seeds, eps: float | None = None) -> SpreadReport:
     """Sweep extension searches over seeds and report the aux-dimension range.
 

@@ -153,12 +153,6 @@ def is_extreme_unital_tp(phi: ChannelChoi, tol: float | None = None) -> bool:
                                              (np.eye(phi.r, dtype=complex),)), tol).extreme
 
 
-def is_extreme_constrained(phi: ChannelChoi, spaces: ConstraintSpaces,
-                           tol: float | None = None) -> bool:
-    """``extremality``'s verdict alone."""
-    return extremality(phi, spaces, tol).extreme
-
-
 def extension_constraint_spaces(d1: int, r1: int) -> ConstraintSpaces:
     """Constraint spaces for extremality among extensions of one span action."""
     return ConstraintSpaces(hermitian_span(span_basis(d1, r1)), ())

@@ -19,7 +19,6 @@ from .channels import (
     identity_channel,
     is_cp,
     is_tp,
-    is_unital,
     random_channel,
 )
 from .config import DEFAULTS, resolve
@@ -198,11 +197,6 @@ def induced_marginal_map(sc: Superchannel, tol: float | None = None) -> ChannelC
 def aux_dim(sc: Superchannel, eps: float | None = None) -> int:
     """Auxiliary dimension of the pre/post form: rank of the double marginal."""
     return rank_eps(marginal(sc), eps)
-
-
-def check_order_unit(sc: Superchannel, tol: float | None = None) -> bool:
-    """Whether the supermap fixes the identity (the span's order unit)."""
-    return is_unital(as_channel(sc), tol)
 
 
 def recompose(v_pre: np.ndarray, post: ChannelChoi, e: int) -> Superchannel:

@@ -143,20 +143,37 @@ def realify(a_complex: np.ndarray, b_complex: np.ndarray, n: int) -> tuple[np.nd
     return a_real, b_real
 
 
-def linear_affine_set(a_complex: np.ndarray, b_complex: np.ndarray, n: int,
-                      directions: Directions) -> AffineSet:
-    """The Hermitian solutions of ``a_complex @ vec(C) = b_complex`` as an ``AffineSet``.
+class RealSystem:
+    """``a_complex @ vec(C) = b_complex`` on Hermitian C, realified and
+    factorised by one thin SVD, so that pseudo-inverse projections at several
+    cutoffs share the factorisation."""
 
-    Realifies the system and takes its pseudo-inverse.  Singular values below
+    def __init__(self, a_complex: np.ndarray, b_complex: np.ndarray, n: int):
+        self.a_real, self.b_real = realify(a_complex, b_complex, n)
+        self.n = n
+        self.u, self.s, self.vt = np.linalg.svd(self.a_real, full_matrices=False)
+
+    def projection(self, rcond: float) -> tuple[np.ndarray, np.ndarray]:
+        """``(I - pinv(a) a, pinv(a) b)`` on Hermitian coordinates, keeping the
+        singular values above ``rcond`` times the largest, as
+        ``np.linalg.pinv(a, rcond)`` does."""
+        keep = self.s > rcond * self.s[0]
+        v = self.vt[keep]
+        base = v.T @ ((self.u[:, keep].T @ self.b_real) / self.s[keep])
+        return np.eye(v.shape[1]) - v.T @ v, base
+
+
+def linear_affine_set(system: RealSystem, directions: Directions) -> AffineSet:
+    """The Hermitian solutions of a ``RealSystem`` as an ``AffineSet``.
+
+    Projects with the pseudo-inverse.  Singular values below
     ``DEFAULTS.rel_tol`` times the largest are treated as zero; numpy's own
     cutoff near machine precision keeps noise directions and can turn a
     consistent system inconsistent.  ``directions``, the basis of the set's
     directions that the Newton phase uses, is passed through.
     """
-    a_real, b_real = realify(a_complex, b_complex, n)
-    pinv = np.linalg.pinv(a_real, rcond=DEFAULTS.rel_tol)
-    base = pinv @ b_real
-    proj = np.eye(a_real.shape[1]) - pinv @ a_real
+    a_real, b_real, n = system.a_real, system.b_real, system.n
+    proj, base = system.projection(DEFAULTS.rel_tol)
 
     def residual(c: np.ndarray) -> float:
         return float(np.max(np.abs(a_real @ to_coords(c, n) - b_real)))

@@ -2,7 +2,8 @@
 
 The reference realifies the full linear system (the images of the canonical
 span basis, plus trace preservation) and projects with its pseudo-inverse,
-cut off at a relative 1e-12.
+cut off at a relative 1e-12; one SVD per system serves that cutoff and the
+``DEFAULTS.rel_tol`` one of ``linear_affine_set``.
 """
 
 from functools import lru_cache
@@ -13,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from _dense_reference import from_coords, linear_affine_set, linear_system, realify, to_coords
+from _dense_reference import RealSystem, from_coords, linear_affine_set, linear_system, to_coords
 from superchannels.extend import affine_set, extend_action, restrict_superchannel
 from superchannels.feasibility import solve
 from superchannels.gallery import no_tp_action
@@ -28,13 +29,15 @@ def _action(dims):
 
 
 @lru_cache(maxsize=None)
+def _system(dims, tp):
+    return RealSystem(*linear_system(_action(dims), tp))
+
+
+@lru_cache(maxsize=None)
 def _reference(dims, tp):
     """Dense projection ``C -> P(C)`` and minimum-norm point of the same affine set."""
-    a_real, b_real = realify(*linear_system(_action(dims), tp))
     n = int(np.prod(dims))
-    pinv = np.linalg.pinv(a_real, rcond=1e-12)
-    base = pinv @ b_real
-    proj = np.eye(a_real.shape[1]) - pinv @ a_real
+    proj, base = _system(dims, tp).projection(1e-12)
     return (lambda c: from_coords(proj @ to_coords(c, n) + base, n)), from_coords(base, n)
 
 
@@ -111,7 +114,7 @@ def test_linear_affine_set_matches_closed_form(dims, tp):
     numpy's default pinv cutoff fails."""
     action = _action(dims)
     closed = affine_set(action, tp)
-    dense = linear_affine_set(*linear_system(action, tp), closed.directions)
+    dense = linear_affine_set(_system(dims, tp), closed.directions)
     np.testing.assert_allclose(dense.anchor, closed.anchor, rtol=0, atol=1e-12)
     assert dense.row_bound == pytest.approx(closed.row_bound)
     assert dense.rhs_scale == pytest.approx(closed.rhs_scale)
@@ -126,7 +129,7 @@ def test_linear_affine_set_matches_closed_form(dims, tp):
 @pytest.mark.parametrize("tp", [False, True])
 def test_solve_on_either_affine_set_gives_the_same_verdict(tp):
     action = no_tp_action()
-    dense = solve(linear_affine_set(*linear_system(action, tp),
+    dense = solve(linear_affine_set(RealSystem(*linear_system(action, tp)),
                                     affine_set(action, tp).directions))
     closed = extend_action(action, trace_preserving=tp)
     assert (dense.status, dense.iterations) == (closed.status, closed.iterations)

@@ -11,19 +11,19 @@ PUBLIC_NAMES = [
     "ChannelChoi", "ConstraintSpaces", "DEFAULTS", "Extremality", "FeasibilityReport",
     "KrausSet", "PrePostForm", "SpanAction", "SpanMembership", "SpreadReport",
     "Superchannel", "apply_choi", "apply_superchannel", "as_channel", "aux_dim",
-    "channels", "check_order_unit", "choi_from_kraus", "choi_from_unit_images",
+    "channels", "choi_from_kraus", "choi_from_unit_images",
     "compose", "config", "conjugation_supermap", "decompose_into_channels",
     "depolarizing_channel", "dual_channel", "extend", "extend_action",
     "extension_constraint_spaces", "extension_spread", "extremal", "extremality",
     "factor_unitary", "feasibility", "herm_eig", "identity_channel",
     "identity_superchannel", "induced_marginal_map", "is_cp", "is_extreme_choi",
-    "is_extreme_constrained", "is_extreme_unital_tp", "is_superchannel", "is_tp",
+    "is_extreme_unital_tp", "is_superchannel", "is_tp",
     "is_unital", "kraus_from_choi", "kron", "linalg", "marginal",
     "opsys", "partial_trace", "permute_factors", "pre_post_form", "project_to_span",
     "psd_project", "random_channel", "random_superchannel", "rank_eps", "recompose",
     "restrict_superchannel", "restrictions_equal", "span_basis", "span_dim",
     "span_membership", "supermaps", "tensor", "tensor_dimension_gap",
-    "tensor_superchannels", "tp_extension", "trace_channel", "transpose_channel",
+    "tensor_superchannels", "trace_channel", "transpose_channel",
     "unitary_channel", "unitary_superchannel",
 ]
 
@@ -32,7 +32,7 @@ SUBCOMMANDS = {"basis", "characterize", "check-channel", "check-super", "demo-pa
 
 
 def test_public_names_are_pinned():
-    assert len(PUBLIC_NAMES) == 72
+    assert len(PUBLIC_NAMES) == 69
     assert sorted(superchannels.__all__) == PUBLIC_NAMES
 
 

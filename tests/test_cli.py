@@ -6,7 +6,7 @@ import pytest
 from scipy.linalg import expm
 
 from _dense_reference import linear_system
-from superchannels.channels import identity_channel
+from superchannels.channels import identity_channel, transpose_channel
 from superchannels.cli import main
 from superchannels.extend import restrict_superchannel
 from superchannels.feasibility import FeasibilityReport
@@ -22,11 +22,11 @@ from superchannels.serialize import (
     load_json,
     save_json,
 )
-from superchannels.linalg import kron, random_hermitian, random_unitary, vec
+from superchannels.linalg import is_psd, kron, random_hermitian, random_unitary, vec
 from superchannels.supermaps import (
     Superchannel,
-    is_superchannel,
     pre_post_form,
+    preserves_span,
     random_superchannel,
     restrictions_equal,
 )
@@ -36,6 +36,9 @@ from superchannels.supermaps import (
 def fixtures(tmp_path_factory):
     outdir = tmp_path_factory.mktemp("fixtures")
     write_fixtures(outdir)
+    # preserves the span but is not PSD, which no committed fixture is
+    save_json(outdir / "transpose_supermap_2_2_2_2.json",
+              encode_superchannel(Superchannel(2, 2, 2, 2, transpose_channel(4).choi)))
     return outdir
 
 
@@ -283,9 +286,12 @@ def test_tp_extend_phase_certificate_checks_against_the_dense_system(capsys, tmp
     ("perturbed_readout.json",
      [("psd", False, 1e-9, False), ("min eigenvalue", -0.1, None, None),
       ("span preserving", False, 1e-9, False), ("order unit fixed", False, None, None)]),
+    ("transpose_supermap_2_2_2_2.json",
+     [("psd", False, 1e-9, False), ("min eigenvalue", -1.0, None, None),
+      ("span preserving", True, 1e-9, True), ("order unit fixed", True, None, None)]),
 ])
 def test_check_super_findings(capsys, fixtures, monkeypatch, name, expected):
-    """The findings follow from ``is_superchannel``.  A superchannel's Choi
+    """The psd and span findings judge the two axioms apart.  A superchannel's Choi
     matrix gets one eigenvalue-only computation, a rejected one at most two,
     and no input gets eigenvectors."""
     from superchannels import cli, linalg
@@ -316,7 +322,28 @@ def test_check_super_findings(capsys, fixtures, monkeypatch, name, expected):
         assert (tol, ok) == want[2:], key
         assert value == pytest.approx(want[1], abs=1e-12), key
     preserving = dict((g[0], g[1]) for g in got)["span preserving"]
-    assert preserving == is_superchannel(decode_superchannel(load_json(path)), 1e-9)
+    sc = decode_superchannel(load_json(path))
+    assert preserving == preserves_span(sc.choi, sc.dims, 1e-9)
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+@pytest.mark.parametrize("dims", [(2, 2, 2, 2), (2, 3, 2, 3)])
+def test_check_super_psd_and_span_findings_are_the_two_rules(capsys, tmp_path, dims, seed):
+    """``psd`` is ``is_psd`` and ``span preserving`` is ``preserves_span``, on
+    inputs that pass both rules, either one alone, or neither."""
+    choi = random_superchannel(*dims, e=2, seed=seed).choi
+    inputs = (choi, choi.T, -choi, 2 * choi, random_hermitian(choi.shape[0], seed),
+              transpose_channel(dims[0] * dims[1]).choi)
+    seen = set()
+    for m in inputs:
+        path = tmp_path / "supermap.json"
+        save_json(path, encode_superchannel(Superchannel(*dims, m)))
+        _, reports = run_json(capsys, "check-super", str(path))
+        found = {f["key"]: f["value"] for f in reports[0]["results"]}
+        assert found["psd"] == is_psd(m, 1e-9)
+        assert found["span preserving"] == preserves_span(m, dims, 1e-9)
+        seen.add((found["psd"], found["span preserving"]))
+    assert seen == {(True, True), (True, False), (False, True), (False, False)}
 
 
 def test_characterize_identity(capsys, fixtures, tmp_path):
@@ -530,6 +557,28 @@ def test_an_unwritable_out_is_an_input_error_naming_it(capsys, fixtures, tmp_pat
                                                        command, operand):
     """A failed write is an input error (exit 3), not a failed check, and no
     report is printed."""
+    operands = [str(fixtures / operand)] if operand else ["2", "2"]
+    out = tmp_path / "missing" / "out.json"
+    assert main([command, *operands, "--out", str(out)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"input error: {out}: ")
+
+
+@pytest.mark.parametrize("command, operand, work", [
+    ("basis", None, "span_basis"),
+    ("characterize", "identity_superchannel_2_2.json", "pre_post_form"),
+    ("extend", "readout_action.json", "extend_action"),
+])
+def test_a_missing_out_directory_ends_the_run_before_the_work(capsys, fixtures, tmp_path,
+                                                              monkeypatch, command, operand,
+                                                              work):
+    from superchannels import cli
+
+    def never(*args, **kwargs):
+        raise AssertionError(f"{work} ran although --out cannot be written")
+
+    monkeypatch.setattr(cli, work, never)
     operands = [str(fixtures / operand)] if operand else ["2", "2"]
     out = tmp_path / "missing" / "out.json"
     assert main([command, *operands, "--out", str(out)]) == 3

@@ -11,7 +11,6 @@ from superchannels.extend import (
     extend_action,
     extension_spread,
     restrict_superchannel,
-    tp_extension,
 )
 from superchannels.feasibility import FEASIBLE, INFEASIBLE, certificate
 from superchannels.gallery import (
@@ -197,7 +196,7 @@ def test_no_tp_extension_family():
     assert seeded.status == FEASIBLE
     np.testing.assert_allclose(seeded.witness.choi, printed.choi, atol=1e-8)
 
-    tp_report = tp_extension(action)
+    tp_report = extend_action(action, trace_preserving=True)
     assert tp_report.status == INFEASIBLE
     assert tp_report.gap > 1e-6
     # the certificate checks at iteration 4 (checks run at 1, 2, 4, 8, ...)
@@ -249,9 +248,10 @@ def test_infeasibility_confirmed_by_diagonal_linear_program():
 
 def test_tp_extension_feasible_cases():
     ident = restrict_superchannel(identity_superchannel(2, 2))
-    assert tp_extension(ident, seed_point=identity_superchannel(2, 2)).status == FEASIBLE
+    assert extend_action(ident, seed_point=identity_superchannel(2, 2),
+                         trace_preserving=True).status == FEASIBLE
     u_sc = unitary_superchannel(random_unitary(2, 0), random_unitary(2, 1))
-    report = tp_extension(restrict_superchannel(u_sc), seed_point=u_sc)
+    report = extend_action(restrict_superchannel(u_sc), seed_point=u_sc, trace_preserving=True)
     assert report.status == FEASIBLE
 
 

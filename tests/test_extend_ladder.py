@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from superchannels.extend import extend_action, restrict_superchannel, tp_extension
+from superchannels.extend import extend_action, restrict_superchannel
 from superchannels.feasibility import FEASIBLE, UNDETERMINED
 from superchannels.gallery import readout_action
 from superchannels.linalg import partial_trace
@@ -43,7 +43,7 @@ def test_3232_system_is_consistent(e, seed):
 
 def test_identity_tp_extension_at_3232_is_trace_preserving():
     sc = identity_superchannel(3, 2)
-    report = tp_extension(restrict_superchannel(sc))
+    report = extend_action(restrict_superchannel(sc), trace_preserving=True)
     assert report.status == FEASIBLE
     assert restrictions_equal(report.witness, sc, 1e-6)
     marginal = partial_trace(report.witness.choi, (6, 6), {1})
@@ -52,4 +52,4 @@ def test_identity_tp_extension_at_3232_is_trace_preserving():
 
 def test_tp_extension_of_readout_action_is_inconsistent():
     with pytest.raises(ValueError):
-        tp_extension(readout_action())
+        extend_action(readout_action(), trace_preserving=True)

@@ -22,7 +22,6 @@ from superchannels.extremal import (
     extension_constraint_spaces,
     extremality,
     is_extreme_choi,
-    is_extreme_constrained,
     is_extreme_unital_tp,
 )
 from superchannels.gallery import block_trace_readout, readout_mixture
@@ -92,14 +91,14 @@ def test_full_span_makes_every_map_extreme():
         hermitian_span(matrix_unit(2, i, j) for i in range(2) for j in range(2))), ())
     for seed in range(6):
         phi = random_channel(2, 2, 1 + seed % 4, seed)
-        assert is_extreme_constrained(phi, full)
+        assert extremality(phi, full).extreme
 
 
 def test_readout_extensions_extreme_midpoint_not():
     spaces = extension_constraint_spaces(2, 2)
-    assert is_extreme_constrained(as_channel(block_trace_readout(0)), spaces)
-    assert is_extreme_constrained(as_channel(block_trace_readout(1)), spaces)
-    assert not is_extreme_constrained(as_channel(readout_mixture(0.5)), spaces)
+    assert extremality(as_channel(block_trace_readout(0)), spaces).extreme
+    assert extremality(as_channel(block_trace_readout(1)), spaces).extreme
+    assert not extremality(as_channel(readout_mixture(0.5)), spaces).extreme
 
 
 def test_midpoint_has_explicit_perturbation_direction():
@@ -135,7 +134,7 @@ def test_basis_independence():
     rng = np.random.default_rng(8)
     spaces = extension_constraint_spaces(2, 2)
     for phi in (as_channel(block_trace_readout(0)), as_channel(readout_mixture(0.5))):
-        base = is_extreme_constrained(phi, spaces)
+        base = extremality(phi, spaces).extreme
         for _ in range(5):
             # random invertible real recombination of the spanning set
             mats = spaces.s_basis
@@ -144,7 +143,7 @@ def test_basis_independence():
                 m = rng.standard_normal((len(mats), len(mats)))
             remixed = tuple(sum(m[i, j] * mats[j] for j in range(len(mats)))
                             for i in range(len(mats)))
-            assert is_extreme_constrained(phi, ConstraintSpaces(remixed, ())) == base
+            assert extremality(phi, ConstraintSpaces(remixed, ())).extreme == base
 
 
 def test_perturbation_search_matches_rank_test():
@@ -159,7 +158,7 @@ def test_perturbation_search_matches_rank_test():
     for seed in range(8):
         cases.append((random_channel(2, 2, 1 + seed % 4, seed + 60), FIXED_UNIT_2))
     for phi, spaces_k in cases:
-        assert perturbation_search(phi, spaces_k) == is_extreme_constrained(phi, spaces_k)
+        assert perturbation_search(phi, spaces_k) == extremality(phi, spaces_k).extreme
 
 
 def test_perturbation_search_size_cap():
@@ -174,7 +173,7 @@ def test_unitary_superchannels_are_extreme_extensions():
     spaces = extension_constraint_spaces(2, 2)
     for seed in range(3):
         sc = unitary_superchannel(random_unitary(2, seed), random_unitary(2, seed + 30))
-        assert is_extreme_constrained(as_channel(sc), spaces)
+        assert extremality(as_channel(sc), spaces).extreme
 
 
 def _assert_verified_pair(phi, spaces, result):
@@ -235,4 +234,4 @@ def test_mis_sized_spanning_matrix_is_rejected(side, shape):
     with pytest.raises(ValueError, match=rf"{side}\[0\] has shape \({shape}, {shape}\)"):
         extremality(depolarizing_channel(2, 2), spaces)
     with pytest.raises(ValueError):
-        is_extreme_constrained(depolarizing_channel(2, 2), spaces)
+        extremality(depolarizing_channel(2, 2), spaces).extreme

@@ -15,6 +15,7 @@ from superchannels.channels import (
     identity_channel,
     is_cp,
     is_tp,
+    is_unital,
     random_channel,
     unitary_channel,
 )
@@ -43,7 +44,6 @@ from superchannels.supermaps import (
     apply_superchannel,
     as_channel,
     aux_dim,
-    check_order_unit,
     conjugation_supermap,
     factor_unitary,
     identity_superchannel,
@@ -350,7 +350,7 @@ def test_unitary_superchannel_properties():
         sc = unitary_superchannel(u1, u2)
         assert is_superchannel(sc)
         assert aux_dim(sc) == 1
-        assert check_order_unit(sc)
+        assert is_unital(as_channel(sc))
         for s2 in range(3):
             phi = random_channel(2, 2, 1 + s2, seed=s2)
             out = apply_superchannel(sc, phi)
@@ -364,8 +364,8 @@ def test_unitary_superchannel_rejects_non_unitary():
 
 
 def test_order_unit_examples():
-    assert check_order_unit(identity_superchannel(2, 2))
-    assert not check_order_unit(block_trace_readout(0))  # image of I_4 is [[2]]
+    assert is_unital(as_channel(identity_superchannel(2, 2)))
+    assert not is_unital(as_channel(block_trace_readout(0)))  # image of I_4 is [[2]]
     out = apply_superchannel(block_trace_readout(0), np.eye(4, dtype=complex))
     np.testing.assert_allclose(out, [[2.0]])
 
