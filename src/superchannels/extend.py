@@ -9,29 +9,29 @@ vanishing on S have Choi matrices in ``S^perp (x) M_{n2}``, where
 ``x_k`` of S with images ``y_k``.  Projecting onto the set therefore takes a
 partial trace over r1, removes the d1 trace and tensors ``I_{r1}/r1`` back;
 trace preservation adds the projection that acts on the output factor only,
-and the two commute.  The same description gives the set's directions an
-orthonormal basis in closed form, ``A (x) I_{r1}/sqrt(r1) (x) H`` with A
-running over a traceless Hermitian basis on d1 and H over a Hermitian basis
-on n2 (traceless under trace preservation): ``(d1^2 - 1) n2^2`` directions,
-or ``(d1^2 - 1)(n2^2 - 1)``.
+and the two commute.  The same description gives the directions:
+``Z (x) I_{r1}/sqrt(r1)`` for Hermitian Z on ``C^{d1} (x) C^{n2}`` with
+``Tr_{d1} Z = 0`` (and ``Tr_{n2} Z = 0`` under trace preservation), in the
+real coordinates of Z that those traces leave (``feasibility.Directions``):
+``(d1^2 - 1) n2^2`` of them, or ``(d1^2 - 1)(n2^2 - 1)``.
 
 The search runs Douglas-Rachford splitting between the affine set and the
 cone (``feasibility.solve``): "feasible" comes with a PSD witness, and
 "infeasible" only with a Farkas certificate that checks at one of the
 iterations 1, 2, 4, 8, ...  A search still open after iteration
 ``feasibility.newton_after(m)`` for its m directions, under a cap of at
-least twice that, runs one primal-dual Newton phase over the directions
-basis.  The switch is set from measured costs: iteration 4 up to 64
-directions ((2,2,2,2) has 48), where the phase ends a set about as soon
-as DR would and spares DR's slow approach to a set without a positive
-definite point; above, the first power of two at or above m (1,024 at
-(3,3,3,3)), where a phase started at 4 won on at most half the sets.  The
-phase returns a witness that a Cholesky factorisation proves positive
-definite; on a set too thin to hold one (a unique extension, say), the PSD
-shadow of its point; or, on a set that misses the cone, its dual matrix as
-a certificate.  Otherwise the DR run goes on exactly as before.
-``extend_action`` returns the solver's ``feasibility.FeasibilityReport``
-with the witness as a ``Superchannel``.
+least twice that, runs one primal-dual Newton phase in those coordinates
+from the affine point DR holds there.  The switch is set from measured
+costs: iteration 4 up to 64 directions ((2,2,2,2) has 48), where the phase
+ends a set about as soon as DR would and spares DR's slow approach to a
+set without a positive definite point; above, the first power of two at or
+above m (1,024 at (3,3,3,3)); a phase started at 4 won there on 7-8 of 36
+sets at (3,2,3,2), though on 21-23 of 36 at (2,3,2,3).  The phase returns
+a witness that a Cholesky factorisation proves positive definite; on a set
+too thin to hold one (a unique extension, say), the PSD shadow of its
+point; or, on a set that misses the cone, its dual matrix as a
+certificate; otherwise DR goes on as before.  ``extend_action`` returns
+the solver's ``FeasibilityReport`` with the witness as a ``Superchannel``.
 """
 
 from __future__ import annotations
@@ -43,7 +43,6 @@ import numpy as np
 
 from . import feasibility
 from .feasibility import FEASIBLE, AffineSet, Directions, FeasibilityReport
-from .linalg import hermitian_basis
 from .opsys import span_basis, span_dim
 from .supermaps import Superchannel, aux_dim, preserves_span, span_images
 
@@ -117,7 +116,7 @@ def validate_action(action: SpanAction, tol: float | None = None) -> None:
 
 def affine_set(action: SpanAction, trace_preserving: bool = False) -> AffineSet:
     """The supermap Choi matrices that reproduce ``action``, with their
-    projection and an orthonormal basis of their directions.
+    projection and their directions in matrix coordinates.
 
     With ``trace_preserving`` the set also asks ``Tr_{n2} C = I``.  The
     anchor is the Hermitian part of the minimum-norm extension ``x0`` (see
@@ -163,8 +162,7 @@ def affine_set(action: SpanAction, trace_preserving: bool = False) -> AffineSet:
         # sums n2 diagonal entries
         row_bound=float(np.sqrt(n2)) if trace_preserving else 1.0,
         rhs_scale=max(1.0, float(np.max(np.abs(ys.real))), float(np.max(np.abs(ys.imag)))),
-        directions=Directions(hermitian_basis(d1, traceless=True),
-                              hermitian_basis(n2, traceless=trace_preserving), r1),
+        directions=Directions(d1, n2, r1, trace_preserving),
     )
 
 

@@ -4,8 +4,8 @@ The solver looks for a Hermitian n x n matrix inside the intersection of an
 affine set and the PSD cone, iterating on the matrices themselves.  The
 affine set arrives as an ``AffineSet``: its nearest-point map, its
 minimum-norm point (the anchor), a residual, a bound relating residuals to
-distances and an orthonormal basis of its directions.  Its one caller,
-``extend.affine_set``, builds the projection and the basis in closed form.
+distances and its directions in matrix coordinates (``Directions``).  Its
+one caller, ``extend.affine_set``, builds both in closed form.
 
 The iteration is Douglas-Rachford (Lions & Mercier 1979): with the shadow
 ``y = P_PSD(x)``, ``x <- x + P_A(2y - x) - y``.  The shadow is PSD by
@@ -23,25 +23,26 @@ DR crosses a thin set slowly: one whose largest smallest eigenvalue is
 positive definite point (a unique extension, say) it approaches
 tangentially (Sturm, SIAM J. Optim. 2000).  So a run with a cap of at least
 ``2 newton_after(m)`` and no verdict after that iteration's certificate
-check runs ``newton_phase`` once: a primal-dual interior-point method that
-maximises t subject to ``W - t I >= 0`` over the set's m-element directions
-basis, with a dual matrix X that bounds the best t (Vandenberghe & Boyd,
-SIAM Review 1996).  The switch is set from measured costs.  At (2,2,2,2)
-(m = 48) a step costs about 9 DR iterations.  The phase ends a set with a
-positive definite point in 2-9 steps, and in 2-3 on the sets DR ends
-soonest (12-53 iterations), about as fast; on a set without one it saves
-the whole DR run (2,261 iterations at seed 401).  So for m <= 64
-``newton_after(m)`` is 4, after the certificate checks at iterations 1, 2
-and 4 that settle the sets DR settles at once.  Above 64 directions a phase
-started that early was faster on at most half the measured sets (5 of 36
-at (3,2,3,2)), so the switch stays the first power of two at or above m,
-on the certificate schedule: 128 at (2,3,2,3), 512 at (3,2,3,2) and 1,024
-at (3,3,3,3) (m = 648).  A cap below twice the switch runs DR alone, so a
-capped run pays at most about its cap.  The phase ends with a strict
-witness, which a Cholesky factorisation proves positive definite; a shadow
-witness, W's PSD part, on a set too thin to hold one; a certificate, its
-dual matrix, on a set that misses the cone, so the run ends "infeasible" at
-the switch; or with nothing (see ``newton_phase``).  Without a verdict DR resumes from its
+check runs ``newton_phase`` once, from that iteration's affine point
+``P_A(y)``: a primal-dual interior-point method that maximises t subject to
+``W - t I >= 0`` over the set's m directions, with a dual matrix X that
+bounds the best t (Vandenberghe & Boyd, SIAM Review 1996).  The switch is
+set from measured costs.  At (2,2,2,2) (m = 48) a step costs about 8 DR
+iterations.  The phase ends a set with a positive definite point in 1-8
+steps, and in 1-2 on the sets DR ends soonest (12-53 iterations), about as
+fast; on a set without one it saves the whole DR run (2,261 iterations at
+seed 401).  So for m <= 64 ``newton_after(m)`` is 4, after the certificate
+checks at iterations 1, 2 and 4 that settle the sets DR settles at once.
+Above 64 directions it is the first power of two at or above m, on the
+certificate schedule: 128 at (2,3,2,3), 512 at (3,2,3,2) and 1,024 at
+(3,3,3,3) (m = 648).  There a phase started at 4 was faster on 7 and 8 of
+36 (3,2,3,2) sets (CP and TP), though on 23 and 21 of 36 at (2,3,2,3); a
+cap below twice the switch runs DR alone, so a capped run pays at most
+about its cap.  The phase ends with a strict witness, which a Cholesky
+factorisation proves positive definite; a shadow witness, W's PSD part, on
+a set too thin to hold one; a certificate, its dual matrix, on a set that
+misses the cone, so the run ends "infeasible" at the switch; or with
+nothing (see ``newton_phase``).  Without a verdict DR resumes from its
 unchanged iterate, so the run's status, iteration count and witness are
 those of DR alone; the report records the switch, the phase's step count
 and how it ended either way.
@@ -56,13 +57,14 @@ triangle of x, so x is never symmetrised; the shadow as one Gram product
 ``B B^H`` with ``B = V sqrt(max(w, 0))``; the closed-form ``P_A(y)``; and an
 in-place update of x.  The witness is symmetrised once, when it is returned.
 At n = 16 (one BLAS thread, a shared 2-core Xeon) an iteration took 65-160 us
-with load, about three quarters of it in ``eigh``; a Newton step took about
-1.2 ms there, 17 ms at n = 36 and 71-88 ms at n = 81.
+with load, about three quarters of it in ``eigh``; a Newton step took
+0.7-1.1 ms there, 2.6-2.7 ms at (2,3,2,3), 7.0-7.9 ms at (3,2,3,2) and
+38-45 ms at (3,3,3,3) (n = 81).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable
 
 import numpy as np
@@ -91,63 +93,82 @@ _NEWTON_STEP_CAP = 200
 
 @dataclass(frozen=True)
 class Directions:
-    """An orthonormal basis of an affine set's directions, in closed form.
+    """The directions of an extension set, in matrix coordinates.
 
-    The basis matrices are ``B_(i,j) = A_i (x) I_r / sqrt(r) (x) H_j`` on
-    ``C^d (x) C^r (x) C^k``, for the orthonormal Hermitian ``left`` matrices
-    ``A_i`` (shape ``(a, d, d)``) and ``right`` matrices ``H_j`` (shape
-    ``(h, k, k)``); coordinates are indexed by ``(i, j)`` in row-major order.
-    The methods below work on that tensor structure and never form the
-    ``a h`` basis matrices.
+    A direction is ``Z (x) I_r / sqrt(r)`` on ``C^d (x) C^r (x) C^k``, for
+    Hermitian Z on ``C^d (x) C^k`` with ``Tr_d Z = 0`` (and ``Tr_k Z = 0`` with
+    ``tp``), and ``Z = (V + V^T)/2 + i (V - V^T)/2`` for a real N x N matrix
+    V, N = d k.  The coordinates are V's ``free`` entries: all but its last
+    d-diagonal block and, with ``tp``, each block's last k-diagonal entry;
+    the map E fills those from the trace conditions.  They are not
+    orthonormal; ``coords`` is the adjoint of ``combine``.
     """
 
-    left: np.ndarray
-    right: np.ndarray
+    d: int
+    k: int
     r: int
+    tp: bool
+    free: np.ndarray = field(init=False, repr=False, compare=False)
+    size: int = field(init=False)
 
-    @property
-    def size(self) -> int:
-        return self.left.shape[0] * self.right.shape[0]
+    def __post_init__(self):
+        keep = np.ones((self.d, self.k, self.d, self.k), dtype=bool)
+        keep[-1, :, -1, :] = False
+        if self.tp:
+            keep[:, -1, :, -1] = False
+        object.__setattr__(self, "free", np.flatnonzero(keep))
+        object.__setattr__(self, "size", self.free.size)
 
-    def _flat(self):
-        a, d = self.left.shape[:2]
-        h, k = self.right.shape[:2]
-        return a, d, h, k, self.left.reshape(a, d * d), self.right.reshape(h, k * k)
+    def _reduce(self, v: np.ndarray) -> np.ndarray:
+        """``E^T`` on the leading N^2 axis of ``v``, which it overwrites."""
+        d, k = self.d, self.k
+        t = v.reshape((d, k, d, k) + v.shape[1:])
+        diag = np.arange(d - 1)
+        t[diag, :, diag, :] -= t[-1, :, -1, :]
+        if self.tp:
+            diag = np.arange(k - 1)
+            t[:, diag, :, diag] -= t[:, -1, :, -1]
+        return t.reshape(v.shape)[self.free]
 
     def combine(self, z: np.ndarray) -> np.ndarray:
-        """``sum_(i,j) z_(i,j) B_(i,j)`` for real coordinates ``z``."""
-        a, d, h, k, af, hf = self._flat()
-        r = self.r
-        x = (af.T @ z.reshape(a, h) @ hf).reshape(d, d, k, k).transpose(0, 2, 1, 3)
-        return np.einsum("puqv,st->psuqtv", x, np.eye(r) / np.sqrt(r)).reshape(d * r * k, -1)
+        """The direction with coordinates ``z``: the lift of Z for ``V = E z``."""
+        d, k, r = self.d, self.k, self.r
+        v = np.zeros((d, k, d, k))
+        v.reshape(-1)[self.free] = z
+        if self.tp:
+            v[:, -1, :, -1] = -np.einsum("puqu->pq", v)
+        v[-1, :, -1, :] = -np.einsum("pupv->uv", v)
+        v = v.reshape(d * k, d * k)
+        herm = np.empty(v.shape, dtype=complex)
+        herm.real, herm.imag = v + v.T, v - v.T
+        lift = np.eye(r)[None, :, None, None, :, None] / (2 * np.sqrt(r))
+        return (herm.reshape(d, 1, k, d, 1, k) * lift).reshape(d * r * k, -1)
 
     def coords(self, m: np.ndarray) -> np.ndarray:
-        """``Re Tr(B_(i,j) m)`` for every basis matrix: the adjoint of ``combine``."""
-        a, d, h, k, af, hf = self._flat()
-        r = self.r
-        mr = m.reshape(d, r, k, d, r, k).trace(axis1=1, axis2=4)  # (q, v, p, u)
-        mr = mr.transpose(2, 0, 3, 1).reshape(d * d, k * k)
-        return (af @ mr @ hf.T).real.ravel() / np.sqrt(r)
+        """``Re Tr(combine(e_a) m)`` for every coordinate a: ``E^T`` of
+        ``(Re(Y + Y^T) + Im(Y - Y^T)) / (2 sqrt(r))`` with ``Y = Tr_r m``."""
+        d, k, r = self.d, self.k, self.r
+        y = m.reshape(d, r, k, d, r, k).trace(axis1=1, axis2=4).reshape(d * k, d * k)
+        v = (y.real + y.real.T + y.imag - y.imag.T) / (2 * np.sqrt(r))
+        return self._reduce(v.reshape(-1))
 
     def hessian(self, g: np.ndarray) -> np.ndarray:
-        """The matrix ``Tr(G B_a G B_b)`` for Hermitian ``G``.
+        """The matrix ``Re Tr(G combine(e_a) G combine(e_b))`` for Hermitian G.
 
-        With ``G`` indexed ``(p, s, u; P, S, U)`` over ``(d, r, k)``, the entry
-        is ``(1/r) sum G[p s u, P S U] G[q S v, Q s V] A_i[P, q] H_j[U, v]
-        A_k[Q, p] H_l[V, u]``: one product over the ``r^2`` block pairs, then
-        the ``A`` and ``H`` factors contracted in turn.
+        With ``G_st`` the N x N blocks of G over the middle factor, the form
+        on Z is ``sum K[j, k, l, i] Z1[j, k] Z2[l, i]`` for ``K[j, k, l, i] =
+        (1/r) sum_st G_st[i, j] G_ts[k, l]``, one Gram product over the ``r^2``
+        block pairs.  On V it is ``(Re KP + Re PK - Im K + Im PKP) / 2`` for
+        the index transposition P.  G is Hermitian, so PKP is K's conjugate
+        and PK is KP's: ``H = Re KP - Im K``, two views, and E gives E^T H E.
         """
-        a, d, h, k, af, hf = self._flat()
-        r = self.r
+        d, k, r = self.d, self.k, self.r
         nn = d * k
         blocks = g.reshape(d, r, k, d, r, k).transpose(1, 4, 0, 2, 3, 5).reshape(r, r, nn * nn)
-        q4 = blocks.reshape(r * r, -1).T @ blocks.transpose(1, 0, 2).reshape(r * r, -1) / r
-        # (p, u, P, U, q, v, Q, V) -> (P, q, Q, p; U, v, V, u)
-        q4 = q4.reshape(d, k, d, k, d, k, d, k).transpose(2, 4, 6, 0, 3, 5, 7, 1)
-        aa = np.einsum("ix,ky->ikxy", af, af).reshape(a * a, -1)
-        s = (aa @ q4.reshape(d ** 4, -1)).reshape(a * a, k * k, k * k)
-        s = np.matmul(hf, s) @ hf.T                                 # ((i, k), j, l)
-        s = s.reshape(a, a, h, h).transpose(0, 2, 1, 3).reshape(a * h, a * h).real
+        q4 = (blocks / r).reshape(r * r, -1).T @ blocks.transpose(1, 0, 2).reshape(r * r, -1)
+        kk = q4.reshape(nn, nn, nn, nn).transpose(1, 2, 3, 0)
+        h = kk.transpose(0, 1, 3, 2).real - kk.imag
+        s = self._reduce(self._reduce(h.reshape(nn * nn, nn * nn)).T)
         return (s + s.T) / 2
 
 
@@ -163,7 +184,7 @@ class AffineSet:
     ``rhs_scale`` is the floor (at least 1) that scales the affine tolerance.
     Every point of the set has the anchor's trace (the identity lies in the
     row space of the equations); the infeasibility certificate relies on it.
-    ``directions`` is an orthonormal basis of the set's directions, for the
+    ``directions`` writes the set's directions in coordinates, for the
     Newton phase.
     """
 
@@ -274,23 +295,26 @@ def newton_after(m: int) -> int:
     return 4 if m <= 64 else 1 << (m - 1).bit_length()
 
 
-def newton_phase(affine: AffineSet) -> tuple[np.ndarray | Certificate | None, str, int,
-                                             tuple[float, np.ndarray] | None]:
+def newton_phase(affine: AffineSet, start: np.ndarray | None = None
+                 ) -> tuple[np.ndarray | Certificate | None, str, int,
+                            tuple[float, np.ndarray] | None]:
     """A witness of the affine set, or a certificate that it misses the cone,
     by a primal-dual interior-point method.
 
-    The primal maximises t subject to ``S = W - t I >= 0`` over ``W = anchor
-    + sum_a z_a B_a`` (the ``affine.directions`` basis B_a); the dual
-    minimises ``<anchor, X>`` over ``X >= 0`` with ``Tr X = 1`` and ``<B_a,
-    X> = 0``, so every dual point bounds the best t.  Both start feasible, at
-    ``z = 0`` (t below the anchor's spectrum) and ``X = I/n``.  A step is
-    Mehrotra's predictor-corrector under Nesterov-Todd scaling (Todd, Toh &
-    Tutuncu, SIAM J. Optim. 1998), with the Schur complement ``Tr(G A_i G
-    A_j)``, ``A = (B_a, I)``, at the scaling matrix G (``G S G = X``); each
-    matrix moves ``_STEP_FRACTION`` of the way to the cone's boundary, at
-    most a full step.  Returns ``(found, kind, steps, dual)``, ``dual`` the
-    last ``(t, X)``; a witness passes the affine rule ``residual <=
-    affine_tol * rhs_scale`` (``thr``), as a DR witness does.
+    The primal maximises t subject to ``S = W - t I >= 0`` over ``W = start
+    + combine(z)`` (``affine.directions``, z real); the dual minimises
+    ``<anchor, X>`` over ``X >= 0`` with ``Tr X = 1`` and ``coords(X) = 0``,
+    so every dual point bounds the best t.  Both start feasible: W at
+    ``start``, an affine point (the anchor by default), with t below its
+    spectrum, and ``X = I/n``.  A step is Mehrotra's predictor-corrector
+    under Nesterov-Todd scaling (Todd, Toh & Tutuncu, SIAM J. Optim. 1998),
+    with the Schur complement ``Tr(G A_i G A_j)`` over ``A = (combine(e_a),
+    I)`` (``hessian(G)``, ``-coords(G^2)`` and ``Tr G^2``) at the scaling
+    matrix G (``G S G = X``); each matrix moves ``_STEP_FRACTION`` of the
+    way to the cone's boundary, at most a full step.  Returns ``(found,
+    kind, steps, dual)``, ``dual`` the last ``(t, X)``; a witness passes the
+    affine rule ``residual <= affine_tol * rhs_scale`` (``thr``), as a DR
+    witness does.
 
     * ``STRICT``: ``t`` clears the floor ``4 (n+1) eps Tr(anchor)`` and a
       Cholesky factorisation of ``W - (t/2) I`` succeeds.  The backward
@@ -311,7 +335,7 @@ def newton_phase(affine: AffineSet) -> tuple[np.ndarray | Certificate | None, st
       or after ``_NEWTON_STEP_CAP`` steps; ``(None, NONE, 0, None)`` when the
       trace is not positive or S does not factorise at the start (its least
       eigenvalue, ``Tr(anchor)/n``, can lie within the rounding of
-      ``||anchor||``).
+      ``||start||``).
     """
     dirs, anchor = affine.directions, affine.anchor
     n, m = anchor.shape[0], dirs.size
@@ -328,11 +352,12 @@ def newton_phase(affine: AffineSet) -> tuple[np.ndarray | Certificate | None, st
         except np.linalg.LinAlgError:
             return None
 
-    w, x = anchor, eye / n
-    t = float(np.linalg.eigvalsh(anchor)[0]) - trace / n
+    w, x = anchor if start is None else (start + start.conj().T) / 2, eye / n
+    t = float(np.linalg.eigvalsh(w)[0]) - trace / n
     low = cholesky(w - t * eye)
     if low is None:
         return None, NONE, 0, None
+    unit = np.eye(1, m + 1, m)[0]
     for step in range(1, _NEWTON_STEP_CAP + 1):
         # R = L^-H Q diag(sqrt(lam)) for S = L L^H and L^H X L = Q diag(lam^2) Q^H
         # scales both matrices to diag(lam): R^H S R = R^-1 X R^-H; G = R R^H
@@ -340,42 +365,47 @@ def newton_phase(affine: AffineSet) -> tuple[np.ndarray | Certificate | None, st
         if lam2[0] <= 0:
             return None, NONE, step, (t, x)
         lam = np.sqrt(lam2)
+        root = np.sqrt(np.outer(lam, lam))
         r = np.linalg.inv(low).conj().T @ (q * np.sqrt(lam))
-        g = r @ r.conj().T
+        rh = r.conj().T
+        g = r @ rh
         g2 = g @ g
         schur = np.empty((m + 1, m + 1))
         schur[:m, :m] = dirs.hessian(g)
         schur[:m, m] = schur[m, :m] = -dirs.coords(g2)
         schur[m, m] = np.trace(g2).real
 
-        def direction(target: np.ndarray):
-            """The step ``(dz, dt)`` and the scaled steps of S and X, whose sum D
-            solves ``(diag(lam) D + D diag(lam)) / 2 = target`` and X's equations."""
-            d = 2 * target / np.add.outer(lam, lam)
-            y = x + r @ d @ r.conj().T
-            dy = np.linalg.solve(schur, np.append(dirs.coords(y), 1 - np.trace(y).real))
-            ds = r.conj().T @ (dirs.combine(dy[:m]) - dy[m] * eye) @ r
-            return dy, ds, d - ds
+        def direction(d: np.ndarray, rhs: np.ndarray):
+            """The step dy for ``rhs``, W's step and the scaled steps of S and X (sum d)."""
+            dy = np.linalg.solve(schur, rhs)
+            dw = dirs.combine(dy[:m])
+            ds = rh @ (dw - dy[m] * eye) @ r
+            return dy, dw, ds, d - ds
 
-        def longest(d: np.ndarray, frac: float) -> float:
-            """``frac`` of the longest step keeping ``diag(lam) + a d`` PSD, at most 1."""
-            lowest = float(np.linalg.eigvalsh(d / np.sqrt(np.outer(lam, lam)))[0])
-            return frac / max(frac, -lowest)
+        def longest(ds: np.ndarray, dx: np.ndarray, frac: float) -> np.ndarray:
+            """``frac`` of the longest steps keeping diag(lam) + a ds, + a dx PSD, at most 1."""
+            lowest = np.linalg.eigvalsh(np.stack((ds, dx)) / root)[:, 0]
+            return frac / np.maximum(frac, -lowest)
 
         try:
-            _, ds, dx = direction(-np.diag(lam2))  # predictor
+            # the predictor's target -diag(lam^2) gives d = -diag(lam), and
+            # R diag(lam) R^H = X, so its right-hand side is the unit vector
+            _, _, ds, dx = direction(-np.diag(lam), unit)
             mu = float(lam2.sum()) / n
-            affine_mu = np.vdot(np.diag(lam) + longest(dx, 1.0) * dx,
-                                np.diag(lam) + longest(ds, 1.0) * ds).real / n
+            step_s, step_x = longest(ds, dx, 1.0)
+            affine_mu = np.vdot(np.diag(lam) + step_x * dx, np.diag(lam) + step_s * ds).real / n
             cross = dx @ ds
-            dy, ds, dx = direction((affine_mu / mu) ** 3 * mu * eye - np.diag(lam2)
-                                   - (cross + cross.conj().T) / 2)
+            target = ((affine_mu / mu) ** 3 * mu * eye - np.diag(lam2)
+                      - (cross + cross.conj().T) / 2)
+            d = 2 * target / np.add.outer(lam, lam)  # (diag(lam) d + d diag(lam))/2 = target
+            y = x + r @ d @ rh
+            dy, dw, ds, dx = direction(d, np.append(dirs.coords(y), 1 - np.trace(y).real))
         except np.linalg.LinAlgError:
             return None, NONE, step, (t, x)
-        step_s, step_x = longest(ds, _STEP_FRACTION), longest(dx, _STEP_FRACTION)
-        w = w + step_s * dirs.combine(dy[:m])
+        step_s, step_x = longest(ds, dx, _STEP_FRACTION)
+        w = w + step_s * dw
         t += step_s * float(dy[m])
-        x = x + step_x * (r @ dx @ r.conj().T)
+        x = x + step_x * (r @ dx @ rh)
         x = (x + x.conj().T) / 2
         x = x / np.trace(x).real  # the step keeps Tr X = 1 only up to rounding
         low = cholesky(w - t * eye)
@@ -458,7 +488,7 @@ def solve(affine: AffineSet,
         if it & (it - 1) == 0:  # it is a power of two
             cert = certificate(affine, y, py)
             if it == switch and max_iter >= 2 * switch and cert.margin >= 0:
-                found, phase["newton_exit"], phase["newton_steps"], _ = newton_phase(affine)
+                found, phase["newton_exit"], phase["newton_steps"], _ = newton_phase(affine, py)
                 if isinstance(found, Certificate):
                     cert = found
                 elif found is not None:

@@ -1,9 +1,11 @@
 """Dense reference implementations that the tests compare the closed forms against.
 
-Nothing here is used by the library.  The linear-system helpers write the
+Nothing here is used by the library.  ``hermitian_basis`` is an orthonormal
+real basis of the Hermitian matrices; the linear-system helpers write the
 constraints on a Choi matrix as an explicit complex system on vec(C), turn it
-into a real system on Hermitian coordinates and project with a
-pseudo-inverse; the loops evaluate a supermap or a pre/post realisation on
+into a real system on coordinates in that basis and project with a
+pseudo-inverse, and the Newton phase's direction coordinates are checked
+against the basis ``A (x) I_r / sqrt(r) (x) H`` built from it; the loops evaluate a supermap or a pre/post realisation on
 every matrix unit, or test span preservation and restriction equality one
 span basis element at a time, or build Kraus operators one eigenvalue at a
 time, or count a Hermitian rank from eigenvalues.  ``span_basis_by_gram_schmidt``
@@ -15,6 +17,8 @@ extremality by brute force: it solves for real coordinates of Hermitian
 coefficient matrices in ``hermitian_basis(k)`` and tries seeded random null
 directions until one gives a checked pair of CP maps in the class.
 """
+
+from functools import lru_cache
 
 import numpy as np
 
@@ -42,7 +46,6 @@ from superchannels.feasibility import (
 from superchannels.linalg import (
     frob,
     herm_eig,
-    hermitian_basis,
     kron,
     matrix_unit,
     null_space,
@@ -120,13 +123,51 @@ def linear_system(action, tp: bool) -> tuple[np.ndarray, np.ndarray, int]:
     return np.vstack(rows), np.concatenate(rhs), n
 
 
+@lru_cache(maxsize=None)
+def hermitian_basis(n: int, traceless: bool = False) -> np.ndarray:
+    """Orthonormal real basis of the Hermitian n x n matrices, shape (n^2, n, n),
+    or of the traceless ones, shape (n^2 - 1, n, n).
+
+    Ordering: the n diagonal units (with ``traceless``, the n - 1 Helmert
+    contrasts ``(E_00 + ... + E_{k-1,k-1} - k E_kk) / sqrt(k(k+1))`` in their
+    place), then the symmetric combinations over the upper triangle in
+    row-major order, then the antisymmetric ones.
+    """
+    diag = np.eye(n)
+    if traceless:
+        diag = np.array([np.r_[np.ones(k), -k, np.zeros(n - k - 1)] / np.sqrt(k * (k + 1))
+                         for k in range(1, n)]).reshape(n - 1, n)
+    mats = [np.diag(v).astype(complex) for v in diag]
+    pairs = [(p, q) for p in range(n) for q in range(p + 1, n)]
+    for phase in (1.0, 1j):
+        for p, q in pairs:
+            m = np.zeros((n, n), dtype=complex)
+            m[p, q] = phase / np.sqrt(2.0)
+            m[q, p] = np.conj(phase) / np.sqrt(2.0)
+            mats.append(m)
+    out = np.array(mats).reshape(-1, n, n)
+    out.setflags(write=False)
+    return out
+
+
+def direction_basis(d: int, r: int, k: int, tp: bool) -> np.ndarray:
+    """The orthonormal basis ``A_i (x) I_r / sqrt(r) (x) H_j`` of an extension
+    set's directions on ``C^d (x) C^r (x) C^k``, for ``A_i`` in
+    ``hermitian_basis(d, traceless=True)`` and ``H_j`` in
+    ``hermitian_basis(k, traceless=tp)``, indexed ``(i, j)`` in row-major
+    order: shape ``((d^2 - 1)(k^2 - [tp]), n, n)`` with ``n = d r k``."""
+    a, h = hermitian_basis(d, traceless=True), hermitian_basis(k, traceless=tp)
+    b = np.einsum("ipq,st,juv->ijpsuqtv", a, np.eye(r) / np.sqrt(r), h)
+    return b.reshape(len(a) * len(h), d * r * k, d * r * k)
+
+
 def from_coords(x: np.ndarray, n: int) -> np.ndarray:
-    """The Hermitian matrix with coordinates ``x`` in ``linalg.hermitian_basis(n)``."""
+    """The Hermitian matrix with coordinates ``x`` in ``hermitian_basis(n)``."""
     return np.tensordot(x, hermitian_basis(n), 1)
 
 
 def to_coords(m: np.ndarray, n: int) -> np.ndarray:
-    """Coordinates of a Hermitian matrix in ``linalg.hermitian_basis(n)``."""
+    """Coordinates of a Hermitian matrix in ``hermitian_basis(n)``."""
     iu, ju = np.triu_indices(n, 1)
     off = m[iu, ju]
     return np.concatenate([np.diagonal(m).real, np.sqrt(2.0) * off.real,

@@ -501,6 +501,18 @@ def test_non_positive_iteration_cap_is_an_error(capsys, fixtures, command, cap):
     assert "iteration cap" in captured.err
 
 
+@pytest.mark.parametrize("json_flag", [[], ["--json"]])
+def test_tp_extend_of_a_set_without_directions_is_an_input_error(capsys, fixtures, json_flag):
+    """Under trace preservation ``readout_action`` (n2 = 1) leaves an affine
+    set with no directions, and an inconsistent one: exit 3, nothing on
+    standard output."""
+    code = main(["tp-extend", str(fixtures / "readout_action.json"), *json_flag])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    assert "affine constraint system is inconsistent" in captured.err
+
+
 def test_demo_reseeded_still_passes(capsys):
     code, _ = run_json(capsys, "demo-paper", "--seed", "7")
     assert code == 0

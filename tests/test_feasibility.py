@@ -9,7 +9,8 @@ a fresh iterate every step, and has no Newton phase.  The two must agree on
 status, iteration count and witness up to the switch, and after it wherever
 the phase returns no verdict; ``solve``'s witness must be exactly Hermitian,
 and ``solve`` must leave its inputs alone.  The phase's closed-form
-directions basis and Hessian are checked against dense ones.
+direction coordinates and Hessian are checked against dense ones and
+against the orthonormal basis they replace.
 """
 
 import dataclasses
@@ -19,7 +20,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from _dense_reference import reference_solve
+from _dense_reference import direction_basis, reference_solve
 from superchannels import feasibility
 from superchannels.config import DEFAULTS
 from superchannels.extend import SpanAction, affine_set, restrict_superchannel
@@ -36,7 +37,7 @@ from superchannels.feasibility import (
     newton_phase,
     solve,
 )
-from superchannels.gallery import block_trace_readout, no_tp_action
+from superchannels.gallery import block_trace_readout, no_tp_action, readout_action
 from superchannels.linalg import random_hermitian
 from superchannels.supermaps import (
     Superchannel,
@@ -74,7 +75,8 @@ def _no_phase(monkeypatch):
     """Patch the Newton phase out of ``solve``: it returns no verdict after
     no step, so Douglas-Rachford runs on exactly as if it had not run, and
     the report's ``newton_exit`` reads ``NONE`` wherever the switch came."""
-    monkeypatch.setattr(feasibility, "newton_phase", lambda affine: (None, NONE, 0, None))
+    monkeypatch.setattr(feasibility, "newton_phase",
+                        lambda affine, start=None: (None, NONE, 0, None))
 
 
 @pytest.mark.parametrize("name", CASES)
@@ -239,8 +241,8 @@ def test_a_phase_without_a_witness_resumes_douglas_rachford(monkeypatch):
     makes the phase end that way, so here the phase runs on seed 401 and its
     witness is dropped: the run then ends as the reference's does, feasible
     at iteration 2,261 with the same witness."""
-    def no_verdict(affine):
-        _, _, steps, dual = newton_phase(affine)
+    def no_verdict(affine, start=None):
+        _, _, steps, dual = newton_phase(affine, start)
         return None, NONE, steps, dual
 
     monkeypatch.setattr(feasibility, "newton_phase", no_verdict)
@@ -280,13 +282,16 @@ def test_the_phase_certifies_infeasible_tp_sets_at_the_switch(dims, seed, dr_alo
 
 def _assert_weak_duality(affine, dual):
     """The phase's last dual point ``(t, X)`` is feasible and bounds t: X is
-    Hermitian PSD with unit trace and orthogonal to the directions, and
+    Hermitian PSD with unit trace and orthogonal to the directions, each
+    ``<B_a, X>`` over an orthonormal basis B_a of them at most 1e-12, and
     ``<anchor, X> >= t``."""
     t, x = dual
     assert np.array_equal(x, x.conj().T)
     assert np.linalg.eigvalsh(x)[0] >= 0
     assert np.trace(x).real == pytest.approx(1.0, abs=1e-12)
-    assert np.abs(affine.directions.coords(x)).max() <= 1e-12
+    dirs = affine.directions
+    basis = direction_basis(dirs.d, dirs.r, dirs.k, dirs.tp)
+    assert np.abs(np.einsum("aij,ji->a", basis, x).real).max() <= 1e-12
     assert np.vdot(x, affine.anchor).real >= t
 
 
@@ -363,10 +368,13 @@ LADDER = [(2, 2, 2, 2), (2, 3, 2, 3), (3, 2, 3, 2), (3, 3, 3, 3)]
 @pytest.mark.parametrize("tp", [False, True])
 @pytest.mark.parametrize("dims", LADDER)
 def test_direction_basis_is_an_orthonormal_basis_of_the_directions(dims, tp):
-    """``combine`` of each coordinate vector is fixed by ``project(.) - project(0)``,
-    the basis is orthonormal (``coords`` is the adjoint of ``combine``), and
-    it spans the directions: the kernel part of a random matrix is the
-    combination of its own coordinates."""
+    """The matrix coordinates describe the directions, though not
+    orthonormally: ``combine`` of each coordinate vector is fixed by
+    ``project(.) - project(0)``, ``coords`` is the adjoint of ``combine``
+    (``Re Tr(combine(z) M) = z . coords(M)`` for random z and complex M),
+    ``combine`` has rank m, the dimension of the directions, and the kernel
+    part of a random matrix is the combination of its own coordinates
+    through the Gram matrix ``coords(combine(.))``."""
     d1, r1, d2, r2 = dims
     n2 = d2 * r2
     affine = affine_set(restrict_superchannel(random_superchannel(*dims, e=1, seed=1)),
@@ -380,27 +388,76 @@ def test_direction_basis_is_an_orthonormal_basis_of_the_directions(dims, tp):
         b = dirs.combine(unit)
         np.testing.assert_allclose(affine.project(b) - base, b, rtol=0, atol=1e-14)
         gram[:, a] = dirs.coords(b)
-    np.testing.assert_allclose(gram, np.eye(dirs.size), rtol=0, atol=1e-14)
-    x = random_hermitian(n, np.random.default_rng(2))
-    k = affine.project(x) - base
-    np.testing.assert_allclose(dirs.combine(dirs.coords(k)), k, rtol=0, atol=1e-13)
+    assert np.array_equal(gram, gram.T)
+    assert np.linalg.matrix_rank(gram) == dirs.size
+    rng = np.random.default_rng(2)
+    for _ in range(3):
+        z = rng.standard_normal(dirs.size)
+        m = random_hermitian(n, rng) + 1j * random_hermitian(n, rng)
+        assert np.trace(dirs.combine(z) @ m).real == pytest.approx(
+            z @ dirs.coords(m), rel=1e-12, abs=1e-12)
+    k = affine.project(random_hermitian(n, rng)) - base
+    np.testing.assert_allclose(dirs.combine(np.linalg.solve(gram, dirs.coords(k))), k,
+                               rtol=0, atol=1e-13)
+
+
+@pytest.mark.parametrize("tp", [False, True])
+@pytest.mark.parametrize("dims", LADDER)
+def test_closed_form_hessian_matches_the_dense_one(dims, tp):
+    """``z1 . hessian(G) z2 = Re Tr(G combine(z1) G combine(z2))`` for random
+    z1, z2 and Hermitian G, and the Hessian is exactly symmetric."""
+    affine = affine_set(restrict_superchannel(random_superchannel(*dims, e=2, seed=3)),
+                        trace_preserving=tp)
+    dirs = affine.directions
+    rng = np.random.default_rng(4)
+    g = random_hermitian(affine.anchor.shape[0], rng)
+    hess = dirs.hessian(g)
+    assert hess.shape == (dirs.size, dirs.size)
+    assert np.array_equal(hess, hess.T)
+    for _ in range(3):
+        z1, z2 = rng.standard_normal((2, dirs.size))
+        dense = np.trace(g @ dirs.combine(z1) @ g @ dirs.combine(z2)).real
+        assert z1 @ hess @ z2 == pytest.approx(dense, rel=1e-12)
 
 
 @pytest.mark.parametrize("tp", [False, True])
 @pytest.mark.parametrize("dims", LADDER[:3])
-def test_closed_form_hessian_matches_the_dense_one(dims, tp):
+def test_direction_coordinates_match_the_orthonormal_basis(dims, tp):
+    """The dense oracle: with ``T[a, i] = <B_a, combine(e_i)>`` over the
+    orthonormal basis B_a built from ``hermitian_basis``, every
+    ``combine(e_i)`` is ``sum_a T[a, i] B_a``, ``coords(G) = T^T <B, G>`` and
+    ``hessian(G) = T^T Tr(G B_a G B_b) T`` to 1e-13 of its largest entry."""
+    d1, r1, d2, r2 = dims
     affine = affine_set(restrict_superchannel(random_superchannel(*dims, e=2, seed=3)),
                         trace_preserving=tp)
     dirs = affine.directions
+    basis = direction_basis(d1, r1, d2 * r2, tp)
+    combined = np.array([dirs.combine(unit) for unit in np.eye(dirs.size)])
+    change = np.einsum("aij,bji->ab", basis, combined).real
+    np.testing.assert_allclose(np.tensordot(change.T, basis, 1), combined, rtol=0, atol=1e-14)
     g = random_hermitian(affine.anchor.shape[0], np.random.default_rng(4))
-    basis = np.array([dirs.combine(unit) for unit in np.eye(dirs.size)])
-    gb = g @ basis
-    dense = (gb.reshape(dirs.size, -1) @ gb.transpose(0, 2, 1).reshape(dirs.size, -1).T).real
-    hess = dirs.hessian(g)
-    assert np.array_equal(hess, hess.T)
-    np.testing.assert_allclose(hess, dense, rtol=0, atol=1e-12 * np.abs(dense).max())
-    np.testing.assert_allclose(dirs.coords(g), np.einsum("aij,ji->a", basis, g).real,
+    np.testing.assert_allclose(dirs.coords(g), change.T @ np.einsum("aij,ji->a", basis, g).real,
                                rtol=0, atol=1e-12)
+    gb = g @ basis
+    dense = (gb.reshape(len(basis), -1) @ gb.transpose(0, 2, 1).reshape(len(basis), -1).T).real
+    dense = change.T @ dense @ change
+    np.testing.assert_allclose(dirs.hessian(g), dense, rtol=0, atol=1e-13 * np.abs(dense).max())
+
+
+def test_a_set_without_directions_has_empty_coordinates():
+    """Under trace preservation with n2 = 1 (``readout_action``) the set has
+    no directions: every map on the coordinates is empty, and the phase runs
+    on the Schur complement of t alone.  This set is inconsistent, so the
+    phase ends without a verdict."""
+    affine = affine_set(readout_action(), trace_preserving=True)
+    dirs = affine.directions
+    assert dirs.size == 0
+    n = affine.anchor.shape[0]
+    g = random_hermitian(n, np.random.default_rng(1))
+    assert dirs.hessian(g).shape == (0, 0)
+    assert dirs.coords(g).shape == (0,)
+    assert np.array_equal(dirs.combine(np.zeros(0)), np.zeros((n, n)))
+    assert newton_phase(affine)[1] == NONE
 
 
 @settings(max_examples=12, deadline=None)
