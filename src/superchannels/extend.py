@@ -21,17 +21,13 @@ cone (``feasibility.solve``): "feasible" comes with a PSD witness, and
 iterations 1, 2, 4, 8, ...  A search still open after iteration
 ``feasibility.newton_after(m)`` for its m directions, under a cap of at
 least twice that, runs one primal-dual Newton phase in those coordinates
-from the affine point DR holds there.  The switch is set from measured
-costs: iteration 4 up to 64 directions ((2,2,2,2) has 48), where the phase
-ends a set about as soon as DR would and spares DR's slow approach to a
-set without a positive definite point; above, the first power of two at or
-above m (1,024 at (3,3,3,3)); a phase started at 4 won there on 7-8 of 36
-sets at (3,2,3,2), though on 21-23 of 36 at (2,3,2,3).  The phase returns
-a witness that a Cholesky factorisation proves positive definite; on a set
-too thin to hold one (a unique extension, say), the PSD shadow of its
-point; or, on a set that misses the cone, its dual matrix as a
-certificate; otherwise DR goes on as before.  ``extend_action`` returns
-the solver's ``FeasibilityReport`` with the witness as a ``Superchannel``.
+from the affine point DR holds there, measured against the output marginal
+``Tr_{n1} C`` that every point of the set shares.  It returns a witness
+that a Cholesky factorisation proves positive definite; on a set too thin
+to hold one (a unique extension, say), the PSD shadow of its point; or, on
+a set that misses the cone, its dual matrix as a certificate; otherwise DR
+goes on as before.  ``extend_action`` returns the solver's
+``FeasibilityReport`` with the witness as a ``Superchannel``.
 """
 
 from __future__ import annotations

@@ -25,27 +25,19 @@ tangentially (Sturm, SIAM J. Optim. 2000).  So a run with a cap of at least
 ``2 newton_after(m)`` and no verdict after that iteration's certificate
 check runs ``newton_phase`` once, from that iteration's affine point
 ``P_A(y)``: a primal-dual interior-point method that maximises t subject to
-``W - t I >= 0`` over the set's m directions, with a dual matrix X that
-bounds the best t (Vandenberghe & Boyd, SIAM Review 1996).  The switch is
-set from measured costs.  At (2,2,2,2) (m = 48) a step costs about 8 DR
-iterations.  The phase ends a set with a positive definite point in 1-8
-steps, and in 1-2 on the sets DR ends soonest (12-53 iterations), about as
-fast; on a set without one it saves the whole DR run (2,261 iterations at
-seed 401).  So for m <= 64 ``newton_after(m)`` is 4, after the certificate
-checks at iterations 1, 2 and 4 that settle the sets DR settles at once.
-Above 64 directions it is the first power of two at or above m, on the
-certificate schedule: 128 at (2,3,2,3), 512 at (3,2,3,2) and 1,024 at
-(3,3,3,3) (m = 648).  There a phase started at 4 was faster on 7 and 8 of
-36 (3,2,3,2) sets (CP and TP), though on 23 and 21 of 36 at (2,3,2,3); a
-cap below twice the switch runs DR alone, so a capped run pays at most
-about its cap.  The phase ends with a strict witness, which a Cholesky
-factorisation proves positive definite; a shadow witness, W's PSD part, on
-a set too thin to hold one; a certificate, its dual matrix, on a set that
-misses the cone, so the run ends "infeasible" at the switch; or with
-nothing (see ``newton_phase``).  Without a verdict DR resumes from its
-unchanged iterate, so the run's status, iteration count and witness are
-those of DR alone; the report records the switch, the phase's step count
-and how it ended either way.
+``W - t E >= 0`` over the set's m directions, with a dual matrix X that
+bounds the best t (Vandenberghe & Boyd, SIAM Review 1996).  The unit E is
+``I (x) M`` for the output marginal M that every point of the set shares,
+or the identity when M is singular or nearly so; the 20 ``extend-cap`` sets
+take 90 steps against it, 102 against ``E = I``.  The phase ends with a
+witness, a certificate (the run then ends "infeasible" at the switch) or
+nothing, and then DR resumes from its unchanged iterate, so the run's
+status, iteration count and witness are those of DR alone; the report
+records the switch, the phase's step count and how it ended either way.
+The switch (``newton_after``) is set from measured costs: at (2,2,2,2) (m =
+48) a step costs 5-8 DR iterations, and the phase ends a set with a positive
+definite point in 1-8 steps (1-2 where DR takes 12-53 iterations) and saves
+DR's whole run on a set without one (2,261 iterations at seed 401).
 
 A run ends in a ``FeasibilityReport``, the one declaration of an extension
 search's outcome: ``extend.extend_action`` returns the same report with its
@@ -58,8 +50,8 @@ triangle of x, so x is never symmetrised; the shadow as one Gram product
 in-place update of x.  The witness is symmetrised once, when it is returned.
 At n = 16 (one BLAS thread, a shared 2-core Xeon) an iteration took 65-160 us
 with load, about three quarters of it in ``eigh``; a Newton step took
-0.7-1.1 ms there, 2.6-2.7 ms at (2,3,2,3), 7.0-7.9 ms at (3,2,3,2) and
-38-45 ms at (3,3,3,3) (n = 81).
+0.65-0.71 ms there, 2.2-2.5 ms at (2,3,2,3), 5.8-6.2 ms at (3,2,3,2) and
+35-36 ms at (3,3,3,3) (n = 81), CP and TP.
 """
 
 from __future__ import annotations
@@ -109,6 +101,7 @@ class Directions:
     r: int
     tp: bool
     free: np.ndarray = field(init=False, repr=False, compare=False)
+    lift: np.ndarray = field(init=False, repr=False, compare=False)
     size: int = field(init=False)
 
     def __post_init__(self):
@@ -117,14 +110,14 @@ class Directions:
         if self.tp:
             keep[:, -1, :, -1] = False
         object.__setattr__(self, "free", np.flatnonzero(keep))
+        object.__setattr__(self, "lift", np.eye(self.r)[:, None, None, :, None] / 2 / self.r ** .5)
         object.__setattr__(self, "size", self.free.size)
 
     def _reduce(self, v: np.ndarray) -> np.ndarray:
         """``E^T`` on the leading N^2 axis of ``v``, which it overwrites."""
-        d, k = self.d, self.k
-        t = v.reshape((d, k, d, k) + v.shape[1:])
-        diag = np.arange(d - 1)
-        t[diag, :, diag, :] -= t[-1, :, -1, :]
+        d, k, t = self.d, self.k, v.reshape((self.d, self.k, self.d, self.k) + v.shape[1:])
+        for p in range(d - 1):
+            t[p, :, p] -= t[-1, :, -1]
         if self.tp:
             diag = np.arange(k - 1)
             t[:, diag, :, diag] -= t[:, -1, :, -1]
@@ -141,8 +134,7 @@ class Directions:
         v = v.reshape(d * k, d * k)
         herm = np.empty(v.shape, dtype=complex)
         herm.real, herm.imag = v + v.T, v - v.T
-        lift = np.eye(r)[None, :, None, None, :, None] / (2 * np.sqrt(r))
-        return (herm.reshape(d, 1, k, d, 1, k) * lift).reshape(d * r * k, -1)
+        return (herm.reshape(d, 1, k, d, 1, k) * self.lift).reshape(d * r * k, -1)
 
     def coords(self, m: np.ndarray) -> np.ndarray:
         """``Re Tr(combine(e_a) m)`` for every coordinate a: ``E^T`` of
@@ -152,8 +144,9 @@ class Directions:
         v = (y.real + y.real.T + y.imag - y.imag.T) / (2 * np.sqrt(r))
         return self._reduce(v.reshape(-1))
 
-    def hessian(self, g: np.ndarray) -> np.ndarray:
-        """The matrix ``Re Tr(G combine(e_a) G combine(e_b))`` for Hermitian G.
+    def hessian(self, g: np.ndarray, extra: np.ndarray | None = None) -> np.ndarray:
+        """The matrix ``Re Tr(G combine(e_a) G combine(e_b))`` for Hermitian G;
+        with ``extra``, a real N x N V, bordered by V's lift ``Z (x) I_r``.
 
         With ``G_st`` the N x N blocks of G over the middle factor, the form
         on Z is ``sum K[j, k, l, i] Z1[j, k] Z2[l, i]`` for ``K[j, k, l, i] =
@@ -162,13 +155,17 @@ class Directions:
         the index transposition P.  G is Hermitian, so PKP is K's conjugate
         and PK is KP's: ``H = Re KP - Im K``, two views, and E gives E^T H E.
         """
-        d, k, r = self.d, self.k, self.r
-        nn = d * k
+        d, k, r, nn = self.d, self.k, self.r, self.d * self.k
         blocks = g.reshape(d, r, k, d, r, k).transpose(1, 4, 0, 2, 3, 5).reshape(r, r, nn * nn)
         q4 = (blocks / r).reshape(r * r, -1).T @ blocks.transpose(1, 0, 2).reshape(r * r, -1)
         kk = q4.reshape(nn, nn, nn, nn).transpose(1, 2, 3, 0)
-        h = kk.transpose(0, 1, 3, 2).real - kk.imag
-        s = self._reduce(self._reduce(h.reshape(nn * nn, nn * nn)).T)
+        h = (kk.transpose(0, 1, 3, 2).real - kk.imag).reshape(nn * nn, nn * nn)
+        hx = None if extra is None else h @ extra.reshape(-1)  # before _reduce overwrites h
+        s = self._reduce(self._reduce(h).T)
+        if hx is not None:  # the corner first: _reduce overwrites hx
+            inner, s = s, np.empty((self.size + 1, self.size + 1))
+            s[-1, -1], s[:-1, :-1] = r * (hx @ extra.reshape(-1)), inner
+            s[:-1, -1] = s[-1, :-1] = np.sqrt(r) * self._reduce(hx)
         return (s + s.T) / 2
 
 
@@ -287,11 +284,10 @@ def _shadow(x: np.ndarray) -> np.ndarray:
 
 def newton_after(m: int) -> int:
     """The DR iteration after which a run without a verdict runs the Newton
-    phase, for ``m`` directions: 4 up to 64 directions, where the phase
-    costs about what DR spends on the sets it ends soonest, and above, where
-    a phase started at 4 was faster on at most half the measured sets, the
-    first power of two at or above ``m``.  A power of two, so that
-    iteration's certificate check comes first."""
+    phase, for ``m`` directions: 4 up to 64 directions, where the phase costs
+    about what DR spends on the sets it ends soonest, and above the first
+    power of two at or above ``m`` (128 at (2,3,2,3), 1,024 at (3,3,3,3)),
+    after that iteration's certificate check."""
     return 4 if m <= 64 else 1 << (m - 1).bit_length()
 
 
@@ -301,50 +297,53 @@ def newton_phase(affine: AffineSet, start: np.ndarray | None = None
     """A witness of the affine set, or a certificate that it misses the cone,
     by a primal-dual interior-point method.
 
-    The primal maximises t subject to ``S = W - t I >= 0`` over ``W = start
+    The primal maximises t subject to ``S = W - t E >= 0`` over ``W = start
     + combine(z)`` (``affine.directions``, z real); the dual minimises
-    ``<anchor, X>`` over ``X >= 0`` with ``Tr X = 1`` and ``coords(X) = 0``,
-    so every dual point bounds the best t.  Both start feasible: W at
-    ``start``, an affine point (the anchor by default), with t below its
-    spectrum, and ``X = I/n``.  A step is Mehrotra's predictor-corrector
-    under Nesterov-Todd scaling (Todd, Toh & Tutuncu, SIAM J. Optim. 1998),
-    with the Schur complement ``Tr(G A_i G A_j)`` over ``A = (combine(e_a),
-    I)`` (``hessian(G)``, ``-coords(G^2)`` and ``Tr G^2``) at the scaling
-    matrix G (``G S G = X``); each matrix moves ``_STEP_FRACTION`` of the
-    way to the cone's boundary, at most a full step.  Returns ``(found,
-    kind, steps, dual)``, ``dual`` the last ``(t, X)``; a witness passes the
-    affine rule ``residual <= affine_tol * rhs_scale`` (``thr``), as a DR
-    witness does.
+    ``<anchor, X>`` over ``X >= 0`` with ``<E, X> = 1`` and ``coords(X) = 0``,
+    so every dual point bounds the best t.  The unit is ``E = I (x) M`` on
+    ``C^{dr} (x) C^k`` for ``M = Tr_{dr}(anchor) k / Tr(anchor)``, so ``Tr E =
+    n``: every direction has ``Tr_{dr} = 0``, so every point W of the set has
+    ``Tr_{dr} W = Tr_{dr}(anchor)``.  For v in the kernel of a singular M,
+    ``sum_i <e_i (x) v, W e_i (x) v> = <v, Tr_{dr}(W) v> = 0``, so a PSD W has
+    a kernel: no point is positive definite.  E is then I, as it is whenever
+    ``lambda_min(M) <= sqrt(affine_tol) lambda_max(M)``: S and X carry E's
+    condition number, and at 1e6 it stalled the phase on sets that ``E = I``
+    ends in 5 steps (at 1e4 none).  Both
+    start feasible: W at ``start``, an affine point (the anchor by default),
+    with t below its spectrum relative to E by ``Tr(anchor)/n``, and ``X =
+    E^-1/n``.  A step is Mehrotra's predictor-corrector under Nesterov-Todd
+    scaling (Todd, Toh & Tutuncu, SIAM J. Optim. 1998), with the Schur
+    complement ``Tr(G A_i G A_j)`` over ``A = (combine(e_a), -E)``
+    (``hessian``) at the scaling matrix G (``G S G = X``); each matrix moves
+    ``_STEP_FRACTION`` of the way to the cone's boundary, at most a full step.
+    Returns ``(found, kind, steps, dual)``, ``dual`` the last ``(t, X)`` less
+    the part along the directions that rounding leaves in X; a witness passes
+    the affine rule ``residual <= affine_tol * rhs_scale`` (``thr``).
 
-    * ``STRICT``: ``t`` clears the floor ``4 (n+1) eps Tr(anchor)`` and a
-      Cholesky factorisation of ``W - (t/2) I`` succeeds.  The backward
-      error of a factorisation that succeeds is at most about ``(n+1) eps/2``
-      times the trace (Demmel 1989; Rump, BIT 2006), and every point of the
-      set shares the anchor's trace; the floor leaves a factor of four for
-      complex arithmetic and the rounding of the shift, so ``lambda_min(W)
-      >= t/2 - floor/2 > 0``.  This check comes first.
-    * ``SHADOW``: with ``<anchor, X> < thr`` no matrix of the set has
-      ``lambda_min`` above ``thr``, so the set is at most that thin (a
-      single point, say).  W's PSD shadow (``_shadow``, as DR forms it) is
-      returned, symmetrised, once it passes the affine rule.
-    * ``CERTIFICATE``: with ``<anchor, X> < 0``, X is checked as a Farkas
-      certificate by the rule DR's displacements pass, ``certificate(affine,
-      X, 0)``, and returned once its margin is negative.
-    * ``NONE``: when the duality gap ``<anchor, X> - t`` falls below the
-      floor, S stops factorising, X or the Schur complement turns singular,
-      or after ``_NEWTON_STEP_CAP`` steps; ``(None, NONE, 0, None)`` when the
-      trace is not positive or S does not factorise at the start (its least
-      eigenvalue, ``Tr(anchor)/n``, can lie within the rounding of
-      ``||start||``).
+    * ``STRICT``: ``t`` clears the floor ``4 (n+1) eps Tr(anchor) /
+      lambda_min(E)`` and a Cholesky factorisation of ``W - (t/2) E``
+      succeeds.  Its backward error is at most about ``(n+1) eps/2`` times
+      its trace, below ``Tr(anchor)`` (Demmel 1989; Rump, BIT 2006); the floor
+      leaves a factor of four for complex arithmetic and the shift, so
+      ``lambda_min(W) >= lambda_min(E) (t - floor)/2 > 0``.  Checked first.
+    * ``SHADOW``: with ``<anchor, X> < thr`` no W of the set has ``W >= thr E``,
+      so the set is that thin (a single point, say).  W's PSD shadow
+      (``_shadow``, as DR forms it) is returned once it passes the rule.
+    * ``CERTIFICATE``: with ``<anchor, X> < 0``, X is checked by the rule
+      DR's displacements pass, ``certificate(affine, X, 0)``, and returned
+      once its margin is negative.
+    * ``NONE``: when the gap ``<anchor, X> - t`` falls below the floor, S
+      stops factorising, X or the Schur complement turns singular, or after
+      ``_NEWTON_STEP_CAP`` steps; ``(None, NONE, 0, None)`` when the trace is
+      not positive or S does not factorise at the start (its least eigenvalue
+      relative to E, ``Tr(anchor)/n``, can lie within ``||start||``'s rounding).
     """
     dirs, anchor = affine.directions, affine.anchor
-    n, m = anchor.shape[0], dirs.size
+    n, m, k = anchor.shape[0], dirs.size, dirs.k
     trace = float(np.trace(anchor).real)
     if trace <= 0:  # a positive definite point has a positive trace
         return None, NONE, 0, None
-    floor = 4 * (n + 1) * np.finfo(float).eps * trace
     thr = DEFAULTS.affine_tol * affine.rhs_scale
-    eye = np.eye(n)
 
     def cholesky(a: np.ndarray):
         try:
@@ -352,84 +351,88 @@ def newton_phase(affine: AffineSet, start: np.ndarray | None = None
         except np.linalg.LinAlgError:
             return None
 
-    w, x = anchor if start is None else (start + start.conj().T) / 2, eye / n
-    t = float(np.linalg.eigvalsh(w)[0]) - trace / n
-    low = cholesky(w - t * eye)
+    def eye_kron(p: int, a: np.ndarray) -> np.ndarray:  # I_p (x) a for k x k a
+        return (np.eye(p)[:, None, :, None] * a[:, None, :]).reshape(p * k, p * k)
+
+    marg = anchor.reshape(n // k, k, n // k, k).trace(axis1=0, axis2=2) * (k / trace)
+    mw, mv = np.linalg.eigh(marg)
+    if mw[0] <= np.sqrt(DEFAULTS.affine_tol) * mw[-1]:  # E = I
+        marg, mw, mv = np.eye(k), np.ones(k), np.eye(k)
+    e, f = eye_kron(n // k, marg), eye_kron(n // k, (mv / np.sqrt(mw)) @ mv.conj().T)  # F = E^-1/2
+    border = -eye_kron(dirs.d, marg.real + marg.imag)  # -V for Z = I_d (x) M, which lifts to E
+    floor = 4 * (n + 1) * np.finfo(float).eps * trace / mw[0]
+    w, x = anchor if start is None else (start + start.conj().T) / 2, f @ f / n
+    t = float(np.linalg.eigvalsh(f @ w @ f)[0]) - trace / n
+    low = cholesky(w - t * e)
     if low is None:
         return None, NONE, 0, None
-    unit = np.eye(1, m + 1, m)[0]
+    unit, diag, found, kind = np.eye(1, m + 1, m)[0], np.arange(n), None, NONE
     for step in range(1, _NEWTON_STEP_CAP + 1):
         # R = L^-H Q diag(sqrt(lam)) for S = L L^H and L^H X L = Q diag(lam^2) Q^H
         # scales both matrices to diag(lam): R^H S R = R^-1 X R^-H; G = R R^H
         lam2, q = np.linalg.eigh(low.conj().T @ x @ low)
         if lam2[0] <= 0:
-            return None, NONE, step, (t, x)
-        lam = np.sqrt(lam2)
-        root = np.sqrt(np.outer(lam, lam))
+            break
+        lam, root = np.sqrt(lam2), np.outer(lam2, lam2) ** 0.25
         r = np.linalg.inv(low).conj().T @ (q * np.sqrt(lam))
         rh = r.conj().T
-        g = r @ rh
-        g2 = g @ g
-        schur = np.empty((m + 1, m + 1))
-        schur[:m, :m] = dirs.hessian(g)
-        schur[:m, m] = schur[m, :m] = -dirs.coords(g2)
-        schur[m, m] = np.trace(g2).real
+        rer, schur = rh @ e @ r, dirs.hessian(r @ rh, border)
 
         def direction(d: np.ndarray, rhs: np.ndarray):
             """The step dy for ``rhs``, W's step and the scaled steps of S and X (sum d)."""
             dy = np.linalg.solve(schur, rhs)
             dw = dirs.combine(dy[:m])
-            ds = rh @ (dw - dy[m] * eye) @ r
+            ds = rh @ dw @ r - dy[m] * rer
             return dy, dw, ds, d - ds
-
-        def longest(ds: np.ndarray, dx: np.ndarray, frac: float) -> np.ndarray:
-            """``frac`` of the longest steps keeping diag(lam) + a ds, + a dx PSD, at most 1."""
-            lowest = np.linalg.eigvalsh(np.stack((ds, dx)) / root)[:, 0]
-            return frac / np.maximum(frac, -lowest)
 
         try:
             # the predictor's target -diag(lam^2) gives d = -diag(lam), and
-            # R diag(lam) R^H = X, so its right-hand side is the unit vector
+            # R diag(lam) R^H = X, so its right-hand side is the unit vector;
+            # dx = -diag(lam) - ds, so both its steps come from ds's spectrum
             _, _, ds, dx = direction(-np.diag(lam), unit)
-            mu = float(lam2.sum()) / n
-            step_s, step_x = longest(ds, dx, 1.0)
-            affine_mu = np.vdot(np.diag(lam) + step_x * dx, np.diag(lam) + step_s * ds).real / n
-            cross = dx @ ds
-            target = ((affine_mu / mu) ** 3 * mu * eye - np.diag(lam2)
-                      - (cross + cross.conj().T) / 2)
-            d = 2 * target / np.add.outer(lam, lam)  # (diag(lam) d + d diag(lam))/2 = target
+            lo, hi = np.linalg.eigvalsh(ds / root)[[0, -1]]
+            step_s, step_x = 1 / max(1.0, -lo), 1 / max(1.0, 1 + hi)
+            # n mu and n affine mu, <diag(lam) + a dx, diag(lam) + b ds>; d solves
+            # (diag(lam) d + d diag(lam))/2 = sigma mu I - diag(lam^2) - (dx ds + ds dx)/2
+            mu, cross = lam2.sum(), dx @ ds
+            affine_mu = (mu + lam @ (step_s * ds.diagonal().real + step_x * dx.diagonal().real)
+                         + step_s * step_x * np.vdot(dx, ds).real)
+            d = -(cross + cross.conj().T) / np.add.outer(lam, lam)
+            d[diag, diag] += ((affine_mu / mu) ** 3 * mu / n - lam2) / lam
             y = x + r @ d @ rh
-            dy, dw, ds, dx = direction(d, np.append(dirs.coords(y), 1 - np.trace(y).real))
+            dy, dw, ds, dx = direction(d, np.append(dirs.coords(y), 1 - np.vdot(e, y).real))
         except np.linalg.LinAlgError:
-            return None, NONE, step, (t, x)
-        step_s, step_x = longest(ds, dx, _STEP_FRACTION)
-        w = w + step_s * dw
-        t += step_s * float(dy[m])
+            break
+        # _STEP_FRACTION of the longest steps keeping diag(lam) + a ds, + a dx PSD, at most 1
+        lowest = np.linalg.eigvalsh(np.stack((ds, dx)) / root)[:, 0]
+        step_s, step_x = _STEP_FRACTION / np.maximum(_STEP_FRACTION, -lowest)
+        w, t = w + step_s * dw, t + step_s * float(dy[m])
         x = x + step_x * (r @ dx @ rh)
-        x = (x + x.conj().T) / 2
-        x = x / np.trace(x).real  # the step keeps Tr X = 1 only up to rounding
-        low = cholesky(w - t * eye)
+        x += x.conj().T
+        x /= np.vdot(e, x).real  # the step keeps <E, X> = 1 only up to rounding
+        low = cholesky(w - t * e)
         if low is None:
-            return None, NONE, step, (t, x)
-        if t > floor:
-            point = (w + w.conj().T) / 2
-            if cholesky(point - t / 2 * eye) is not None:
-                if affine.residual(point) <= thr:
-                    return point, STRICT, step, (t, x)
-                return None, NONE, step, (t, x)
+            break
+        if t > floor and cholesky((point := (w + w.conj().T) / 2) - t / 2 * e) is not None:
+            if affine.residual(point) <= thr:
+                found, kind = point, STRICT
+            break
         bound = float(np.vdot(x, anchor).real)
         if bound < thr:
             shadow = _shadow(w)
             shadow = (shadow + shadow.conj().T) / 2
             if affine.residual(shadow) <= thr:
-                return shadow, SHADOW, step, (t, x)
+                found, kind = shadow, SHADOW
+                break
         if bound < 0:
             cert = certificate(affine, x, 0)
             if cert.margin < 0:
-                return cert, CERTIFICATE, step, (t, x)
+                found, kind = cert, CERTIFICATE
+                break
         if bound - t < floor:
-            return None, NONE, step, (t, x)
-    return None, NONE, _NEWTON_STEP_CAP, (t, x)
+            break
+    # rounding leaves X a part along the directions that grows with G's condition
+    return found, kind, step, (t, x - affine.project(x) + affine.project(np.zeros_like(x)))
 
 
 def solve(affine: AffineSet,
@@ -457,7 +460,6 @@ def solve(affine: AffineSet,
     if affine.residual(affine.anchor) > affine_thr:
         raise ValueError("affine constraint system is inconsistent")
     project = affine.project
-    rowmax = affine.row_bound
 
     if seed_point is not None:
         s = np.asarray(seed_point, dtype=complex)
@@ -479,7 +481,7 @@ def solve(affine: AffineSet,
         gap = float(np.linalg.norm(y - py))
 
         # y is PSD exactly; accept it once its affine residual qualifies.
-        if rowmax * gap <= 2 * affine_thr or gap <= affine_thr:
+        if affine.row_bound * gap <= 2 * affine_thr or gap <= affine_thr:
             affine_res = affine.residual(y)
             if affine_res <= affine_thr:
                 return FeasibilityReport(status=FEASIBLE, iterations=it, gap=gap,

@@ -129,8 +129,9 @@ def span_images(choi: np.ndarray, dims: tuple[int, int, int, int]) -> np.ndarray
     """Images of the canonical span basis under a supermap Choi matrix, stacked
     into an array of shape (span_dim, d2 r2, d2 r2)."""
     d1, r1, d2, r2 = dims
-    c4 = np.asarray(choi).reshape(d1 * r1, d2 * r2, d1 * r1, d2 * r2)
-    return np.einsum("kij,isjt->kst", span_basis(d1, r1), c4)
+    n1, n2 = d1 * r1, d2 * r2
+    c = np.asarray(choi).reshape(n1, n2, n1, n2).transpose(0, 2, 1, 3).reshape(n1 * n1, n2 * n2)
+    return (span_basis(d1, r1).reshape(-1, n1 * n1) @ c).reshape(-1, n2, n2)
 
 
 def restrictions_equal(a: Superchannel, b: Superchannel, tol: float | None = None) -> bool:

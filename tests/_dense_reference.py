@@ -12,10 +12,14 @@ time, or count a Hermitian rank from eigenvalues.  ``span_basis_by_gram_schmidt`
 builds the canonical span basis by modified Gram-Schmidt over every projected
 matrix unit, dropping the remainders at ``DEFAULTS.rel_tol``.  ``reference_solve`` is
 the Douglas-Rachford loop written out with validated, symmetrised
-eigendecompositions and out-of-place updates.  ``perturbation_search`` decides
-extremality by brute force: it solves for real coordinates of Hermitian
-coefficient matrices in ``hermitian_basis(k)`` and tries seeded random null
-directions until one gives a checked pair of CP maps in the class.
+eigendecompositions and out-of-place updates; ``reference_newton_phase`` is
+the Newton phase with the identity as its unit (``W - t I >= 0``, ``Tr X =
+1``), the oracle for the phase measured against the output marginal.
+``span_images_by_einsum`` is ``span_images`` as a 4-index contraction.
+``perturbation_search`` decides extremality by brute force: it solves for
+real coordinates of Hermitian coefficient matrices in ``hermitian_basis(k)``
+and tries seeded random null directions until one gives a checked pair of CP
+maps in the class.
 """
 
 from functools import lru_cache
@@ -35,12 +39,20 @@ from superchannels.channels import (
 from superchannels.config import DEFAULTS, resolve
 from superchannels.extremal import ConstraintSpaces, _pair_rows
 from superchannels.feasibility import (
+    _NEWTON_STEP_CAP,
+    _STEP_FRACTION,
+    CERTIFICATE,
     FEASIBLE,
     INFEASIBLE,
+    NONE,
+    SHADOW,
+    STRICT,
     UNDETERMINED,
     AffineSet,
+    Certificate,
     Directions,
     FeasibilityReport,
+    _shadow,
     certificate,
 )
 from superchannels.linalg import (
@@ -278,6 +290,14 @@ def marginal_residual_by_matrix_units(sc: Superchannel, n_map: ChannelChoi) -> f
     return worst
 
 
+def span_images_by_einsum(choi: np.ndarray, dims: tuple[int, int, int, int]) -> np.ndarray:
+    """``supermaps.span_images`` as the 4-index contraction
+    ``Y_k[s, t] = sum_ij B_k[i, j] C[i, s, j, t]`` over the span basis B."""
+    d1, r1, d2, r2 = dims
+    c4 = np.asarray(choi).reshape(d1 * r1, d2 * r2, d1 * r1, d2 * r2)
+    return np.einsum("kij,isjt->kst", span_basis(d1, r1), c4)
+
+
 def span_preserved_by_basis(images, dims, tol: float) -> bool:
     """Whether every image of a canonical span basis element lies in the output
     span with that element's trace-scaling factor, each judged relative to the
@@ -356,6 +376,143 @@ def reference_solve(affine: AffineSet, seed_point=None,
     return FeasibilityReport(status=UNDETERMINED, iterations=max_iter,
                              gap=history[-1] if history else np.inf, affine_residual=0.0, psd_residual=float(max(0.0, -w[-1])),
                              certificate=cert, **phase), history
+
+
+def reference_newton_phase(affine: AffineSet, start: np.ndarray | None = None
+                 ) -> tuple[np.ndarray | Certificate | None, str, int,
+                            tuple[float, np.ndarray] | None]:
+    """A witness of the affine set, or a certificate that it misses the cone,
+    by a primal-dual interior-point method.
+
+    The primal maximises t subject to ``S = W - t I >= 0`` over ``W = start
+    + combine(z)`` (``affine.directions``, z real); the dual minimises
+    ``<anchor, X>`` over ``X >= 0`` with ``Tr X = 1`` and ``coords(X) = 0``,
+    so every dual point bounds the best t.  Both start feasible: W at
+    ``start``, an affine point (the anchor by default), with t below its
+    spectrum, and ``X = I/n``.  A step is Mehrotra's predictor-corrector
+    under Nesterov-Todd scaling (Todd, Toh & Tutuncu, SIAM J. Optim. 1998),
+    with the Schur complement ``Tr(G A_i G A_j)`` over ``A = (combine(e_a),
+    I)`` (``hessian(G)``, ``-coords(G^2)`` and ``Tr G^2``) at the scaling
+    matrix G (``G S G = X``); each matrix moves ``_STEP_FRACTION`` of the
+    way to the cone's boundary, at most a full step.  Returns ``(found,
+    kind, steps, dual)``, ``dual`` the last ``(t, X)``; a witness passes the
+    affine rule ``residual <= affine_tol * rhs_scale`` (``thr``), as a DR
+    witness does.
+
+    * ``STRICT``: ``t`` clears the floor ``4 (n+1) eps Tr(anchor)`` and a
+      Cholesky factorisation of ``W - (t/2) I`` succeeds.  The backward
+      error of a factorisation that succeeds is at most about ``(n+1) eps/2``
+      times the trace (Demmel 1989; Rump, BIT 2006), and every point of the
+      set shares the anchor's trace; the floor leaves a factor of four for
+      complex arithmetic and the rounding of the shift, so ``lambda_min(W)
+      >= t/2 - floor/2 > 0``.  This check comes first.
+    * ``SHADOW``: with ``<anchor, X> < thr`` no matrix of the set has
+      ``lambda_min`` above ``thr``, so the set is at most that thin (a
+      single point, say).  W's PSD shadow (``_shadow``, as DR forms it) is
+      returned, symmetrised, once it passes the affine rule.
+    * ``CERTIFICATE``: with ``<anchor, X> < 0``, X is checked as a Farkas
+      certificate by the rule DR's displacements pass, ``certificate(affine,
+      X, 0)``, and returned once its margin is negative.
+    * ``NONE``: when the duality gap ``<anchor, X> - t`` falls below the
+      floor, S stops factorising, X or the Schur complement turns singular,
+      or after ``_NEWTON_STEP_CAP`` steps; ``(None, NONE, 0, None)`` when the
+      trace is not positive or S does not factorise at the start (its least
+      eigenvalue, ``Tr(anchor)/n``, can lie within the rounding of
+      ``||start||``).
+    """
+    dirs, anchor = affine.directions, affine.anchor
+    n, m = anchor.shape[0], dirs.size
+    trace = float(np.trace(anchor).real)
+    if trace <= 0:  # a positive definite point has a positive trace
+        return None, NONE, 0, None
+    floor = 4 * (n + 1) * np.finfo(float).eps * trace
+    thr = DEFAULTS.affine_tol * affine.rhs_scale
+    eye = np.eye(n)
+
+    def cholesky(a: np.ndarray):
+        try:
+            return np.linalg.cholesky(a)
+        except np.linalg.LinAlgError:
+            return None
+
+    w, x = anchor if start is None else (start + start.conj().T) / 2, eye / n
+    t = float(np.linalg.eigvalsh(w)[0]) - trace / n
+    low = cholesky(w - t * eye)
+    if low is None:
+        return None, NONE, 0, None
+    unit = np.eye(1, m + 1, m)[0]
+    for step in range(1, _NEWTON_STEP_CAP + 1):
+        # R = L^-H Q diag(sqrt(lam)) for S = L L^H and L^H X L = Q diag(lam^2) Q^H
+        # scales both matrices to diag(lam): R^H S R = R^-1 X R^-H; G = R R^H
+        lam2, q = np.linalg.eigh(low.conj().T @ x @ low)
+        if lam2[0] <= 0:
+            return None, NONE, step, (t, x)
+        lam = np.sqrt(lam2)
+        root = np.sqrt(np.outer(lam, lam))
+        r = np.linalg.inv(low).conj().T @ (q * np.sqrt(lam))
+        rh = r.conj().T
+        g = r @ rh
+        g2 = g @ g
+        schur = np.empty((m + 1, m + 1))
+        schur[:m, :m] = dirs.hessian(g)
+        schur[:m, m] = schur[m, :m] = -dirs.coords(g2)
+        schur[m, m] = np.trace(g2).real
+
+        def direction(d: np.ndarray, rhs: np.ndarray):
+            """The step dy for ``rhs``, W's step and the scaled steps of S and X (sum d)."""
+            dy = np.linalg.solve(schur, rhs)
+            dw = dirs.combine(dy[:m])
+            ds = rh @ (dw - dy[m] * eye) @ r
+            return dy, dw, ds, d - ds
+
+        def longest(ds: np.ndarray, dx: np.ndarray, frac: float) -> np.ndarray:
+            """``frac`` of the longest steps keeping diag(lam) + a ds, + a dx PSD, at most 1."""
+            lowest = np.linalg.eigvalsh(np.stack((ds, dx)) / root)[:, 0]
+            return frac / np.maximum(frac, -lowest)
+
+        try:
+            # the predictor's target -diag(lam^2) gives d = -diag(lam), and
+            # R diag(lam) R^H = X, so its right-hand side is the unit vector
+            _, _, ds, dx = direction(-np.diag(lam), unit)
+            mu = float(lam2.sum()) / n
+            step_s, step_x = longest(ds, dx, 1.0)
+            affine_mu = np.vdot(np.diag(lam) + step_x * dx, np.diag(lam) + step_s * ds).real / n
+            cross = dx @ ds
+            target = ((affine_mu / mu) ** 3 * mu * eye - np.diag(lam2)
+                      - (cross + cross.conj().T) / 2)
+            d = 2 * target / np.add.outer(lam, lam)  # (diag(lam) d + d diag(lam))/2 = target
+            y = x + r @ d @ rh
+            dy, dw, ds, dx = direction(d, np.append(dirs.coords(y), 1 - np.trace(y).real))
+        except np.linalg.LinAlgError:
+            return None, NONE, step, (t, x)
+        step_s, step_x = longest(ds, dx, _STEP_FRACTION)
+        w = w + step_s * dw
+        t += step_s * float(dy[m])
+        x = x + step_x * (r @ dx @ rh)
+        x = (x + x.conj().T) / 2
+        x = x / np.trace(x).real  # the step keeps Tr X = 1 only up to rounding
+        low = cholesky(w - t * eye)
+        if low is None:
+            return None, NONE, step, (t, x)
+        if t > floor:
+            point = (w + w.conj().T) / 2
+            if cholesky(point - t / 2 * eye) is not None:
+                if affine.residual(point) <= thr:
+                    return point, STRICT, step, (t, x)
+                return None, NONE, step, (t, x)
+        bound = float(np.vdot(x, anchor).real)
+        if bound < thr:
+            shadow = _shadow(w)
+            shadow = (shadow + shadow.conj().T) / 2
+            if affine.residual(shadow) <= thr:
+                return shadow, SHADOW, step, (t, x)
+        if bound < 0:
+            cert = certificate(affine, x, 0)
+            if cert.margin < 0:
+                return cert, CERTIFICATE, step, (t, x)
+        if bound - t < floor:
+            return None, NONE, step, (t, x)
+    return None, NONE, _NEWTON_STEP_CAP, (t, x)
 
 
 def perturbation_search(phi: ChannelChoi, spaces: ConstraintSpaces,

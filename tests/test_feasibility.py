@@ -10,17 +10,20 @@ status, iteration count and witness up to the switch, and after it wherever
 the phase returns no verdict; ``solve``'s witness must be exactly Hermitian,
 and ``solve`` must leave its inputs alone.  The phase's closed-form
 direction coordinates and Hessian are checked against dense ones and
-against the orthonormal basis they replace.
+against the orthonormal basis they replace, and the phase, which measures t
+against the output marginal, against ``reference_newton_phase``, the phase
+with the identity as its unit.
 """
 
 import dataclasses
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from _dense_reference import direction_basis, reference_solve
+from _dense_reference import direction_basis, reference_newton_phase, reference_solve
 from superchannels import feasibility
 from superchannels.config import DEFAULTS
 from superchannels.extend import SpanAction, affine_set, restrict_superchannel
@@ -280,15 +283,33 @@ def test_the_phase_certifies_infeasible_tp_sets_at_the_switch(dims, seed, dr_alo
     assert got.certificate.kernel_term <= 1e-12
 
 
+def _marginal(affine):
+    """The output marginal ``Tr_{n1}(anchor)`` that every point of the set shares."""
+    anchor, n2 = affine.anchor, affine.directions.k
+    n1 = anchor.shape[0] // n2
+    return anchor.reshape(n1, n2, n1, n2).trace(axis1=0, axis2=2)
+
+
+def _unit(affine):
+    """The phase's unit E: ``I_{n1} (x) M`` for the output marginal M, scaled
+    so that ``Tr E = n``, or the identity when ``lambda_min(M)`` is at most
+    ``sqrt(affine_tol)`` times ``lambda_max(M)``."""
+    marg, n = _marginal(affine), affine.anchor.shape[0]
+    w = np.linalg.eigvalsh(marg)
+    if w[0] <= np.sqrt(DEFAULTS.affine_tol) * w[-1]:
+        return np.eye(n)
+    return np.kron(np.eye(n // len(marg)), marg) * (len(marg) / np.trace(affine.anchor).real)
+
+
 def _assert_weak_duality(affine, dual):
     """The phase's last dual point ``(t, X)`` is feasible and bounds t: X is
-    Hermitian PSD with unit trace and orthogonal to the directions, each
-    ``<B_a, X>`` over an orthonormal basis B_a of them at most 1e-12, and
-    ``<anchor, X> >= t``."""
+    Hermitian PSD with ``<E, X> = 1`` for the phase's unit E and orthogonal
+    to the directions, each ``<B_a, X>`` over an orthonormal basis B_a of
+    them at most 1e-12, and ``<anchor, X> >= t``."""
     t, x = dual
     assert np.array_equal(x, x.conj().T)
     assert np.linalg.eigvalsh(x)[0] >= 0
-    assert np.trace(x).real == pytest.approx(1.0, abs=1e-12)
+    assert np.vdot(_unit(affine), x).real == pytest.approx(1.0, abs=1e-12)
     dirs = affine.directions
     basis = direction_basis(dirs.d, dirs.r, dirs.k, dirs.tp)
     assert np.abs(np.einsum("aij,ji->a", basis, x).real).max() <= 1e-12
@@ -311,8 +332,10 @@ def test_weak_duality_holds_at_every_exit(make, kind):
         assert isinstance(found, Certificate)
         assert np.vdot(x, affine.anchor).real < 0 and found.margin < 0
     else:
-        # X bounds every point of the set, the witness's smallest eigenvalue too
-        assert np.vdot(x, affine.anchor).real >= np.linalg.eigvalsh(found)[0] - 1e-12
+        # X bounds every point W of the set, the largest s with W - s E >= 0 of
+        # the witness too: its smallest eigenvalue relative to E
+        lowest = scipy.linalg.eigh(found, _unit(affine), eigvals_only=True)[0]
+        assert np.vdot(x, affine.anchor).real >= lowest - 1e-12
 
 
 def test_douglas_rachford_gap_windows_shrink():
@@ -463,7 +486,7 @@ def test_a_set_without_directions_has_empty_coordinates():
 @settings(max_examples=12, deadline=None)
 @given(dims=st.sampled_from([(2, 2, 2, 2), (2, 3, 2, 3)]),
        e=st.integers(1, 3), seed=st.integers(0, 2**32 - 1))
-@example(dims=(2, 2, 2, 2), e=2, seed=3117)  # 12 steps, Tr X drifts 6.8e-12 unnormalised
+@example(dims=(2, 2, 2, 2), e=2, seed=3117)  # 13 steps; X's direction part was 4.1e-12
 def test_newton_phase_returns_a_proved_witness_or_none(dims, e, seed):
     """A strict witness is positive definite, a shadow passes the affine
     rule, and either kind verifies; the set is feasible, so no certificate
@@ -479,3 +502,121 @@ def test_newton_phase_returns_a_proved_witness_or_none(dims, e, seed):
         assert np.linalg.eigvalsh(witness)[0] > 0
     if witness is not None:
         _assert_verified(witness, sc, affine)
+
+
+# -- the phase against the one it replaced (_dense_reference) -------------------
+
+def _phase_starts(affines, monkeypatch):
+    """Each set with the affine point Douglas-Rachford hands the phase at
+    iteration 4; the sets DR ends sooner are left out."""
+    starts = []
+    monkeypatch.setattr(feasibility, "newton_after", lambda m: 4)
+    monkeypatch.setattr(feasibility, "newton_phase", lambda affine, start=None: (
+        starts.append((affine, start)), (None, NONE, 0, None))[1])
+    for affine in affines:
+        solve(affine, max_iter=8)
+    monkeypatch.undo()
+    return starts
+
+
+# name: (dims, seeds, e values as a function of the seed, trace preserving)
+ORACLE_SETS = {
+    "extend-cap": ((2, 2, 2, 2), range(400, 420), lambda s: (1 + s % 2,), False),
+    "2222-CP": ((2, 2, 2, 2), range(10), lambda s: (1, 2, 3), False),
+    "2222-TP": ((2, 2, 2, 2), range(10), lambda s: (1, 2, 3), True),
+    "2323-CP": ((2, 3, 2, 3), range(4), lambda s: (1, 2, 3), False),
+    "2323-TP": ((2, 3, 2, 3), range(4), lambda s: (1, 2, 3), True),
+}
+
+
+@pytest.mark.parametrize("name", ORACLE_SETS)
+def test_the_phase_ends_as_the_identity_unit_phase_does(name, monkeypatch):
+    """From the point DR holds at iteration 4, the phase measured against the
+    output marginal ends every set as ``reference_newton_phase`` (the phase
+    with ``E = I``) does, in no more steps in all.  Every witness verifies as
+    a superchannel that restricts to the generator's action, and every
+    certificate has a negative margin."""
+    dims, seeds, es, tp = ORACLE_SETS[name]
+    scs = [random_superchannel(*dims, e=e, seed=s) for s in seeds for e in es(s)]
+    affines = [affine_set(restrict_superchannel(sc), trace_preserving=tp) for sc in scs]
+    generators = {id(a): sc for a, sc in zip(affines, scs)}
+    got_steps = want_steps = 0
+    for affine, start in _phase_starts(affines, monkeypatch):
+        found, kind, steps, _ = newton_phase(affine, start)
+        _, want_kind, want, _ = reference_newton_phase(affine, start)
+        assert kind == want_kind
+        got_steps, want_steps = got_steps + steps, want_steps + want
+        if kind == CERTIFICATE:
+            assert found.margin < 0
+        elif found is not None:
+            _assert_verified(found, generators[id(affine)], affine)
+    assert got_steps <= want_steps
+
+
+def _replaced(sc, psi):
+    """``sc`` followed by the channel that replaces the r2 output with the
+    pure state psi: a superchannel whose output marginal is singular."""
+    n1, n = sc.d1 * sc.r1, sc.choi.shape[0]
+    c = sc.choi.reshape(n1, sc.d2, sc.r2, n1, sc.d2, sc.r2).trace(axis1=2, axis2=5)
+    p = np.outer(psi, psi.conj())
+    out = c[:, :, None, :, :, None] * p[None, None, :, None, None, :]
+    return Superchannel(sc.d1, sc.r1, sc.d2, sc.r2, out.reshape(n, n))
+
+
+@pytest.mark.parametrize("tp", [False, True])
+@pytest.mark.parametrize("mix", [0.0, 1e-6, 1e-8])
+@pytest.mark.parametrize("dims", LADDER[:2])
+def test_a_singular_output_marginal_keeps_the_identity_unit(dims, mix, tp):
+    """No point of a set whose output marginal M is singular is positive
+    definite, so the phase keeps ``E = I``; so it does when M is nearly
+    singular (the generator mixed back in with weight 1e-6 or 1e-8), where a
+    unit with M's condition number stalled the phase or ended it without a
+    verdict.  On the pure replacement's (2,2,2,2) set a Cholesky
+    factorisation of M succeeds at the rounding level, so a factorisation
+    cannot decide.  The phase then runs as the reference does: the same exit
+    kind, step count and t, and a dual point with ``Tr X = 1``."""
+    rng = np.random.default_rng(0)
+    psi = rng.standard_normal(dims[3]) + 1j * rng.standard_normal(dims[3])
+    sc = random_superchannel(*dims, e=2, seed=0)
+    replaced = _replaced(sc, psi / np.linalg.norm(psi))
+    assert is_superchannel(replaced, 1e-9)
+    mixed = Superchannel(*dims, (1 - mix) * replaced.choi + mix * sc.choi)
+    affine = affine_set(restrict_superchannel(mixed), trace_preserving=tp)
+    marg = np.linalg.eigvalsh(_marginal(affine))
+    assert marg[0] <= 1e-5 * marg[-1]
+    if mix == 0 and dims == (2, 2, 2, 2):
+        np.linalg.cholesky(_marginal(affine))
+    n = affine.anchor.shape[0]
+    assert np.array_equal(_unit(affine), np.eye(n))
+    found, kind, steps, (t, x) = newton_phase(affine)
+    _, want_kind, want_steps, (want_t, _) = reference_newton_phase(affine)
+    assert (kind, steps) == (want_kind, want_steps)
+    assert kind == SHADOW
+    assert t == pytest.approx(want_t, abs=1e-12)
+    assert np.trace(x).real == pytest.approx(1.0, abs=1e-12)
+    _assert_verified(found, mixed, affine)
+
+
+@pytest.mark.parametrize("tp", [False, True])
+@pytest.mark.parametrize("dims", LADDER[:3])
+def test_the_bordered_hessian_matches_the_dense_one(dims, tp):
+    """``hessian(G, V)`` borders ``hessian(G)`` with the lift L of the real
+    matrix V, ``Z (x) I_r`` for ``Z = (V + V^T)/2 + i (V - V^T)/2``: the border
+    is ``Re Tr(G combine(e_a) G L)`` and the corner ``Re Tr(G L G L)``."""
+    affine = affine_set(restrict_superchannel(random_superchannel(*dims, e=2, seed=3)),
+                        trace_preserving=tp)
+    dirs = affine.directions
+    n, nn, r = affine.anchor.shape[0], dirs.d * dirs.k, dirs.r
+    rng = np.random.default_rng(5)
+    g = random_hermitian(n, rng)
+    v = rng.standard_normal((nn, nn))
+    z = ((v + v.T) + 1j * (v - v.T)) / 2
+    lift = (z.reshape(dirs.d, 1, dirs.k, dirs.d, 1, dirs.k)
+            * np.eye(r)[None, :, None, None, :, None]).reshape(n, n)
+    full = dirs.hessian(g, v)
+    assert np.array_equal(full, full.T)
+    np.testing.assert_array_equal(full[:-1, :-1], dirs.hessian(g))
+    glg = g @ lift @ g
+    scale = np.abs(full).max()
+    np.testing.assert_allclose(full[:-1, -1], dirs.coords(glg), rtol=0, atol=1e-13 * scale)
+    assert full[-1, -1] == pytest.approx(np.trace(glg @ lift).real, rel=1e-12)

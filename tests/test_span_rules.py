@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 from _dense_reference import (
     is_superchannel_by_basis,
     restrictions_equal_by_basis,
+    span_images_by_einsum,
     span_preserved_by_basis,
 )
 from superchannels.extend import SpanAction, affine_set, restrict_superchannel, validate_action
@@ -83,6 +84,18 @@ def test_span_images_match_the_apply_loop(dims):
     sc = random_superchannel(*dims, 2, np.random.default_rng(1))
     loop = [apply_superchannel(sc, x) for x in span_basis(sc.d1, sc.r1)]
     np.testing.assert_allclose(span_images(sc.choi, dims), loop, rtol=0, atol=1e-14)
+
+
+@pytest.mark.parametrize("dims", LADDER)
+def test_span_images_match_the_einsum(dims):
+    """The one matmul over the span basis against the 4-index contraction it
+    replaced, on a Hermitian and a non-Hermitian matrix."""
+    sc = random_superchannel(*dims, 2, np.random.default_rng(2))
+    rng = np.random.default_rng(3)
+    n = sc.choi.shape[0]
+    for c in (sc.choi, rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))):
+        np.testing.assert_allclose(span_images(c, dims), span_images_by_einsum(c, dims),
+                                   rtol=0, atol=1e-14 * max(1.0, np.abs(c).max()))
 
 
 @settings(max_examples=30, deadline=None)
