@@ -1,5 +1,9 @@
 import dataclasses
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -471,6 +475,7 @@ def test_basis_of_non_positive_dimensions_is_an_input_error(capsys, d, r):
     ("check-super", "identity_superchannel_2_2.json", "--out"),
     ("extreme", "identity_channel_2.json", "--out"),
     ("demo-paper", None, "--out"),
+    ("demo-paper", None, "--seed"),
 ])
 def test_options_a_handler_does_not_read_are_rejected(capsys, fixtures, tmp_path,
                                                        command, operand, option):
@@ -511,11 +516,6 @@ def test_tp_extend_of_a_set_without_directions_is_an_input_error(capsys, fixture
     assert code == 3
     assert captured.out == ""
     assert "affine constraint system is inconsistent" in captured.err
-
-
-def test_demo_reseeded_still_passes(capsys):
-    code, _ = run_json(capsys, "demo-paper", "--seed", "7")
-    assert code == 0
 
 
 def test_input_error_exit_code(capsys, tmp_path):
@@ -676,6 +676,18 @@ def test_text_output_contains_status(capsys, fixtures):
     code, out = run(capsys, "check-channel", str(fixtures / "identity_channel_2.json"))
     assert code == 0
     assert "[PASS]" in out
+
+
+def test_importing_the_cli_loads_neither_the_demo_nor_the_gallery():
+    """Only ``demo-paper`` reads the demo suite, and only the demo suite the
+    gallery, so no other subcommand pays for importing either."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    code = ("import superchannels.cli, sys; "
+            "print([m for m in ('superchannels.demo', 'superchannels.gallery') "
+            "if m in sys.modules])")
+    out = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": str(src)},
+                         capture_output=True, text=True, check=True).stdout
+    assert out.strip() == "[]"
 
 
 def test_demo_forced_failure_with_tiny_tolerance(capsys):

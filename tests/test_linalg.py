@@ -197,6 +197,13 @@ def test_rank_eps():
     assert null_space(m).shape == (1, 5) and null_space(m, 0.7e-9).shape == (0, 5)
     assert rank_eps(np.zeros((0, 3))) == 0 and rank_eps(np.zeros((3, 0))) == 0
     np.testing.assert_array_equal(null_space(np.zeros((0, 3))), np.eye(3))
+    # five values below the cut 1e-3 whose Frobenius norm, 1.0025e-3, is above it:
+    # the cut bounds each singular value, not their root sum of squares
+    m = np.diag([4.2e-4, 4.4e-4, 4.5e-4, 4.6e-4, 4.7e-4])
+    assert rank_eps(m, 1e-3) == 0
+    null = null_space(m, 1e-3)
+    assert null.shape == (5, 5) and np.linalg.norm(m @ null.T, 2) <= 1e-3
+    assert np.linalg.norm(m @ null.T) > 1e-3
 
 
 def _orthonormal_columns(rng, rows: int, cols: int, complex_: bool) -> np.ndarray:
@@ -224,7 +231,9 @@ def test_rank_and_null_space_follow_known_singular_values(rows, cols, complex_, 
     null = null_space(m, tol)
     assert null.shape == (cols - above, cols)
     np.testing.assert_allclose(null @ null.conj().T, np.eye(cols - above), atol=1e-12)
-    assert np.linalg.norm(m @ null.T) <= tol * max(1.0, np.linalg.norm(m))
+    # the cut bounds each dropped singular value, so the spectral norm, not the
+    # Frobenius norm, which adds up to sqrt(k) of them
+    assert np.linalg.norm(m @ null.T, 2) <= tol * max(1.0, np.linalg.norm(m))
 
 
 @pytest.mark.parametrize("n", [1, 2, 4, 6])
