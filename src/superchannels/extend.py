@@ -100,17 +100,19 @@ def min_norm_extension(action: SpanAction) -> np.ndarray:
     return x0.reshape(n1 * n2, n1 * n2)
 
 
-def validate_action(action: SpanAction, tol: float | None = None) -> None:
+def validate_action(action: SpanAction, tol: float | None = None) -> np.ndarray:
     """Check that the images sit in the target span with matching scales:
     ``preserves_span`` of the minimum-norm extension, exact because the span
-    residuals depend only on the restriction."""
-    dims = (action.d1, action.r1, action.d2, action.r2)
-    if not preserves_span(min_norm_extension(action), dims, tol):
+    residuals depend only on the restriction.  Returns that extension."""
+    x0 = min_norm_extension(action)
+    if not preserves_span(x0, (action.d1, action.r1, action.d2, action.r2), tol):
         raise ValueError("the images leave the target channel span or break "
                          "the trace-scaling factor")
+    return x0
 
 
-def affine_set(action: SpanAction, trace_preserving: bool = False) -> AffineSet:
+def affine_set(action: SpanAction, trace_preserving: bool = False,
+               x0: np.ndarray | None = None) -> AffineSet:
     """The supermap Choi matrices that reproduce ``action``, with their
     projection and their directions in matrix coordinates.
 
@@ -118,13 +120,13 @@ def affine_set(action: SpanAction, trace_preserving: bool = False) -> AffineSet:
     anchor is the Hermitian part of the minimum-norm extension ``x0`` (see
     the module docstring).  It misses the set, and the solver reports the
     system inconsistent, when the action does not commute with the adjoint
-    or breaks trace preservation.
+    or breaks trace preservation.  ``x0``, if given, is ``min_norm_extension(action)``.
     """
     d1, r1 = action.d1, action.r1
     n1, n2 = d1 * r1, action.d2 * action.r2
     n = n1 * n2
     ys = action.images
-    x0 = min_norm_extension(action)
+    x0 = min_norm_extension(action) if x0 is None else x0
     anchor = (x0 + x0.conj().T) / 2
     eye_d1 = np.eye(d1)[:, None, :, None] / d1
     eye_n2 = np.eye(n2)[None, :, None, :] / n2
@@ -174,10 +176,10 @@ def extend_action(action: SpanAction,
     by default the iteration starts from the minimum-norm affine point.
     Returns ``feasibility.solve``'s report, with a witness as a Superchannel.
     """
-    validate_action(action)
+    x0 = validate_action(action)
     if isinstance(seed_point, Superchannel):
         seed_point = seed_point.choi
-    report = feasibility.solve(affine_set(action, trace_preserving), seed_point=seed_point,
+    report = feasibility.solve(affine_set(action, trace_preserving, x0), seed_point=seed_point,
                                max_iter=max_iter)
     if report.witness is None:
         return report

@@ -57,12 +57,13 @@ with load, about three quarters of it in ``eigh``; a Newton step took
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import TYPE_CHECKING, Callable
 
 import numpy as np
 
 from .config import DEFAULTS, resolve
-from .linalg import herm_eig
+from .linalg import cholesky, herm_eig
 
 if TYPE_CHECKING:
     from .supermaps import Superchannel
@@ -192,6 +193,10 @@ class AffineSet:
     rhs_scale: float
     directions: Directions
 
+    @cached_property
+    def origin(self) -> np.ndarray:  # project(0), once: K W = project(W) - origin
+        return self.project(np.zeros_like(self.anchor))
+
 
 @dataclass(frozen=True)
 class Certificate:
@@ -262,11 +267,10 @@ def certificate(affine: AffineSet, y: np.ndarray, py: np.ndarray) -> Certificate
     """
     project, anchor = affine.project, affine.anchor
     w = y - py
-    base = project(np.zeros_like(w))
-    w = w - (project(w) - base)
+    w = w - (project(w) - affine.origin)
     t = float(np.trace(anchor).real)
     lam_min = float(np.linalg.eigvalsh(w)[0])
-    residue = float(np.linalg.norm(project(w) - base)
+    residue = float(np.linalg.norm(project(w) - affine.origin)
                     + w.shape[0] ** 2 * np.finfo(float).eps * np.linalg.norm(w))
     return Certificate(w,
                        float(np.vdot(w, anchor).real),
@@ -344,12 +348,6 @@ def newton_phase(affine: AffineSet, start: np.ndarray | None = None
     if trace <= 0:  # a positive definite point has a positive trace
         return None, NONE, 0, None
     thr = DEFAULTS.affine_tol * affine.rhs_scale
-
-    def cholesky(a: np.ndarray):
-        try:
-            return np.linalg.cholesky(a)
-        except np.linalg.LinAlgError:
-            return None
 
     def eye_kron(p: int, a: np.ndarray) -> np.ndarray:  # I_p (x) a for k x k a
         return (np.eye(p)[:, None, :, None] * a[:, None, :]).reshape(p * k, p * k)
@@ -432,7 +430,7 @@ def newton_phase(affine: AffineSet, start: np.ndarray | None = None
         if bound - t < floor:
             break
     # rounding leaves X a part along the directions that grows with G's condition
-    return found, kind, step, (t, x - affine.project(x) + affine.project(np.zeros_like(x)))
+    return found, kind, step, (t, x - affine.project(x) + affine.origin)
 
 
 def solve(affine: AffineSet,

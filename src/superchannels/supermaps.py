@@ -223,12 +223,13 @@ def recompose(v_pre: np.ndarray, post: ChannelChoi, e: int) -> Superchannel:
 
 
 def _assemble(v: np.ndarray, post: ChannelChoi, e: int) -> np.ndarray:
-    """``recompose``'s Choi matrix, without its checks."""
+    """``recompose``'s Choi matrix, without its checks: for ``w[(i,j),a] = v[(i,a),j]``,
+    ``sum_ab w[(i,j),a] P[(k,a,s),(l,b,t)] conj(w[(I,J),b])`` as two products."""
     d1, d2, r1, r2 = v.shape[0] // e, v.shape[1], post.d // e, post.r
-    vt = v.reshape(d1, e, d2)
-    p = post.choi.reshape(r1, e, r2, r1, e, r2)
-    n = d1 * r1 * d2 * r2
-    choi = np.einsum("iaj,IbJ,kaslbt->ikjsIlJt", vt, vt.conj(), p, optimize=True).reshape(n, n)
+    w = v.reshape(d1, e, d2).transpose(0, 2, 1).reshape(d1 * d2, e)
+    p = post.choi.reshape(r1, e, r2, r1, e, r2).transpose(1, 0, 2, 3, 5, 4).reshape(e, -1)
+    c = ((w @ p).reshape(-1, e) @ w.conj().T).reshape(d1, d2, r1, r2, r1, r2, d1, d2)
+    choi = c.transpose(0, 2, 1, 3, 6, 4, 7, 5).reshape(d1 * r1 * d2 * r2, -1)
     return (choi + choi.conj().T) / 2
 
 
@@ -236,12 +237,13 @@ def pre_post_form(sc: Superchannel, tol: float | None = None) -> PrePostForm:
     """Factor a superchannel into an isometric pre-processing and a post channel.
 
     Closed form (Chiribella, D'Ariano & Perinotti 2008; Gour 2019).  Let
-    ``W`` be the square root of the double marginal divided by r1, on its
-    support: the (d1 d2) x e matrix of the eigenvectors with nonzero
-    eigenvalue, each scaled by the root of its eigenvalue over r1.  The
-    pre-isometry is ``v[(i,a),j] = W[(i,j),a]``, and the post Choi matrix is
-    the supermap Choi matrix, regrouped to ((d1,d2),(r1,r2)), sandwiched by
-    the pseudo-inverse of ``W`` tensored with the identity on (r1,r2) and
+    ``W`` be the square root of the double marginal (read as r1 N from the
+    induced map N the lift check builds) divided by r1, on its support: the
+    (d1 d2) x e matrix of the eigenvectors with nonzero eigenvalue, each
+    scaled by the root of its eigenvalue over r1.  The pre-isometry is
+    ``v[(i,a),j] = W[(i,j),a]``, and the post Choi matrix is the supermap Choi
+    matrix, regrouped to ((d1,d2),(r1,r2)), sandwiched by the pseudo-inverse of
+    ``W`` tensored with the identity on (r1,r2) (two matrix products) and
     regrouped to (r1,e,r2).  The support is ``linalg.psd_support`` at ``tol``,
     so the auxiliary dimension e equals ``aux_dim(sc, tol)``.
 
@@ -269,19 +271,17 @@ def pre_post_form(sc: Superchannel, tol: float | None = None) -> PrePostForm:
     """
     d1, r1, d2, r2 = sc.dims
     tol = resolve(tol, DEFAULTS.rel_tol)
-    induced_marginal_map(sc, tol)  # raises ValueError on lift-dependent input
-    m = marginal(sc)
+    m = r1 * induced_marginal_map(sc, tol).choi  # raises ValueError when lift-dependent
     w, u = psd_support(m, tol)
-    lam = w / r1
-    e = len(lam)
+    lam, e = w / r1, len(w)
     root = u * np.sqrt(lam)
     v = root.reshape(d1, d2, e).transpose(0, 2, 1).reshape(d1 * e, d2)
 
-    inv = (u / np.sqrt(lam)).conj().T.reshape(e, d1, d2)
-    c = sc.choi.reshape(d1, r1, d2, r2, d1, r1, d2, r2)
-    n_post = r1 * e * r2
-    c_post = np.einsum("aij,ikjsIlJt,bIJ->kaslbt", inv, c, inv.conj(), optimize=True)
-    c_post = c_post.reshape(n_post, n_post)
+    inv = (u / np.sqrt(lam)).conj().T  # rows a, columns (i,j) = (d1,d2)
+    c = sc.choi.reshape(d1, r1, d2, r2, d1, r1, d2, r2).transpose(0, 2, 1, 3, 5, 7, 4, 6)
+    c_post = (inv @ c.reshape(d1 * d2, -1)).reshape(-1, d1 * d2) @ inv.conj().T
+    c_post = c_post.reshape(e, r1, r2, r1, r2, e).transpose(1, 0, 2, 3, 5, 4)
+    c_post = c_post.reshape(r1 * e * r2, -1)
     post = ChannelChoi(r1 * e, r2, (c_post + c_post.conj().T) / 2)
 
     k, cut = d1 * d2 - e, tol * rel_scale(m)

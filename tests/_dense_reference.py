@@ -15,7 +15,9 @@ the Douglas-Rachford loop written out with validated, symmetrised
 eigendecompositions and out-of-place updates; ``reference_newton_phase`` is
 the Newton phase with the identity as its unit (``W - t I >= 0``, ``Tr X =
 1``), the oracle for the phase measured against the output marginal.
-``span_images_by_einsum`` is ``span_images`` as a 4-index contraction.
+``span_images_by_einsum`` is ``span_images`` as a 4-index contraction, and
+``assemble_by_einsum`` and ``post_choi_by_einsum`` are ``recompose``'s Choi
+matrix and ``pre_post_form``'s post Choi matrix as one planned einsum each.
 ``perturbation_search`` decides extremality by brute force: it solves for
 real coordinates of Hermitian coefficient matrices in ``hermitian_basis(k)``
 and tries seeded random null directions until one gives a checked pair of CP
@@ -296,6 +298,31 @@ def span_images_by_einsum(choi: np.ndarray, dims: tuple[int, int, int, int]) -> 
     d1, r1, d2, r2 = dims
     c4 = np.asarray(choi).reshape(d1 * r1, d2 * r2, d1 * r1, d2 * r2)
     return np.einsum("kij,isjt->kst", span_basis(d1, r1), c4)
+
+
+def assemble_by_einsum(v: np.ndarray, post: ChannelChoi, e: int) -> np.ndarray:
+    """``recompose``'s Choi matrix as the einsum ``C[(i,k,j,s),(I,l,J,t)] =
+    sum_ab v[(i,a),j] conj(v[(I,b),J]) P[(k,a,s),(l,b,t)]``, symmetrised."""
+    d1, d2, r1, r2 = v.shape[0] // e, v.shape[1], post.d // e, post.r
+    vt = v.reshape(d1, e, d2)
+    p = post.choi.reshape(r1, e, r2, r1, e, r2)
+    n = d1 * r1 * d2 * r2
+    choi = np.einsum("iaj,IbJ,kaslbt->ikjsIlJt", vt, vt.conj(), p, optimize=True).reshape(n, n)
+    return (choi + choi.conj().T) / 2
+
+
+def post_choi_by_einsum(sc: Superchannel, v: np.ndarray, e: int) -> np.ndarray:
+    """The post Choi matrix of ``pre_post_form`` for the pre-isometry ``v``: for
+    ``W[(i,j),a] = v[(i,a),j]``, whose columns are orthogonal, the supermap Choi
+    matrix sandwiched by ``pinv(W)`` on (d1,d2), symmetrised."""
+    d1, r1, d2, r2 = sc.dims
+    inv = np.linalg.pinv(v.reshape(d1, e, d2).transpose(0, 2, 1).reshape(d1 * d2, e))
+    inv = inv.reshape(e, d1, d2)
+    c = sc.choi.reshape(d1, r1, d2, r2, d1, r1, d2, r2)
+    n_post = r1 * e * r2
+    c_post = np.einsum("aij,ikjsIlJt,bIJ->kaslbt", inv, c, inv.conj(), optimize=True)
+    c_post = c_post.reshape(n_post, n_post)
+    return (c_post + c_post.conj().T) / 2
 
 
 def span_preserved_by_basis(images, dims, tol: float) -> bool:

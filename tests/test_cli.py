@@ -296,8 +296,10 @@ def test_tp_extend_phase_certificate_checks_against_the_dense_system(capsys, tmp
 ])
 def test_check_super_findings(capsys, fixtures, monkeypatch, name, expected):
     """The psd and span findings judge the two axioms apart.  A superchannel's Choi
-    matrix gets one eigenvalue-only computation, a rejected one at most two,
-    and no input gets eigenvectors."""
+    matrix gets no eigenvalue computation (``is_psd``'s shifted Cholesky
+    factorisation accepts it), a rejected one two (``is_psd``'s fallback to
+    ``lambda_min`` and the ``min eigenvalue`` finding), and no input gets
+    eigenvectors."""
     from superchannels import cli, linalg
 
     path = fixtures / name
@@ -317,7 +319,7 @@ def test_check_super_findings(capsys, fixtures, monkeypatch, name, expected):
     monkeypatch.setattr(cli, "lambda_min", counted)
     monkeypatch.setattr(linalg, "herm_eig", vectors)
     code, reports = run_json(capsys, "check-super", str(path))
-    assert sum(eigvals) == (1 if expected[0][1] else 2)
+    assert sum(eigvals) == (0 if expected[0][1] else 2)
     assert eigvecs == []
     assert code == (0 if expected[0][1] else 1)
     got = [(f["key"], f["value"], f["tol"], f["ok"]) for f in reports[0]["results"]]

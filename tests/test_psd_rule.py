@@ -1,12 +1,18 @@
 """Every PSD judgement of the package applies one rule, ``linalg.is_psd``:
 ``lambda_min >= -tol * max(1, ||M||_F)``.  Its five users accept or reject a
-matrix together, on either side of the cutoff."""
+matrix together, on either side of the cutoff, and the shifted Cholesky
+factorisation that decides first agrees with the eigenvalues."""
+
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from superchannels import linalg
 from superchannels.channels import ChannelChoi, identity_channel, is_cp, kraus_from_choi
-from superchannels.linalg import frob, lambda_min, rel_scale
+from superchannels.linalg import frob, is_psd, lambda_min, random_unitary, rel_scale
 from superchannels.opsys import decompose_into_channels
 from superchannels.supermaps import Superchannel, aux_dim, is_superchannel, pre_post_form
 
@@ -77,3 +83,30 @@ def test_pre_post_form_and_the_rule_agree_on_a_depolarized_identity(d, k):
     else:
         with pytest.raises(ValueError, match="not PSD"):
             pre_post_form(sc, tol)
+
+
+@settings(max_examples=200, deadline=None)
+@given(n=st.sampled_from([1, 2, 4, 9, 16, 36, 81]),
+       k=st.sampled_from([-2.0, -1.01, -0.99, -0.51, -0.49, 0.0, 0.5]),
+       tol=st.sampled_from([1e-9, 1e-12, 1e-15]),
+       scale=st.sampled_from([1e-3, 1.0, 1e3]),
+       seed=st.integers(0, 2**32 - 1))
+def test_the_shifted_factorisation_decides_as_the_eigenvalues_do(n, k, tol, scale, seed):
+    """A Hermitian matrix with ``lambda_min = k * cut`` and its other eigenvalues
+    in ``scale * [1, 2]``: ``is_psd`` equals ``eigvalsh(h)[0] >= -cut``.  At
+    tol 1e-15, below the guard ``4 (n+1) sqrt(n) eps``, no factorisation runs
+    and the eigenvalues decide; above it, with ``k >= 0``, the factorisation
+    accepts and no eigenvalue is computed."""
+    rng = np.random.default_rng(seed)
+    rest = scale * rng.uniform(1, 2, n - 1)
+    u = random_unitary(n, rng)
+    h = (u * np.append(k * tol * max(1.0, float(np.linalg.norm(rest))), rest)) @ u.conj().T
+    h = (h + h.conj().T) / 2  # exactly Hermitian, so lambda_min reads h itself
+    with mock.patch.object(linalg, "lambda_min", wraps=linalg.lambda_min) as eig, \
+            mock.patch.object(np.linalg, "cholesky", wraps=np.linalg.cholesky) as chol:
+        got = is_psd(h, tol)
+    assert got is bool(np.linalg.eigvalsh(h)[0] >= -tol * rel_scale(h))
+    if tol == 1e-15:
+        assert (chol.call_count, eig.call_count) == (0, 1)
+    elif k >= 0:
+        assert (chol.call_count, eig.call_count) == (1, 0)

@@ -1,7 +1,9 @@
 """Spectral decisions go through ``linalg``: no module of the package outside
 ``linalg.py`` and ``feasibility.py`` (whose solver loop runs its own bare
-``eigh``) calls ``herm_eig``, ``eigh`` or ``eigvalsh``, and the PSD rule
-``lambda_min >= -tol * rel_scale(m)`` is written once, in ``linalg.is_psd``.
+``eigh`` and its Newton phase's Cholesky factorisations) calls ``herm_eig``,
+``eigh``, ``eigvalsh`` or ``cholesky``, and the PSD rule ``lambda_min >= -tol *
+rel_scale(m)`` is written once, in ``linalg.is_psd``, behind its shifted
+Cholesky factorisation.
 
 Ranks follow one rule, ``linalg.rank_eps`` and ``linalg.null_space``: outside
 ``linalg.py`` only ``supermaps.factor_unitary`` (which reads the singular
@@ -14,7 +16,7 @@ from pathlib import Path
 
 PACKAGE = Path(__file__).parents[1] / "src" / "superchannels"
 EXEMPT = {"linalg.py", "feasibility.py"}
-SPECTRAL = {"herm_eig", "eigh", "eigvalsh"}
+SPECTRAL = {"herm_eig", "eigh", "eigvalsh", "cholesky"}
 PSD_RULE = re.compile(r">=\s*-\s*\w+\s*\*\s*rel_scale\(")
 RANK = {"svd", "matrix_rank"}
 RANK_EXEMPT = {("supermaps.py", "factor_unitary")}
@@ -61,6 +63,12 @@ def psd_rules(source: str) -> list[int]:
 def test_spectral_calls_are_found():
     source = "w, _ = herm_eig(m)\nx = np.linalg.eigvalsh(m)[0]\nla.eigh(m)\nherm_eig\n"
     assert spectral_calls(source) == [(1, "herm_eig"), (2, "eigvalsh"), (3, "eigh")]
+
+
+def test_cholesky_calls_are_found():
+    source = ("low = np.linalg.cholesky(a)\nif cholesky(w - t * e) is None:\n    pass\n"
+              "cholesky\nla.cholesky_solve(a)\n")
+    assert spectral_calls(source) == [(1, "cholesky"), (2, "cholesky")]
 
 
 def test_psd_rules_are_found():

@@ -2,9 +2,11 @@ import numpy as np
 import pytest
 
 from _dense_reference import (
+    assemble_by_einsum,
     choi_action_rows,
     from_coords,
     marginal_residual_by_matrix_units,
+    post_choi_by_einsum,
     realify,
     recompose_by_matrix_units,
     to_coords,
@@ -41,6 +43,7 @@ from superchannels.linalg import (
 from superchannels.opsys import span_basis, span_membership
 from superchannels.supermaps import (
     Superchannel,
+    _assemble,
     apply_superchannel,
     as_channel,
     aux_dim,
@@ -268,6 +271,24 @@ def test_pre_post_form_round_trips_on_the_ladder(dims, e):
     assert is_cp(form.post) and is_tp(form.post)
     rebuilt = recompose(form.v_pre, form.post, form.e)
     assert frob(rebuilt.choi - sc.choi) <= 1e-8
+
+
+@pytest.mark.parametrize("e", [1, 2, 3, 4])
+@pytest.mark.parametrize("dims", [(2, 2, 2, 2), (2, 3, 2, 3), (3, 2, 3, 2), (3, 3, 3, 3)])
+def test_contractions_match_the_einsum_oracles(dims, e):
+    """``_assemble`` (and so ``recompose``) and ``pre_post_form``'s post Choi
+    matrix, as fixed matrix products, agree with the planned einsums they
+    replace; the double marginal read off the induced map is ``marginal``."""
+    sc = random_superchannel(*dims, e=e, seed=[31, *dims, e])
+    form = pre_post_form(sc)
+    v, post = form.v_pre, form.post
+    want = assemble_by_einsum(v, post, form.e)
+    for got in (_assemble(v, post, form.e), recompose(v, post, form.e).choi):
+        assert frob(got - want) <= 1e-13 * frob(want)
+    want = post_choi_by_einsum(sc, v, form.e)
+    assert frob(post.choi - want) <= 1e-13 * frob(want)
+    m = marginal(sc)
+    assert frob(dims[1] * induced_marginal_map(sc).choi - m) <= 1e-14 * frob(m)
 
 
 @pytest.mark.parametrize("tol", [None, 1e-12])
