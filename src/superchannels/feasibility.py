@@ -49,9 +49,9 @@ triangle of x, so x is never symmetrised; the shadow as one Gram product
 ``B B^H`` with ``B = V sqrt(max(w, 0))``; the closed-form ``P_A(y)``; and an
 in-place update of x.  The witness is symmetrised once, when it is returned.
 At n = 16 (one BLAS thread, a shared 2-core Xeon) an iteration took 65-160 us
-with load, about three quarters of it in ``eigh``; a Newton step took
-0.65-0.71 ms there, 2.2-2.5 ms at (2,3,2,3), 5.8-6.2 ms at (3,2,3,2) and
-35-36 ms at (3,3,3,3) (n = 81), CP and TP.
+with load, about three quarters of it in ``eigh``.  A Newton step took 0.57 ms
+there, 1.9 ms at (2,3,2,3), 5.0 ms at (3,2,3,2) and 29 ms at (3,3,3,3) (n = 81);
+with ``inv(L)``, W in place of S and fresh temporaries, 0.63, 2.1, 5.3 and 32 ms.
 """
 
 from __future__ import annotations
@@ -114,15 +114,15 @@ class Directions:
         object.__setattr__(self, "lift", np.eye(self.r)[:, None, None, :, None] / 2 / self.r ** .5)
         object.__setattr__(self, "size", self.free.size)
 
-    def _reduce(self, v: np.ndarray) -> np.ndarray:
-        """``E^T`` on the leading N^2 axis of ``v``, which it overwrites."""
-        d, k, t = self.d, self.k, v.reshape((self.d, self.k, self.d, self.k) + v.shape[1:])
+    def _reduce(self, v: np.ndarray, axis: int = 0, out: np.ndarray | None = None) -> np.ndarray:
+        """``E^T`` on the N^2 axis ``axis`` (0 or 1) of ``v``, which it overwrites; into ``out``."""
+        d, k, u = self.d, self.k, v if axis == 0 else v.T
+        t = u.reshape((d, k, d, k) + u.shape[1:])
         for p in range(d - 1):
             t[p, :, p] -= t[-1, :, -1]
         if self.tp:
-            diag = np.arange(k - 1)
-            t[:, diag, :, diag] -= t[:, -1, :, -1]
-        return t.reshape(v.shape)[self.free]
+            t[:, np.arange(k - 1), :, np.arange(k - 1)] -= t[:, -1, :, -1]
+        return np.take(v, self.free, axis=axis, out=out, mode="clip")  # the indices are valid
 
     def combine(self, z: np.ndarray) -> np.ndarray:
         """The direction with coordinates ``z``: the lift of Z for ``V = E z``."""
@@ -130,11 +130,13 @@ class Directions:
         v = np.zeros((d, k, d, k))
         v.reshape(-1)[self.free] = z
         if self.tp:
-            v[:, -1, :, -1] = -np.einsum("puqu->pq", v)
-        v[-1, :, -1, :] = -np.einsum("pupv->uv", v)
+            v[:, -1, :, -1] -= v.trace(axis1=1, axis2=3)
+        for p in range(d - 1):
+            v[-1, :, -1] -= v[p, :, p]
         v = v.reshape(d * k, d * k)
         herm = np.empty(v.shape, dtype=complex)
-        herm.real, herm.imag = v + v.T, v - v.T
+        np.add(v, v.T, out=herm.real)
+        np.subtract(v, v.T, out=herm.imag)
         return (herm.reshape(d, 1, k, d, 1, k) * self.lift).reshape(d * r * k, -1)
 
     def coords(self, m: np.ndarray) -> np.ndarray:
@@ -142,8 +144,8 @@ class Directions:
         ``(Re(Y + Y^T) + Im(Y - Y^T)) / (2 sqrt(r))`` with ``Y = Tr_r m``."""
         d, k, r = self.d, self.k, self.r
         y = m.reshape(d, r, k, d, r, k).trace(axis1=1, axis2=4).reshape(d * k, d * k)
-        v = (y.real + y.real.T + y.imag - y.imag.T) / (2 * np.sqrt(r))
-        return self._reduce(v.reshape(-1))
+        c = (0.5 - 0.5j) / r ** .5  # Re(c Y + conj(c) Y^T), the real form above
+        return self._reduce((c * y + c.conjugate() * y.T).real.reshape(-1))
 
     def hessian(self, g: np.ndarray, extra: np.ndarray | None = None) -> np.ndarray:
         """The matrix ``Re Tr(G combine(e_a) G combine(e_b))`` for Hermitian G;
@@ -154,20 +156,24 @@ class Directions:
         (1/r) sum_st G_st[i, j] G_ts[k, l]``, one Gram product over the ``r^2``
         block pairs.  On V it is ``(Re KP + Re PK - Im K + Im PKP) / 2`` for
         the index transposition P.  G is Hermitian, so PKP is K's conjugate
-        and PK is KP's: ``H = Re KP - Im K``, two views, and E gives E^T H E.
+        and PK is KP's: ``H = Re KP - Im K``, two views subtracted into one
+        array, and E gives E^T H E; the 1/r is applied to that, once.
         """
-        d, k, r, nn = self.d, self.k, self.r, self.d * self.k
+        d, k, r, nn, m = self.d, self.k, self.r, self.d * self.k, self.size
         blocks = g.reshape(d, r, k, d, r, k).transpose(1, 4, 0, 2, 3, 5).reshape(r, r, nn * nn)
-        q4 = (blocks / r).reshape(r * r, -1).T @ blocks.transpose(1, 0, 2).reshape(r * r, -1)
-        kk = q4.reshape(nn, nn, nn, nn).transpose(1, 2, 3, 0)
-        h = (kk.transpose(0, 1, 3, 2).real - kk.imag).reshape(nn * nn, nn * nn)
-        hx = None if extra is None else h @ extra.reshape(-1)  # before _reduce overwrites h
-        s = self._reduce(self._reduce(h).T)
-        if hx is not None:  # the corner first: _reduce overwrites hx
-            inner, s = s, np.empty((self.size + 1, self.size + 1))
-            s[-1, -1], s[:-1, :-1] = r * (hx @ extra.reshape(-1)), inner
-            s[:-1, -1] = s[-1, :-1] = np.sqrt(r) * self._reduce(hx)
-        return (s + s.T) / 2
+        q4 = blocks.reshape(r * r, -1).T @ blocks.transpose(1, 0, 2).reshape(r * r, -1)
+        kk, h = q4.reshape((nn,) * 4), np.empty((nn,) * 4)
+        np.subtract(kk.real.transpose(1, 2, 0, 3), kk.imag.transpose(1, 2, 3, 0), h)
+        h, s = h.reshape(q4.shape), np.empty((m, m) if extra is None else (m + 1, m + 1))
+        if extra is not None:  # the corner before _reduce overwrites h
+            s[-1, -1] = 2 * r * ((vec := extra.reshape(-1)) @ h @ vec)
+        # H E into q4's memory, then E^T H E into h's: each is spent by then
+        cols = self._reduce(h, 1, q4.view(float).reshape(-1)[:len(h) * m].reshape(len(h), m))
+        if extra is not None:  # (H E)^T V for E^T H V: s is symmetrised below
+            s[:-1, -1] = s[-1, :-1] = 2 * r ** .5 * (vec @ cols)
+        inner = self._reduce(cols, out=h.reshape(-1)[:m * m].reshape(m, m))
+        np.add(inner, inner.T, out=s[:m, :m])
+        return np.multiply(s, 0.5 / r, out=s)
 
 
 @dataclass(frozen=True)
@@ -297,7 +303,7 @@ def newton_after(m: int) -> int:
 
 def newton_phase(affine: AffineSet, start: np.ndarray | None = None
                  ) -> tuple[np.ndarray | Certificate | None, str, int,
-                            tuple[float, np.ndarray] | None]:
+                            tuple[float, np.ndarray] | None, float | None]:
     """A witness of the affine set, or a certificate that it misses the cone,
     by a primal-dual interior-point method.
 
@@ -320,9 +326,10 @@ def newton_phase(affine: AffineSet, start: np.ndarray | None = None
     complement ``Tr(G A_i G A_j)`` over ``A = (combine(e_a), -E)``
     (``hessian``) at the scaling matrix G (``G S G = X``); each matrix moves
     ``_STEP_FRACTION`` of the way to the cone's boundary, at most a full step.
-    Returns ``(found, kind, steps, dual)``, ``dual`` the last ``(t, X)`` less
-    the part along the directions that rounding leaves in X; a witness passes
-    the affine rule ``residual <= affine_tol * rhs_scale`` (``thr``).
+    Returns ``(found, kind, steps, dual, residual)``, ``dual`` the last ``(t,
+    X)`` less the part along the directions that rounding leaves in X; a
+    witness passes the affine rule ``residual <= affine_tol * rhs_scale``
+    (``thr``), and ``residual`` is its residual (None without a witness).
 
     * ``STRICT``: ``t`` clears the floor ``4 (n+1) eps Tr(anchor) /
       lambda_min(E)`` and a Cholesky factorisation of ``W - (t/2) E``
@@ -338,7 +345,7 @@ def newton_phase(affine: AffineSet, start: np.ndarray | None = None
       once its margin is negative.
     * ``NONE``: when the gap ``<anchor, X> - t`` falls below the floor, S
       stops factorising, X or the Schur complement turns singular, or after
-      ``_NEWTON_STEP_CAP`` steps; ``(None, NONE, 0, None)`` when the trace is
+      ``_NEWTON_STEP_CAP`` steps; ``(None, NONE, 0, None, None)`` when the trace is
       not positive or S does not factorise at the start (its least eigenvalue
       relative to E, ``Tr(anchor)/n``, can lie within ``||start||``'s rounding).
     """
@@ -346,7 +353,7 @@ def newton_phase(affine: AffineSet, start: np.ndarray | None = None
     n, m, k = anchor.shape[0], dirs.size, dirs.k
     trace = float(np.trace(anchor).real)
     if trace <= 0:  # a positive definite point has a positive trace
-        return None, NONE, 0, None
+        return None, NONE, 0, None, None
     thr = DEFAULTS.affine_tol * affine.rhs_scale
 
     def eye_kron(p: int, a: np.ndarray) -> np.ndarray:  # I_p (x) a for k x k a
@@ -357,70 +364,72 @@ def newton_phase(affine: AffineSet, start: np.ndarray | None = None
     if mw[0] <= np.sqrt(DEFAULTS.affine_tol) * mw[-1]:  # E = I
         marg, mw, mv = np.eye(k), np.ones(k), np.eye(k)
     e, f = eye_kron(n // k, marg), eye_kron(n // k, (mv / np.sqrt(mw)) @ mv.conj().T)  # F = E^-1/2
+    x = eye_kron(n // k, (mv / (n * mw)) @ mv.conj().T)  # E^-1/n, from M's eigh like F
     border = -eye_kron(dirs.d, marg.real + marg.imag)  # -V for Z = I_d (x) M, which lifts to E
     floor = 4 * (n + 1) * np.finfo(float).eps * trace / mw[0]
-    w, x = anchor if start is None else (start + start.conj().T) / 2, f @ f / n
+    w = anchor if start is None else (start + start.conj().T) / 2
     t = float(np.linalg.eigvalsh(f @ w @ f)[0]) - trace / n
-    low = cholesky(w - t * e)
+    low = cholesky(s := w - t * e)  # the phase carries S = W - t E; exits form W
     if low is None:
-        return None, NONE, 0, None
-    unit, diag, found, kind = np.eye(1, m + 1, m)[0], np.arange(n), None, NONE
+        return None, NONE, 0, None, None
+    unit, rhs, found, kind, residual = np.eye(1, m + 1, m)[0], np.empty(m + 1), None, NONE, None
     for step in range(1, _NEWTON_STEP_CAP + 1):
         # R = L^-H Q diag(sqrt(lam)) for S = L L^H and L^H X L = Q diag(lam^2) Q^H
         # scales both matrices to diag(lam): R^H S R = R^-1 X R^-H; G = R R^H
-        lam2, q = np.linalg.eigh(low.conj().T @ x @ low)
+        lam2, q = np.linalg.eigh((lowh := low.conj().T) @ x @ low)
         if lam2[0] <= 0:
             break
-        lam, root = np.sqrt(lam2), np.outer(lam2, lam2) ** 0.25
-        r = np.linalg.inv(low).conj().T @ (q * np.sqrt(lam))
+        lam, quart = np.sqrt(lam2), lam2 ** 0.25
+        root, r = np.multiply.outer(quart, quart), np.linalg.solve(lowh, q * quart)
         rh = r.conj().T
-        rer, schur = rh @ e @ r, dirs.hessian(r @ rh, border)
+        schur = dirs.hessian(r @ rh, border).T  # exactly symmetric: .T is solve's column order
 
-        def direction(d: np.ndarray, rhs: np.ndarray):
-            """The step dy for ``rhs``, W's step and the scaled steps of S and X (sum d)."""
+        def direction(rhs: np.ndarray):
+            """The step dy for ``rhs``, S's step and its scaled step ``R^H dS R``."""
             dy = np.linalg.solve(schur, rhs)
-            dw = dirs.combine(dy[:m])
-            ds = rh @ dw @ r - dy[m] * rer
-            return dy, dw, ds, d - ds
+            dsw = dirs.combine(dy[:m]) - dy[m] * e
+            return dy, dsw, rh @ dsw @ r
 
         try:
             # the predictor's target -diag(lam^2) gives d = -diag(lam), and
             # R diag(lam) R^H = X, so its right-hand side is the unit vector;
             # dx = -diag(lam) - ds, so both its steps come from ds's spectrum
-            _, _, ds, dx = direction(-np.diag(lam), unit)
-            lo, hi = np.linalg.eigvalsh(ds / root)[[0, -1]]
-            step_s, step_x = 1 / max(1.0, -lo), 1 / max(1.0, 1 + hi)
+            _, _, ds = direction(unit)
+            (dx := -ds).flat[::n + 1] -= lam
+            spectrum = np.linalg.eigvalsh(ds / root)
+            step_s, step_x = 1 / max(1.0, -spectrum[0]), 1 / max(1.0, 1 + spectrum[-1])
             # n mu and n affine mu, <diag(lam) + a dx, diag(lam) + b ds>; d solves
             # (diag(lam) d + d diag(lam))/2 = sigma mu I - diag(lam^2) - (dx ds + ds dx)/2
             mu, cross = lam2.sum(), dx @ ds
             affine_mu = (mu + lam @ (step_s * ds.diagonal().real + step_x * dx.diagonal().real)
                          + step_s * step_x * np.vdot(dx, ds).real)
             d = -(cross + cross.conj().T) / np.add.outer(lam, lam)
-            d[diag, diag] += ((affine_mu / mu) ** 3 * mu / n - lam2) / lam
+            d.flat[::n + 1] += ((affine_mu / mu) ** 3 * mu / n - lam2) / lam
             y = x + r @ d @ rh
-            dy, dw, ds, dx = direction(d, np.append(dirs.coords(y), 1 - np.vdot(e, y).real))
+            rhs[:m], rhs[m] = dirs.coords(y), 1 - np.vdot(e, y).real
+            dy, dsw, ds = direction(rhs)
         except np.linalg.LinAlgError:
             break
         # _STEP_FRACTION of the longest steps keeping diag(lam) + a ds, + a dx PSD, at most 1
-        lowest = np.linalg.eigvalsh(np.stack((ds, dx)) / root)[:, 0]
-        step_s, step_x = _STEP_FRACTION / np.maximum(_STEP_FRACTION, -lowest)
-        w, t = w + step_s * dw, t + step_s * float(dy[m])
+        lowest = np.linalg.eigvalsh(np.stack((ds, dx := d - ds)) / root)[:, 0].tolist()
+        step_s, step_x = (_STEP_FRACTION / max(_STEP_FRACTION, -v) for v in lowest)
+        s, t = s + step_s * dsw, t + step_s * float(dy[m])
         x = x + step_x * (r @ dx @ rh)
         x += x.conj().T
         x /= np.vdot(e, x).real  # the step keeps <E, X> = 1 only up to rounding
-        low = cholesky(w - t * e)
+        low = cholesky(s)
         if low is None:
             break
-        if t > floor and cholesky((point := (w + w.conj().T) / 2) - t / 2 * e) is not None:
-            if affine.residual(point) <= thr:
-                found, kind = point, STRICT
+        if t > floor and cholesky((point := s + t * e) - t / 2 * e) is not None:
+            if (res := affine.residual(point)) <= thr:
+                found, kind, residual = point, STRICT, res
             break
         bound = float(np.vdot(x, anchor).real)
         if bound < thr:
-            shadow = _shadow(w)
+            shadow = _shadow(s + t * e)
             shadow = (shadow + shadow.conj().T) / 2
-            if affine.residual(shadow) <= thr:
-                found, kind = shadow, SHADOW
+            if (res := affine.residual(shadow)) <= thr:
+                found, kind, residual = shadow, SHADOW, res
                 break
         if bound < 0:
             cert = certificate(affine, x, 0)
@@ -430,7 +439,7 @@ def newton_phase(affine: AffineSet, start: np.ndarray | None = None
         if bound - t < floor:
             break
     # rounding leaves X a part along the directions that grows with G's condition
-    return found, kind, step, (t, x - affine.project(x) + affine.origin)
+    return found, kind, step, (t, x - affine.project(x) + affine.origin), residual
 
 
 def solve(affine: AffineSet,
@@ -488,13 +497,14 @@ def solve(affine: AffineSet,
         if it & (it - 1) == 0:  # it is a power of two
             cert = certificate(affine, y, py)
             if it == switch and max_iter >= 2 * switch and cert.margin >= 0:
-                found, phase["newton_exit"], phase["newton_steps"], _ = newton_phase(affine, py)
+                found, phase["newton_exit"], phase["newton_steps"], _, res = newton_phase(
+                    affine, py)
                 if isinstance(found, Certificate):
                     cert = found
                 elif found is not None:
                     return FeasibilityReport(status=FEASIBLE, iterations=it,
                                              gap=float(np.linalg.norm(found - project(found))),
-                                             affine_residual=affine.residual(found),
+                                             affine_residual=res,
                                              psd_residual=0.0, witness=found, **phase)
             if cert.margin < 0:
                 return FeasibilityReport(status=INFEASIBLE, iterations=it, gap=gap,

@@ -12,7 +12,7 @@ and ``solve`` must leave its inputs alone.  The phase's closed-form
 direction coordinates and Hessian are checked against dense ones and
 against the orthonormal basis they replace, and the phase, which measures t
 against the output marginal, against ``reference_newton_phase``, the phase
-with the identity as its unit.
+with the identity as its unit; each step's LAPACK calls are counted.
 """
 
 import dataclasses
@@ -79,7 +79,7 @@ def _no_phase(monkeypatch):
     no step, so Douglas-Rachford runs on exactly as if it had not run, and
     the report's ``newton_exit`` reads ``NONE`` wherever the switch came."""
     monkeypatch.setattr(feasibility, "newton_phase",
-                        lambda affine, start=None: (None, NONE, 0, None))
+                        lambda affine, start=None: (None, NONE, 0, None, None))
 
 
 @pytest.mark.parametrize("name", CASES)
@@ -220,7 +220,7 @@ def test_sets_without_a_positive_definite_point_exit_the_phase(seed):
     """The unique extensions: no point of the set is positive definite, and
     the phase exits with the PSD shadow of its point as the witness."""
     affine = affine_set(restrict_superchannel(_cap_instance(seed)))
-    witness, kind, steps, _ = newton_phase(affine)
+    witness, kind, steps, _, _ = newton_phase(affine)
     assert kind == SHADOW
     assert 0 < steps <= 12
     _assert_verified(witness, _cap_instance(seed), affine)
@@ -245,8 +245,8 @@ def test_a_phase_without_a_witness_resumes_douglas_rachford(monkeypatch):
     witness is dropped: the run then ends as the reference's does, feasible
     at iteration 2,261 with the same witness."""
     def no_verdict(affine, start=None):
-        _, _, steps, dual = newton_phase(affine, start)
-        return None, NONE, steps, dual
+        _, _, steps, dual, _ = newton_phase(affine, start)
+        return None, NONE, steps, dual, None
 
     monkeypatch.setattr(feasibility, "newton_phase", no_verdict)
     affine = affine_set(restrict_superchannel(_cap_instance(401)))
@@ -255,6 +255,45 @@ def test_a_phase_without_a_witness_resumes_douglas_rachford(monkeypatch):
     assert got.iterations == want.iterations == 2261
     assert got.newton_after == 4 and got.newton_exit == NONE and 0 < got.newton_steps <= 12
     np.testing.assert_allclose(got.witness, want.witness, rtol=0, atol=1e-10)
+
+
+@pytest.mark.parametrize("seed, steps, kind", [(401, 10, SHADOW), (402, 3, STRICT)])
+def test_each_step_makes_the_same_lapack_calls(seed, steps, kind, monkeypatch):
+    """The phase's LAPACK work, in order, counted by wrapping ``np.linalg``
+    from DR's point at the switch.  The set-up takes M's ``eigh``, the
+    ``eigvalsh`` that places t and S's Cholesky factorisation.  Every step
+    then takes one ``eigh`` (of ``L^H X L``), a ``solve`` against ``L^H``
+    for R, the two Schur solves, the predictor's ``eigvalsh`` and the
+    corrector's batched over its two matrices, and S's factorisation; the
+    strict exit adds the factorisation of ``W - (t/2) E`` and the shadow
+    exit ``_shadow``'s ``eigh``.  No step inverts a matrix."""
+    calls, counting = [], [False]
+
+    def counted(name, call):
+        def wrapper(a, *args, **kwargs):
+            if counting[0]:
+                calls.append((name, np.ndim(a)))
+            return call(a, *args, **kwargs)
+        return wrapper
+
+    for name in ("inv", "eigh", "solve", "eigvalsh", "cholesky"):
+        monkeypatch.setattr(np.linalg, name, counted(name, getattr(np.linalg, name)))
+    phase = feasibility.newton_phase
+
+    def counted_phase(affine, start=None):
+        counting[0] = True
+        try:
+            return phase(affine, start)
+        finally:
+            counting[0] = False
+
+    monkeypatch.setattr(feasibility, "newton_phase", counted_phase)
+    report = solve(affine_set(restrict_superchannel(_cap_instance(seed))), max_iter=20_000)
+    assert (report.newton_steps, report.newton_exit) == (steps, kind)
+    step = [("eigh", 2), ("solve", 2), ("solve", 2), ("eigvalsh", 2), ("solve", 2),
+            ("eigvalsh", 3), ("cholesky", 2)]
+    exit_calls = [("eigh", 2)] if kind == SHADOW else [("cholesky", 2)]
+    assert calls == [("eigh", 2), ("eigvalsh", 2), ("cholesky", 2)] + step * steps + exit_calls
 
 
 def _tp_restriction(dims, seed):
@@ -324,7 +363,7 @@ def _assert_weak_duality(affine, dual):
 ])
 def test_weak_duality_holds_at_every_exit(make, kind):
     affine = make()
-    found, got, steps, dual = newton_phase(affine)
+    found, got, steps, dual, _ = newton_phase(affine)
     assert got == kind and steps > 0
     _assert_weak_duality(affine, dual)
     t, x = dual
@@ -369,7 +408,7 @@ def test_newton_phase_stops_at_once_on_a_set_without_positive_trace():
     restriction has no positive definite point, and no floor to clear."""
     action = restrict_superchannel(_cap_instance(415))
     negated = SpanAction(2, 2, 2, 2, tuple(-y for y in action.images))
-    assert newton_phase(affine_set(negated)) == (None, NONE, 0, None)
+    assert newton_phase(affine_set(negated)) == (None, NONE, 0, None, None)
 
 
 def test_newton_phase_stops_at_once_when_the_start_does_not_factorise():
@@ -382,7 +421,7 @@ def test_newton_phase_stops_at_once_when_the_start_does_not_factorise():
     anchor = np.kron(np.eye(n // 2), [[0, 1], [1, 0]]) + 2.0 ** -60 * np.eye(n)
     assert np.trace(anchor) > 0
     assert newton_phase(dataclasses.replace(affine, anchor=anchor.astype(complex))) == (
-        None, NONE, 0, None)
+        None, NONE, 0, None, None)
 
 
 LADDER = [(2, 2, 2, 2), (2, 3, 2, 3), (3, 2, 3, 2), (3, 3, 3, 3)]
@@ -493,14 +532,15 @@ def test_newton_phase_returns_a_proved_witness_or_none(dims, e, seed):
     checks, and the last dual point bounds t."""
     sc = random_superchannel(*dims, e=e, seed=seed)
     affine = affine_set(restrict_superchannel(sc))
-    witness, kind, steps, dual = newton_phase(affine)
+    witness, kind, steps, dual, residual = newton_phase(affine)
     assert steps >= 1
     assert kind in (STRICT, SHADOW, NONE)
-    assert (witness is None) == (kind == NONE)
+    assert (witness is None) == (kind == NONE) == (residual is None)
     _assert_weak_duality(affine, dual)
     if kind == STRICT:
         assert np.linalg.eigvalsh(witness)[0] > 0
     if witness is not None:
+        assert residual == affine.residual(witness)
         _assert_verified(witness, sc, affine)
 
 
@@ -512,7 +552,7 @@ def _phase_starts(affines, monkeypatch):
     starts = []
     monkeypatch.setattr(feasibility, "newton_after", lambda m: 4)
     monkeypatch.setattr(feasibility, "newton_phase", lambda affine, start=None: (
-        starts.append((affine, start)), (None, NONE, 0, None))[1])
+        starts.append((affine, start)), (None, NONE, 0, None, None))[1])
     for affine in affines:
         solve(affine, max_iter=8)
     monkeypatch.undo()
@@ -542,7 +582,7 @@ def test_the_phase_ends_as_the_identity_unit_phase_does(name, monkeypatch):
     generators = {id(a): sc for a, sc in zip(affines, scs)}
     got_steps = want_steps = 0
     for affine, start in _phase_starts(affines, monkeypatch):
-        found, kind, steps, _ = newton_phase(affine, start)
+        found, kind, steps, _, _ = newton_phase(affine, start)
         _, want_kind, want, _ = reference_newton_phase(affine, start)
         assert kind == want_kind
         got_steps, want_steps = got_steps + steps, want_steps + want
@@ -588,7 +628,7 @@ def test_a_singular_output_marginal_keeps_the_identity_unit(dims, mix, tp):
         np.linalg.cholesky(_marginal(affine))
     n = affine.anchor.shape[0]
     assert np.array_equal(_unit(affine), np.eye(n))
-    found, kind, steps, (t, x) = newton_phase(affine)
+    found, kind, steps, (t, x), _ = newton_phase(affine)
     _, want_kind, want_steps, (want_t, _) = reference_newton_phase(affine)
     assert (kind, steps) == (want_kind, want_steps)
     assert kind == SHADOW
